@@ -28,7 +28,12 @@ same config (plus ``--seed`` where randomness is involved) reproduces
 its CSV output byte for byte.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config
-error, 3 I/O error.
+error, 3 I/O error.  A config that passes the schema but whose numbers
+make a computation fail (an ``ArithmeticError``: a ``ZeroDivisionError``
+from an underflowed scale, an overflowing overlap matrix, or an internal
+cross-check lost to roundoff) also exits 2, with a one-line message and
+no traceback.  Every command except ``demkov`` computes all its results
+before it writes a file, so such a failure leaves no output behind.
 """
 
 from __future__ import annotations
@@ -1111,6 +1116,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # domain rejections raised by the modules while computing
         print("config error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        # the config passed the schema but its numbers break a computation
+        print("config error: arithmetic failure (%s: %s)"
+              % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)

@@ -53,10 +53,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln, roots_hermite
 
 from .ermakov import ErmakovParameters, evolve
-from .specfun import MAX_DEGREE, hermite_function_table, hyp2f1_even_odd
+from .specfun import (
+    MAX_DEGREE,
+    hermite_function_table,
+    hermite_zeros,
+    hyp2f1_even_odd,
+    laguerre_ratios,
+)
 
 __all__ = [
     "TruncationWarning",
@@ -111,10 +116,22 @@ def t_matrix(a: float, b: float, gamma: float, size: int) -> np.ndarray:
     """Displacement/modulation overlap matrix T_mn(a, b, gamma).
 
     Matrix of the map Psi_n(x) -> exp(i(gamma + b x)) Psi_n(x + a) on the
-    oscillator basis; unitary up to truncation.  Entries are evaluated
-    per diagonal through associated Laguerre polynomials with log-space
-    amplitude accumulation, so the full MAX_DEGREE range is reachable
-    without overflow for moderate (a, b).
+    oscillator basis; unitary up to truncation.  This is the closed form
+    of Cahill & Glauber, Phys. Rev. 177, 1857 (1969): with
+    nu = (a^2 + b^2)/2 and d = m - n >= 0,
+
+        T_mn = e^{i(gamma - a b/2) - nu/2} (i u / |u|)^d
+               sqrt(n!/m!) nu^{d/2} L_n^d(nu),     u = (b + i a)/sqrt(2),
+
+    and the rows m < n follow with (-i w / |w|)^d, w = (-b + i a)/sqrt(2).
+    All diagonals are evaluated at once: one difference-form Laguerre
+    recurrence in n (`laguerre_ratios`) runs across every order d and
+    yields p = L_n^d(nu) / C(n+d, n), and the remaining factor
+    C(n+d, n) sqrt(n!/m!) nu^{d/2} = sqrt(m!/n!) nu^{d/2} / d! is a
+    running product along each diagonal.  Both stay accurate to a few
+    units in the last place over the full MAX_DEGREE range (entries are
+    bounded by 1) for moderate (a, b).  For large nu the factors leave
+    the floating-point range; that raises ArithmeticError.
 
     Parameters
     ----------
@@ -145,19 +162,26 @@ def t_matrix(a: float, b: float, gamma: float, size: int) -> np.ndarray:
     u = complex(b, a) / math.sqrt(2.0)      # governs rows m >= n
     w = complex(-b, a) / math.sqrt(2.0)     # governs rows m < n
     root_nu = math.sqrt(nu)                 # |u| = |w|
-    log_root = 0.5 * math.log(nu)
-    lg = gammaln(np.arange(1.0, size + 2.0))    # lg[k] = log k!
+    orders = np.arange(size)
+    phase_up = (1j * u / root_nu) ** orders     # i^d u^d = (i u)^d
+    phase_dn = (-1j * w / root_nu) ** orders    # i^{-d} w^d = (-i w)^d
 
-    phase_up = 1j * u / root_nu             # i^d u^d = (i u)^d
-    phase_dn = -1j * w / root_nu            # i^{-d} w^d = (-i w)^d
-    for d in range(size):
-        n_idx = np.arange(size - d)
-        lag = eval_genlaguerre(n_idx, d, nu)
-        amp = np.exp(0.5 * (lg[n_idx] - lg[n_idx + d]) + d * log_root)
-        upper = phase0 * phase_up**d * amp * lag
-        out[n_idx + d, n_idx] = upper
-        if d:
-            out[n_idx, n_idx + d] = phase0 * phase_dn**d * amp * lag
+    m_idx, n_idx = np.tril_indices(size)
+    d = m_idx - n_idx
+    with np.errstate(over="ignore", invalid="ignore"):
+        # ratio[n, d] = L_n^d(nu) / C(n+d, n)
+        # amp[n, d] = sqrt(m!/n!) nu^{d/2} / d!, with m = n + d
+        ratio = np.array(list(laguerre_ratios(size - 1, orders, nu)))
+        step = np.sqrt(np.add.outer(orders, orders) * nu) / np.maximum(orders, 1)
+        step[:, 0] = 1.0
+        amp = np.cumprod(step, axis=1)
+        value = phase0 * amp[n_idx, d] * ratio[n_idx, d]
+    if not np.all(np.isfinite(value)):
+        raise ArithmeticError(
+            f"displacement overlaps overflow at nu = {nu:.3e} with size "
+            f"{size}; (a, b) = ({a!r}, {b!r}) is too large")
+    out[m_idx, n_idx] = phase_up[d] * value
+    out[n_idx, m_idx] = phase_dn[d] * value
     return _readonly(out)
 
 
@@ -178,7 +202,7 @@ def _real_scale_matrix(b: float, size: int) -> np.ndarray:
     intermediate quantity O(1) at any degree.
     """
     n_nodes = size + 1
-    u = roots_hermite(n_nodes)[0]
+    u = hermite_zeros(n_nodes)
     weight = 1.0 / (n_nodes * hermite_function_table(n_nodes - 1, u)[-1] ** 2)
     s = math.sqrt(2.0 / (1.0 + b * b))
     hx = hermite_function_table(size - 1, s * u)
@@ -316,8 +340,9 @@ def m_entry(m: int, n: int, alpha: float, beta: float, branch: int = 1) -> compl
     zeta = branch * beta / abs(c2)
     f = hyp2f1_even_odd(m, n, zeta)
     w = np.sqrt(c2)
-    log_amp = (0.5 * (m + n) * _LN2 + gammaln(0.5 * (m + n + 1))
-               - 0.5 * (gammaln(m + 1.0) + gammaln(n + 1.0)) - 0.5 * _LNPI)
+    log_amp = (0.5 * (m + n) * _LN2 + math.lgamma(0.5 * (m + n + 1))
+               - 0.5 * (math.lgamma(m + 1.0) + math.lgamma(n + 1.0))
+               - 0.5 * _LNPI)
     powers = w**m * np.conj(w)**n * np.exp(-0.5 * (m + n + 1) * np.log(complex(c1)))
     return complex(1j**(n % 4) * math.exp(log_amp) * powers * f)
 
@@ -359,6 +384,8 @@ class ExpansionTable:
     def __post_init__(self):
         if self.coeffs.shape != (self.truncation, len(self.columns)):
             raise ValueError("coeffs shape does not match truncation/columns")
+        if np.any(np.isnan(self.tail_mass)):
+            raise ValueError("tail_mass must not be NaN")
         if np.any(self.tail_mass < -1e-12):
             raise ValueError("weighted column norm exceeds 1 beyond roundoff")
         _readonly(self.coeffs)
@@ -394,7 +421,9 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
     Raises
     ------
     ArithmeticError
-        If the two orderings disagree beyond the truncation budget.
+        If any coefficient of either ordering is non-finite (the overlap
+        matrices left the floating-point range), or if the two orderings
+        disagree beyond the truncation budget.
     """
     size = _check_size(size)
     cols = tuple(int(n) for n in columns)
@@ -414,24 +443,28 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
                      p0.kappa - a0 * p0.epsilon**2 / b0**2,
                      size)
     second = tmat2 @ mmat[:, cols]
+    if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
+        raise ArithmeticError(
+            "non-finite expansion coefficients: the overlap matrices "
+            f"overflow at truncation {size} for these parameters")
 
     weight = abs(b0)
     tail_first = 1.0 - weight * np.sum(np.abs(first) ** 2, axis=0)
     tail_second = 1.0 - weight * np.sum(np.abs(second) ** 2, axis=0)
     diff = weight * np.sum(np.abs(first - second) ** 2, axis=0)
     budget = 10.0 * (np.abs(tail_first) + np.abs(tail_second)) + 1e-18
-    if np.any(diff > budget):
+    if not np.all(diff <= budget):
         raise ArithmeticError(
             "factorization orders disagree beyond the truncation budget: "
             f"max weighted difference {float(np.max(diff)):.3e}")
 
     worst = float(np.max(tail_first))
-    if worst > TAIL_HARD_LIMIT:
+    if not worst <= TAIL_HARD_LIMIT:
         warnings.warn(
             f"truncation {size} drops tail mass {worst:.3e} "
             f"(> {TAIL_HARD_LIMIT:.0e}); results are unreliable, "
             "increase size", TruncationWarning, stacklevel=2)
-    elif worst > TAIL_WARN_LIMIT:
+    elif not worst <= TAIL_WARN_LIMIT:
         warnings.warn(
             f"truncation {size} leaves tail mass {worst:.3e}",
             TruncationWarning, stacklevel=2)

@@ -1,9 +1,11 @@
 """Polynomial special functions and the Gaussian-weighted Hermite integral.
 
 Everything here terminates: Hermite and associated Laguerre polynomials,
-rising factorials, terminating 2F1 / 2F0 sums, and the closed form of
+the zeros of the Hermite functions, rising factorials, terminating
+2F1 / 2F0 sums, and the closed form of
 integral(exp(-lambda2 x^2) H_m(a x) H_n(b x) dx).  Degrees are capped at
-MAX_DEGREE to keep silent overflow out of the library.
+MAX_DEGREE to keep silent overflow out of the library.  Only numpy and
+the standard library are used.
 
 The closed form of the Gaussian-Hermite integral is evaluated through the
 even/odd reduction of the degenerate-lower-parameter 2F1 (half-integer
@@ -18,7 +20,6 @@ import math
 from typing import Union
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 __all__ = [
     "MAX_DEGREE",
@@ -26,6 +27,8 @@ __all__ = [
     "hermite",
     "hermite_function",
     "hermite_function_table",
+    "hermite_zeros",
+    "laguerre_ratios",
     "laguerre_assoc",
     "pochhammer",
     "hyp2f1_terminating",
@@ -79,24 +82,143 @@ def hermite_function(n: int, x):
     return hermite_function_table(n, x)[-1]
 
 
+def _hermite_rows(nmax: int, x):
+    """Yield the normalized Hermite functions h_0(x), ..., h_nmax(x).
+
+    The recurrence works on the weighted, unit-norm functions, so nothing
+    overflows; no degree cap is applied here.
+    """
+    h_prev = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    yield h_prev
+    if nmax == 0:
+        return
+    h = math.sqrt(2.0) * x * h_prev
+    yield h
+    for k in range(1, nmax):
+        h, h_prev = (x * math.sqrt(2.0 / (k + 1)) * h
+                     - math.sqrt(k / (k + 1.0)) * h_prev), h
+        yield h
+
+
 def hermite_function_table(nmax: int, x) -> np.ndarray:
     """All normalized Hermite functions 0..nmax at once, shape (nmax+1, ...)."""
     nmax = _check_degree(nmax)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((nmax + 1,) + x.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if nmax >= 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
-    for k in range(1, nmax):
-        out[k + 1] = (x * math.sqrt(2.0 / (k + 1)) * out[k]
-                      - math.sqrt(k / (k + 1.0)) * out[k - 1])
+    for k, row in enumerate(_hermite_rows(nmax, x)):
+        out[k] = row
     return out
 
 
+#: Newton steps allowed when polishing the Hermite zeros (3 suffice up to
+#: MAX_DEGREE + 1 nodes from the Tricomi start)
+_ZERO_MAX_STEPS = 10
+
+
+def hermite_zeros(n: int) -> np.ndarray:
+    """The n zeros of H_n (equivalently of h_n), in increasing order.
+
+    These are the Gauss-Hermite nodes; n may be MAX_DEGREE + 1 so that a
+    rule exact for degree 2 MAX_DEGREE is available.  The positive zeros
+    start from Tricomi's asymptotic guess x = sqrt(2n+1) cos(phi) with
+    phi - sin(phi) cos(phi) = pi (4k-1) / (4n+2), k = 1, ..., n // 2 (the
+    phi equation is solved by Newton from cbrt(1.5 t)), and are then
+    polished by Newton on the normalized recurrence with
+    h_n' = sqrt(2n) h_{n-1} - x h_n.  The negative zeros follow by
+    symmetry, and 0 is a zero for odd n.  No eigenvalue solver is used.
+
+    Raises
+    ------
+    ArithmeticError
+        If the Newton polish does not converge.
+    """
+    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
+            or not 1 <= n <= MAX_DEGREE + 1):
+        raise ValueError(
+            f"number of zeros must be an integer in [1, {MAX_DEGREE + 1}], "
+            f"got {n!r}")
+    n = int(n)
+    t = math.pi * (4.0 * np.arange(1, n // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    phi = np.cbrt(1.5 * t)
+    for _ in range(6):
+        phi = phi - (phi - np.sin(phi) * np.cos(phi) - t) / (2.0 * np.sin(phi) ** 2)
+    x = math.sqrt(2.0 * n + 1.0) * np.cos(phi)
+    tol = 1e-12 * math.sqrt(2.0 * n + 1.0)
+    for _ in range(_ZERO_MAX_STEPS):
+        *_, h_prev, h = _hermite_rows(n, x)
+        step = h / (math.sqrt(2.0 * n) * h_prev - x * h)
+        x = x - step
+        if np.all(np.abs(step) <= tol):
+            break
+    else:
+        raise ArithmeticError(
+            f"Hermite zeros for n={n} did not converge in "
+            f"{_ZERO_MAX_STEPS} Newton steps")
+    middle = [0.0] if n % 2 else []
+    return np.concatenate((-x, middle, x[::-1]))
+
+
+def laguerre_ratios(nmax: int, a, x):
+    """Yield p_k = L_k^a(x) / C(k + a, k) for k = 0, 1, ..., nmax.
+
+    Difference form of the three-term Laguerre recurrence: with
+    delta_1 = -x/(a+1) and p_1 = 1 + delta_1,
+
+        delta_{k+1} = -x/(k+a+1) p_k + k/(k+a+1) delta_k,
+        p_{k+1} = p_k + delta_{k+1}.
+
+    Carrying the increment keeps full accuracy at small x, where every
+    p_k is close to 1; the normalized three-term form loses it there.
+    Broadcasts over a (> -1) and x.
+    """
+    a1 = np.asarray(a, dtype=float) + 1.0
+    p = np.ones(np.broadcast_shapes(a1.shape, np.shape(x)))
+    yield p
+    if nmax == 0:
+        return
+    delta = -x / a1
+    p = delta + 1.0
+    yield p
+    for k in range(1, nmax):
+        delta = -x / (k + a1) * p + (k / (k + a1)) * delta
+        p = p + delta
+        yield p
+
+
+def _binom(top: float, k: int) -> float:
+    """Binomial coefficient C(top, k) for integer k >= 0, by products.
+
+    Uses the symmetry C(top, k) = C(top, top - k) for integer top and
+    rescales the running product before it can overflow.
+    """
+    if top == math.floor(top) and top > 0 and k > top / 2:
+        k = int(top) - k
+    num = den = 1.0
+    for i in range(1, k + 1):
+        num *= i + top - k
+        den *= i
+        if abs(num) > 1e50:
+            num /= den
+            den = 1.0
+    return num / den
+
+
 def laguerre_assoc(m: int, a: float, x):
-    """Associated Laguerre polynomial L_m^a(x), vectorized over x."""
+    """Associated Laguerre polynomial L_m^a(x), vectorized over x.
+
+    Evaluated as C(m + a, m) times the last ratio of `laguerre_ratios`;
+    requires a > -1.
+    """
     m = _check_degree(m)
-    return eval_genlaguerre(m, a, x)
+    if not a > -1.0:
+        raise ValueError(f"order must exceed -1, got {a!r}")
+    x = np.asarray(x)
+    if m == 1:
+        out = -x + a + 1.0      # direct, without the ratio form's roundings
+    else:
+        *_, ratio = laguerre_ratios(m, a, x)
+        out = _binom(m + a, m) * ratio
+    return out if out.shape else out[()]
 
 
 def pochhammer(a: Scalar, k: int) -> Scalar:
@@ -152,8 +274,8 @@ def hyp2f1_even_odd(k: int, n: int, zeta: Scalar) -> complex:
     else:
         r, s, c = (k - 1) // 2, (n - 1) // 2, 1.5
         front = -1j * zeta
-    ratio = math.exp(gammaln(c + r) + gammaln(c + s)
-                     - gammaln(c + r + s) - gammaln(c))
+    ratio = math.exp(math.lgamma(c + r) + math.lgamma(c + s)
+                     - math.lgamma(c + r + s) - math.lgamma(c))
     return front * ratio * hyp2f1_terminating(r, s, c, -(zeta * zeta))
 
 
@@ -195,10 +317,10 @@ def _bailey_core(m: int, n: int, a: Scalar, b: Scalar, lam2: Scalar) -> complex:
         terms.append(coeff * ab2**k * sa2 ** (r - k) * sb2 ** (s - k))
         coeff = coeff * ((k - r) * (k - s)) / ((c + k) * (k + 1))
     poly = sum(terms)
-    log_ratio = (gammaln(c + r) + gammaln(c + s)
-                 - gammaln(c + r + s) - gammaln(c))
+    log_ratio = (math.lgamma(c + r) + math.lgamma(c + s)
+                 - math.lgamma(c + r + s) - math.lgamma(c))
     log_front = ((m + n) * math.log(2.0)
-                 + gammaln(0.5 * (m + n + 1))
+                 + math.lgamma(0.5 * (m + n + 1))
                  - 0.5 * (m + n + 1) * np.log(complex(lam2)))
     return front * poly * complex(np.exp(log_front + log_ratio))
 

@@ -97,6 +97,24 @@ class TestConfigValidation:
                      "--out", str(tmp_path), "--grid", "7"]) == 2
         assert "--grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, cfg", [
+        # beta^2 underflows to 0 in the covariance
+        ("evolve", {"params": dict(GROUND, beta=1e-200),
+                    "times": {"start": 0.0, "stop": 1.0, "count": 3}}),
+        # delta0/beta0 = 3e7: the displacement overlaps overflow
+        ("expand", {"params": dict(GROUND, beta=1e-6, delta=30.0,
+                                   epsilon=-30.0),
+                    "columns": [0, 1], "truncation": 128}),
+    ])
+    def test_arithmetic_failure_is_config_error(self, tmp_path, capsys,
+                                                command, cfg):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_subcommand_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
@@ -362,3 +380,15 @@ class TestVerify:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "all" in proc.stdout and "passed" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would cost every run
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sqstates.cli; "
+         "print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -87,6 +87,19 @@ def mp_ladder_matrix(alpha, beta, size, dps=80):
                          for m in range(size)])
 
 
+def mp_t_entry(a, b, g, m, n, dps=40):
+    """One displacement overlap from the Laguerre closed form in mpmath."""
+    with mp.workdps(dps):
+        a, b, g = mp.mpf(a), mp.mpf(b), mp.mpf(g)
+        nu = (a * a + b * b) / 2
+        lo, d = min(m, n), abs(m - n)
+        unit = (mp.mpc(-a, b) if m >= n else mp.mpc(a, b)) / mp.sqrt(2 * nu)
+        value = (mp.exp(1j * (g - a * b / 2) - nu / 2) * unit**d
+                 * mp.sqrt(mp.factorial(lo) / mp.factorial(lo + d))
+                 * mp.sqrt(nu) ** d * mp.laguerre(lo, d, nu))
+        return complex(value)
+
+
 class TestTMatrix:
     def test_no_shift_no_modulation_is_pure_phase(self):
         for g in (0.0, 0.9, -2.4):
@@ -125,6 +138,17 @@ class TestTMatrix:
                        / math.sqrt(math.factorial(m) * math.factorial(n))
                        * u**m * w**n * hyp2f0_terminating(n, m, -1.0 / nu))
                 assert out[m, n] == pytest.approx(ref, abs=1e-13)
+
+    @pytest.mark.parametrize("nu", [2.5e-4, 0.33, 3.1, 20.5])
+    def test_full_size_entries_match_mpmath(self, nu):
+        # entries are bounded by 1, so the bound is absolute; the probes
+        # sit on the diagonal and near the corners of the 512 x 512 matrix
+        a, b, g = 0.6 * math.sqrt(2.0 * nu), -0.8 * math.sqrt(2.0 * nu), 0.3
+        out = t_matrix(a, b, g, 512)
+        for m, n in [(511, 511), (511, 510), (510, 511), (500, 480),
+                     (480, 500), (400, 380), (300, 300), (256, 200),
+                     (100, 90), (511, 0), (0, 511), (20, 0), (5, 5)]:
+            assert abs(out[m, n] - mp_t_entry(a, b, g, m, n)) <= 5e-13
 
     def test_rejects_bad_size(self):
         with pytest.raises(ValueError):
@@ -280,6 +304,15 @@ class TestExpansionTable:
             expansion_table(GROUND, (), size=8)
         with pytest.raises(ValueError):
             expansion_table(GROUND, (9,), size=8)
+        with pytest.raises(ValueError, match="NaN"):
+            ExpansionTable(np.zeros((2, 1), dtype=complex), (0,), 2,
+                           np.array([np.nan]), 1.0)
+
+    def test_out_of_range_parameters_raise_instead_of_nan(self):
+        # delta0/beta0 = 3e7: the displacement overlaps leave float range
+        p0 = ErmakovParameters(0.0, 1e-6, 0.0, 30.0, -30.0, 0.0)
+        with pytest.raises(ArithmeticError, match="overflow"):
+            expansion_table(p0, (0, 1), 128)
 
     def test_single_column_helper(self):
         one = c_coeffs(GROUND, 5, size=12)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 from sqstates.specfun import (
     MAX_DEGREE,
@@ -14,6 +15,7 @@ from sqstates.specfun import (
     hermite,
     hermite_function,
     hermite_function_table,
+    hermite_zeros,
     hyp2f0_terminating,
     hyp2f1_even_odd,
     hyp2f1_terminating,
@@ -94,9 +96,34 @@ class TestLaguerre:
         assert laguerre_assoc(m, a, x) == pytest.approx(total, rel=1e-12)
 
     def test_against_mpmath(self):
-        for m, a, x in [(12, 2, 3.7), (30, 5, 0.9), (64, 1, 8.0)]:
+        for m, a, x in [(12, 2, 3.7), (30, 5, 0.9), (64, 1, 8.0),
+                        (500, 3, 1e-3)]:
             ref = float(mp.laguerre(m, a, mp.mpf(str(x))))
             assert laguerre_assoc(m, a, x) == pytest.approx(ref, rel=1e-9)
+
+    def test_order_must_exceed_minus_one(self):
+        with pytest.raises(ValueError):
+            laguerre_assoc(3, -1.0, 0.5)
+
+
+class TestHermiteZeros:
+    @pytest.mark.parametrize("n", [2, 3, 65, 129, MAX_DEGREE + 1])
+    def test_match_reference_nodes_and_annihilate_h_n(self, n):
+        u = hermite_zeros(n)
+        assert np.max(np.abs(u - roots_hermite(n)[0])) <= 5e-14
+        assert np.all(np.diff(u) > 0.0)
+        with mp.workdps(30):
+            norm = mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi))
+            resid = max(abs(float(mp.hermite(n, x) * mp.exp(-x * x / 2) / norm))
+                        for x in map(mp.mpf, u.tolist()))
+        # a node within an ulp or two of the true zero leaves |h_n| of
+        # |h_n'| ulp(x), below 1e-14 for these degrees
+        assert resid <= 2e-14
+
+    def test_rejects_bad_count(self):
+        for n in (0, MAX_DEGREE + 2, 3.0, True):
+            with pytest.raises(ValueError):
+                hermite_zeros(n)
 
 
 class TestPochhammer:
