@@ -31,14 +31,16 @@ Exit codes: 0 success, 1 verification failure, 2 usage or config
 error, 3 I/O error.  A config that passes the schema but whose numbers
 make a computation fail (an ``ArithmeticError``: a ``ZeroDivisionError``
 from an underflowed scale, an overflowing overlap matrix, or an internal
-cross-check lost to roundoff) also exits 2, with a one-line message and
-no traceback.  Every command except ``demkov`` computes all its results
-before it writes a file, so such a failure leaves no output behind.
+cross-check lost to roundoff) also exits 2, with a one-line message that
+names the config field or block behind it, and no traceback.  Every
+command computes all its results before it creates the output directory
+or writes a file, so such a failure leaves no output behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -50,6 +52,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
+from ._csv import fields, write_csv
 from .channel import (
     ChannelParameters,
     density,
@@ -78,8 +81,8 @@ from .fockexp import (
 )
 from .operators import b_operators, energy_levels, heisenberg_residual, interior
 from .phasespace import (
-    PhaseSpaceGrid,
     PhaseSpacePoint,
+    default_grid,
     grid_normalization,
     moyal,
     rotate_evolution_check,
@@ -102,8 +105,6 @@ from .states import (
     uncertainty_extrema,
     variance_series,
 )
-
-FMT = "%.17g"
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -379,6 +380,23 @@ def _ensure_dir(path) -> str:
     return path
 
 
+@contextlib.contextmanager
+def _blame(block: str, divisor: str | None = None):
+    """Report an ArithmeticError raised inside as a config error.
+
+    The message names ``divisor`` for a ZeroDivisionError (the one field
+    whose derived scale can underflow to a zero divisor) and the config
+    ``block`` for every other arithmetic failure.
+    """
+    try:
+        yield
+    except ArithmeticError as exc:
+        field = (divisor if divisor and isinstance(exc, ZeroDivisionError)
+                 else block)
+        raise ConfigError("%s: arithmetic failure (%s: %s)"
+                          % (field, type(exc).__name__, exc)) from exc
+
+
 def _write_text(path, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
@@ -386,29 +404,6 @@ def _write_text(path, text: str) -> None:
 
 def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _mesh(p0: ErmakovParameters, t: float, levels, shape, spread: float,
-          center=None) -> PhaseSpaceGrid:
-    """Zero-filled sampling grid with independent axis counts.
-
-    Same sizing rule as `phasespace.default_grid` (centroid-centred,
-    ``spread`` standard deviations per side, inflated by sqrt(2 n + 1)
-    for the highest populated level), but the two axes may have
-    different point counts.
-    """
-    nx, np_ = shape
-    nmax = max(int(n) for n in levels)
-    x_mean, p_mean = (classical_trajectory(p0, t) if center is None
-                      else (float(center[0]), float(center[1])))
-    cov = covariance(evolve(p0, t))
-    scale = math.sqrt(2.0 * nmax + 1.0)
-    half_x = spread * math.sqrt(cov.sigma_x) * scale
-    half_p = spread * math.sqrt(cov.sigma_p) * scale
-    return PhaseSpaceGrid(
-        np.linspace(x_mean - half_x, x_mean + half_x, nx),
-        np.linspace(p_mean - half_p, p_mean + half_p, np_),
-        np.zeros((nx, np_)))
 
 
 # ----------------------------------------------------------------------
@@ -426,19 +421,21 @@ def cmd_evolve(config: dict, args) -> int:
     block = config["times"]
     ts = np.linspace(float(block["start"]), float(block["stop"]),
                      int(block["count"]))
-    rows = [_EVOLVE_HEADER]
-    for t in ts:
-        t = float(t)
-        p = evolve(p0, t)
-        cov = covariance(p)
-        x_mean, p_mean = classical_trajectory(p0, t)
-        rows.append(",".join(FMT % v for v in (
-            t, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.kappa,
-            cov.sigma_p, cov.sigma_x, cov.sigma_px,
-            cov.sigma_p * cov.sigma_x, x_mean, p_mean)))
+    row = fields(13) + "\n"
+    lines = []
+    # covariance divides by beta(t)^2, which underflows for a tiny beta
+    with _blame("config.params", divisor="config.params.beta"):
+        for t in ts.tolist():
+            p = evolve(p0, t)
+            cov = covariance(p)
+            x_mean, p_mean = classical_trajectory(p0, t)
+            lines.append(row % (
+                t, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.kappa,
+                cov.sigma_p, cov.sigma_x, cov.sigma_px,
+                cov.sigma_p * cov.sigma_x, x_mean, p_mean))
     out = _ensure_dir(args.out)
     path = os.path.join(out, "evolve.csv")
-    _write_text(path, "\n".join(rows) + "\n")
+    write_csv(path, _EVOLVE_HEADER, lines)
     print("wrote %s" % path)
     return EXIT_OK
 
@@ -470,28 +467,32 @@ def cmd_wigner(config: dict, args) -> int:
 
     grids = []
     rotation_errors = []
-    if kind == "tcs":
-        if want_rotation:
-            raise ConfigError("config.rotation_check: the rotation report "
-                              "needs a basis-state superposition")
-        zeta = complex(state["zeta"][0], state["zeta"][1])
-        s = TCSState(zeta, p0)
-        for t in times:
-            g = _mesh(p0, t, (0,), shape, spread, center=tcs_center(s, t))
-            grids.append(tcs_grid(s, g, t))
-    else:
-        if kind == "fock":
-            coeffs = [(1.0 + 0.0j, int(state["level"]))]
+    if kind == "tcs" and want_rotation:
+        raise ConfigError("config.rotation_check: the rotation report "
+                          "needs a basis-state superposition")
+    # the grid sizing divides by beta(t)^2, which underflows for a tiny beta
+    with _blame("config.params", divisor="config.params.beta"):
+        if kind == "tcs":
+            zeta = complex(state["zeta"][0], state["zeta"][1])
+            s = TCSState(zeta, p0)
+            for t in times:
+                g = default_grid(p0, t, (0,), shape, spread,
+                                 center=tcs_center(s, t))
+                grids.append(tcs_grid(s, g, t))
         else:
-            coeffs = [(complex(term["amplitude"][0], term["amplitude"][1]),
-                       int(term["level"])) for term in state["terms"]]
-        levels = tuple(n for _, n in coeffs)
-        for t in times:
-            g = _mesh(p0, t, levels, shape, spread)
-            grids.append(superposition_grid(coeffs, p0, g, t))
-            if want_rotation:
-                rotation_errors.append(rotate_evolution_check(
-                    coeffs, p0, g, t))
+            if kind == "fock":
+                coeffs = [(1.0 + 0.0j, int(state["level"]))]
+            else:
+                coeffs = [(complex(term["amplitude"][0],
+                                   term["amplitude"][1]),
+                           int(term["level"])) for term in state["terms"]]
+            levels = tuple(n for _, n in coeffs)
+            for t in times:
+                g = default_grid(p0, t, levels, shape, spread)
+                grids.append(superposition_grid(coeffs, p0, g, t))
+                if want_rotation:
+                    rotation_errors.append(rotate_evolution_check(
+                        coeffs, p0, g, t))
 
     out = _ensure_dir(args.out)
     for i, grid in enumerate(grids):
@@ -543,7 +544,8 @@ def cmd_statistics(config: dict, args) -> int:
                 raise ConfigError("--truncation must be in [2, %d], got %d"
                                   % (MAX_DEGREE, truncation))
         p0 = _params_of(config["params"])
-        table = expansion_table(p0, (0,), size=truncation)
+        with _blame("config.params"):
+            table = expansion_table(p0, (0,), size=truncation)
         column = table.coeffs[:, 0]
         probs = abs(table.beta0) * (column.real**2 + column.imag**2)
         m = np.arange(truncation, dtype=float)
@@ -601,20 +603,23 @@ def cmd_expand(config: dict, args) -> int:
             raise ConfigError("--truncation must be in [2, %d], got %d"
                               % (MAX_DEGREE, truncation))
     p0 = _params_of(config["params"])
-    table = expansion_table(p0, tuple(columns), size=truncation)
+    with _blame("config.params"):
+        table = expansion_table(p0, tuple(columns), size=truncation)
 
-    rows = ["m,n,real,imag,probability"]
+    row = "%d,%d," + fields(3) + "\n"
     weight = abs(table.beta0)
+    lines = []
     for j, n in enumerate(table.columns):
-        for m in range(table.truncation):
-            c = table.coeffs[m, j]
-            rows.append("%d,%d,%s,%s,%s" % (
-                m, n, FMT % c.real, FMT % c.imag,
-                FMT % (weight * (c.real**2 + c.imag**2))))
+        column = table.coeffs[:, j]
+        # scalar re**2 keeps libm pow, which numpy's array square can
+        # differ from in the last bit
+        for m, (re, im) in enumerate(zip(column.real.tolist(),
+                                         column.imag.tolist())):
+            lines.append(row % (m, n, re, im, weight * (re**2 + im**2)))
 
     out = _ensure_dir(args.out)
     csv_path = os.path.join(out, "expansion.csv")
-    _write_text(csv_path, "\n".join(rows) + "\n")
+    write_csv(csv_path, "m,n,real,imag,probability", lines)
     json_path = os.path.join(out, "expansion.json")
     _write_text(json_path, _json_dumps(table_to_dict(table)))
     print("wrote %s" % csv_path)
@@ -639,7 +644,18 @@ def _channel_norm(c: ChannelParameters, t: float) -> float:
 
 
 def cmd_demkov(config: dict, args) -> int:
-    """Write channel density snapshots plus a focus-metrics table."""
+    """Write channel density snapshots plus a focus-metrics table.
+
+    Every metrics row and every snapshot grid is computed before the
+    output directory or any file is created.  All snapshots share one
+    square grid sized for the widest frame (see
+    `channel.density_grid`), which under-resolves a strong focus: at
+    beta0 = 0.1 the half-width is 60, a 401-point grid is 0.3 apart and
+    the waist's rms width is 0.071.  The ``norm`` column of
+    ``metrics.csv`` integrates on its own adaptive mesh and stays
+    meaningful; set ``half_width`` in the config to resolve the waist in
+    the snapshots.
+    """
     _validate(config, _DEMKOV_SCHEMA)
     block = config["channel"]
     c = ChannelParameters(float(block["beta0"]),
@@ -656,17 +672,19 @@ def cmd_demkov(config: dict, args) -> int:
     if half_width is not None:
         half_width = float(half_width)
 
-    rows = ["t,peak,rms_width,center_x,norm"]
-    for t in times:
-        fm = focus_metrics(c, t)
-        rows.append(",".join(FMT % v for v in (
-            t, fm.peak, fm.rms_width, fm.center_x, _channel_norm(c, t))))
-
-    out = _ensure_dir(args.out)
-    for path in write_snapshot_series(out, c, times, points, half_width):
+    row = fields(5) + "\n"
+    # the envelope divides by beta0^2, which underflows for a tiny beta0
+    with _blame("config.channel", divisor="config.channel.beta0"):
+        lines = []
+        for t in times:
+            fm = focus_metrics(c, t)
+            lines.append(row % (t, fm.peak, fm.rms_width, fm.center_x,
+                                _channel_norm(c, t)))
+        paths = write_snapshot_series(args.out, c, times, points, half_width)
+    for path in paths:
         print("wrote %s" % path)
-    metrics_path = os.path.join(out, "metrics.csv")
-    _write_text(metrics_path, "\n".join(rows) + "\n")
+    metrics_path = os.path.join(os.fspath(args.out), "metrics.csv")
+    write_csv(metrics_path, "t,peak,rms_width,center_x,norm", lines)
     print("wrote %s" % metrics_path)
     return EXIT_OK
 

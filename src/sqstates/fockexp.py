@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import FLOAT, write_csv
 from .ermakov import ErmakovParameters, evolve
 from .specfun import (
     MAX_DEGREE,
@@ -702,8 +703,7 @@ def table_to_dict(table: ExpansionTable) -> dict:
 
 def write_statistics_csv(path, stats: PhotonStatistics) -> None:
     """Write a (level, probability) table with 17 significant digits."""
-    lines = ["m,probability"]
-    for m, p in enumerate(stats.probabilities):
-        lines.append("%d,%.17g" % (m, p))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    row = "%d," + FLOAT + "\n"
+    write_csv(path, "m,probability",
+              [row % mp for mp in
+               enumerate(np.asarray(stats.probabilities).tolist())])

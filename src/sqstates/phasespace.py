@@ -49,6 +49,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._csv import format_axis, mesh_lines, write_csv
 from .ermakov import ErmakovParameters, classical_trajectory, evolve
 from .specfun import MAX_DEGREE, laguerre_assoc
 from .states import TCSState, covariance
@@ -469,7 +470,8 @@ def rotate_evolution_check(coeffs: Sequence, p0: ErmakovParameters,
 # ----------------------------------------------------------------------
 
 def default_grid(p0: ErmakovParameters, t: float = 0.0,
-                 levels: Sequence[int] = (0,), points: int = 201,
+                 levels: Sequence[int] = (0,),
+                 points: int | tuple[int, int] = 201,
                  spread: float = 5.0,
                  center: Optional[tuple] = None) -> PhaseSpaceGrid:
     """Build a mesh that captures essentially all of a state's mass.
@@ -479,9 +481,11 @@ def default_grid(p0: ErmakovParameters, t: float = 0.0,
     `tcs_center`), extending ``spread`` packet standard deviations on
     each side, inflated by sqrt(2 n + 1) for the highest populated
     level n (number states widen with the square root of the level).
+    ``points`` is one count for both axes or an ``(nx, np)`` pair.
     Values are zero-filled; pass the grid to an evaluator to populate it.
     """
-    if points < 2:
+    nx, np_ = (points, points) if np.ndim(points) == 0 else points
+    if min(nx, np_) < 2:
         raise ValueError("points must be >= 2")
     nmax = max(int(n) for n in levels)
     if nmax < 0:
@@ -493,9 +497,9 @@ def default_grid(p0: ErmakovParameters, t: float = 0.0,
     half_x = spread * math.sqrt(cov.sigma_x) * scale
     half_p = spread * math.sqrt(cov.sigma_p) * scale
     return PhaseSpaceGrid(
-        np.linspace(x_mean - half_x, x_mean + half_x, points),
-        np.linspace(p_mean - half_p, p_mean + half_p, points),
-        np.zeros((points, points)))
+        np.linspace(x_mean - half_x, x_mean + half_x, nx),
+        np.linspace(p_mean - half_p, p_mean + half_p, np_),
+        np.zeros((nx, np_)))
 
 
 def tcs_grid(s: TCSState, grid: PhaseSpaceGrid, t: float) -> PhaseSpaceGrid:
@@ -600,15 +604,8 @@ def write_grid_csv(path, grid: PhaseSpaceGrid) -> None:
     row-major ``values`` layout.  Complex grids gain a fourth column
     with the imaginary part.
     """
-    complex_vals = bool(np.iscomplexobj(grid.values))
-    lines = ["x,p,W_real,W_imag" if complex_vals else "x,p,W"]
-    for i, xv in enumerate(grid.x_range):
-        for j, pv in enumerate(grid.p_range):
-            z = grid.values[i, j]
-            if complex_vals:
-                lines.append("%.17g,%.17g,%.17g,%.17g"
-                             % (xv, pv, z.real, z.imag))
-            else:
-                lines.append("%.17g,%.17g,%.17g" % (xv, pv, z))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ("x,p,W_real,W_imag" if np.iscomplexobj(grid.values)
+              else "x,p,W")
+    write_csv(path, header, mesh_lines(format_axis(grid.x_range),
+                                       format_axis(grid.p_range),
+                                       grid.values))

@@ -36,7 +36,6 @@ __all__ = [
     "uncertainty_extrema",
     "energy",
     "var_h",
-    "write_wavefunction_csv",
 ]
 
 
@@ -251,19 +250,3 @@ def var_h(s: DynamicState) -> float:
         raise ArithmeticError(
             f"energy-variance forms disagree: {value!r} vs {alt!r}")
     return value
-
-
-def write_wavefunction_csv(path, psi, xs, ts) -> None:
-    """Write a wavefunction sweep as CSV rows (x, t, re, im, abs2).
-
-    psi is any callable psi(x_array, t) -> complex array; one row per
-    (x, t) grid point, header mandatory, 17 significant digits.
-    """
-    xs = np.asarray(xs, dtype=float)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,t,re,im,abs2\n")
-        for t in ts:
-            vals = np.atleast_1d(psi(xs, float(t)))
-            for x, v in zip(xs, vals):
-                fh.write(f"{x:.17g},{float(t):.17g},{v.real:.17g},"
-                         f"{v.imag:.17g},{abs(v) ** 2:.17g}\n")

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import sqstates.channel as channel
 import sqstates.cli as cli
 from sqstates.cli import main
 from sqstates.ermakov import ErmakovParameters, classical_trajectory
@@ -108,11 +109,14 @@ class TestConfigValidation:
     ])
     def test_arithmetic_failure_is_config_error(self, tmp_path, capsys,
                                                 command, cfg):
+        field = {"evolve": "config.params.beta",
+                 "expand": "config.params"}[command]
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and err.count("\n") == 1
+        assert err.startswith("config error: %s: " % field)
+        assert "arithmetic failure" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_unknown_subcommand_is_usage_error(self, tmp_path):
@@ -337,6 +341,26 @@ class TestDemkov:
         rows = read_csv(tmp_path / "metrics.csv")
         expected = delta0 * np.sin(np.array(times))
         assert rows[:, 3] == pytest.approx(expected, abs=1e-14)
+
+    def test_failing_depth_writes_nothing(self, tmp_path, capsys,
+                                          monkeypatch):
+        times = [0.0, 0.6, 1.2]
+        real = channel.density
+
+        def density(c, x, y, t):
+            if t == times[1]:
+                raise ArithmeticError("injected failure at depth %r" % t)
+            return real(c, x, y, t)
+
+        monkeypatch.setattr(channel, "density", density)
+        cfg = {"channel": {"beta0": 0.5}, "times": times, "points": 11}
+        out = tmp_path / "out"
+        assert main(["demkov", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.channel: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_nonsquare_grid_rejected(self, tmp_path, capsys):
         cfg = {"channel": {"beta0": 1.0}, "times": [0.0]}

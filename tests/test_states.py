@@ -19,7 +19,6 @@ from sqstates.states import (
     uncertainty_extrema,
     var_h,
     variance_series,
-    write_wavefunction_csv,
 )
 
 from conftest import draw_params
@@ -331,23 +330,3 @@ class TestEnergyMoments:
             s = DynamicState(int(rng.integers(0, 6)), draw_params(rng))
             assert var_h(s) >= -1e-12
 
-
-class TestCsvWriter:
-    def test_layout_and_determinism(self, tmp_path, rng):
-        p0 = draw_params(rng)
-        state = DynamicState(1, p0)
-        xs = np.linspace(-1, 1, 5)
-        ts = [0.0, 0.5]
-        path = tmp_path / "sweep.csv"
-        write_wavefunction_csv(path, lambda x, t: psi_n(state, x, t), xs, ts)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,t,re,im,abs2"
-        assert len(lines) == 1 + len(xs) * len(ts)
-        # byte-identical on rewrite
-        path2 = tmp_path / "sweep2.csv"
-        write_wavefunction_csv(path2, lambda x, t: psi_n(state, x, t), xs, ts)
-        assert path.read_bytes() == path2.read_bytes()
-        row = lines[1].split(",")
-        assert len(row) == 5
-        assert float(row[4]) == pytest.approx(
-            float(row[2]) ** 2 + float(row[3]) ** 2, rel=1e-12)
