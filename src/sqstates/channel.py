@@ -27,7 +27,6 @@ label it "depth" since that is what a beamline measures.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -45,7 +44,6 @@ __all__ = [
     "density",
     "focus_metrics",
     "density_grid",
-    "snapshot_to_dict",
     "write_snapshot_series",
 ]
 
@@ -213,20 +211,6 @@ def density_grid(c: ChannelParameters, t: float, points: int = 301,
     return x, y, vals
 
 
-def snapshot_to_dict(c: ChannelParameters, t: float, points: int = 301,
-                     half_width=None) -> dict:
-    """One JSON-ready snapshot: grid metadata plus row-major values."""
-    x, y, vals = density_grid(c, t, points, half_width)
-    return {
-        "depth": float(t),
-        "beta0": c.beta0,
-        "delta0": c.delta0,
-        "x_range": [float(v) for v in x],
-        "y_range": [float(v) for v in y],
-        "density": [[float(v) for v in row] for row in vals],
-    }
-
-
 def write_snapshot_series(directory, c: ChannelParameters, times,
                           points: int = 301, half_width=None) -> list:
     """Write snapshot_t{index}.csv per requested depth; returns the paths.
@@ -254,8 +238,3 @@ def write_snapshot_series(directory, c: ChannelParameters, times,
         paths.append(target)
     return paths
 
-
-def snapshot_to_json(c: ChannelParameters, t: float, points: int = 301,
-                     half_width=None) -> str:
-    """Serialise one snapshot to a JSON string."""
-    return json.dumps(snapshot_to_dict(c, t, points, half_width))

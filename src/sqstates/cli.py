@@ -130,6 +130,15 @@ class ConfigError(ValueError):
 
 _NUMBER = {"type": "number"}
 
+# Size caps.  The largest admissible run (16 frames of 1001 x 1001, or a
+# million evolve rows) peaks near 0.45 GB; larger requests are config
+# errors, not allocation failures.
+MAX_ROWS = 1_000_000
+MAX_POINTS = 1001
+MAX_TIMES = 16
+
+_POINTS = {"type": "integer", "minimum": 2, "maximum": MAX_POINTS}
+
 _PARAM_BLOCK = {
     "type": "object",
     "properties": {
@@ -144,7 +153,8 @@ _PARAM_BLOCK = {
     "additionalProperties": False,
 }
 
-_TIME_LIST = {"type": "array", "items": _NUMBER, "minItems": 1}
+_TIME_LIST = {"type": "array", "items": _NUMBER, "minItems": 1,
+              "maxItems": MAX_TIMES}
 
 _PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
 
@@ -157,7 +167,8 @@ _EVOLVE_SCHEMA = {
             "properties": {
                 "start": _NUMBER,
                 "stop": _NUMBER,
-                "count": {"type": "integer", "minimum": 1},
+                "count": {"type": "integer", "minimum": 1,
+                          "maximum": MAX_ROWS},
             },
             "required": ["start", "stop", "count"],
             "additionalProperties": False,
@@ -173,7 +184,7 @@ _WIGNER_SCHEMA = {
         "params": _PARAM_BLOCK,
         "state": {"type": "object"},
         "times": _TIME_LIST,
-        "points": {"type": "integer", "minimum": 2},
+        "points": _POINTS,
         "spread": {"type": "number", "exclusiveMinimum": 0},
         "rotation_check": {"type": "boolean"},
     },
@@ -312,7 +323,7 @@ _DEMKOV_SCHEMA = {
             "additionalProperties": False,
         },
         "times": _TIME_LIST,
-        "points": {"type": "integer", "minimum": 2},
+        "points": _POINTS,
         "half_width": {"type": "number", "exclusiveMinimum": 0},
     },
     "required": ["channel", "times"],
@@ -369,9 +380,20 @@ def _parse_grid(text: str) -> tuple[int, int]:
         nx, np_ = (int(s) for s in parts)
     except ValueError as exc:
         raise ConfigError("--grid counts must be integers: %s" % text) from exc
-    if nx < 2 or np_ < 2:
-        raise ConfigError("--grid counts must be >= 2, got %s" % text)
+    if not (2 <= nx <= MAX_POINTS and 2 <= np_ <= MAX_POINTS):
+        raise ConfigError("--grid counts must be in [2, %d], got %s"
+                          % (MAX_POINTS, text))
     return nx, np_
+
+
+def _truncation(args, default: int, low: int, high: int) -> int:
+    """``--truncation`` if given, checked against [low, high]; else ``default``."""
+    if args.truncation is None:
+        return default
+    if not low <= args.truncation <= high:
+        raise ConfigError("--truncation must be in [%d, %d], got %d"
+                          % (low, high, args.truncation))
+    return args.truncation
 
 
 def _ensure_dir(path) -> str:
@@ -537,12 +559,8 @@ def cmd_statistics(config: dict, args) -> int:
     _validate(config, _STATISTICS_SCHEMAS[mode])
 
     if mode == "full-expansion":
-        truncation = int(config.get("truncation", 128))
-        if args.truncation is not None:
-            truncation = args.truncation
-            if not 2 <= truncation <= MAX_DEGREE:
-                raise ConfigError("--truncation must be in [2, %d], got %d"
-                                  % (MAX_DEGREE, truncation))
+        truncation = _truncation(args, int(config.get("truncation", 128)),
+                                 2, MAX_DEGREE)
         p0 = _params_of(config["params"])
         with _blame("config.params"):
             table = expansion_table(p0, (0,), size=truncation)
@@ -553,12 +571,8 @@ def cmd_statistics(config: dict, args) -> int:
         variance = float(probs @ (m * m)) - mean * mean
         stats = PhotonStatistics(probs, "full", mean, variance)
     else:
-        levels = int(config.get("levels", 64))
-        if args.truncation is not None:
-            levels = args.truncation
-            if not 1 <= levels <= _LEVEL_CAPS[mode]:
-                raise ConfigError("--truncation must be in [1, %d], got %d"
-                                  % (_LEVEL_CAPS[mode], levels))
+        levels = _truncation(args, int(config.get("levels", 64)),
+                             1, _LEVEL_CAPS[mode])
         if mode == "poisson":
             stats = poisson_statistics(float(config["delta0"]),
                                        float(config["epsilon0"]), levels)
@@ -596,12 +610,8 @@ def cmd_expand(config: dict, args) -> int:
     columns = [int(n) for n in config["columns"]]
     if len(set(columns)) != len(columns):
         raise ConfigError("config.columns: labels must be distinct")
-    truncation = int(config.get("truncation", 128))
-    if args.truncation is not None:
-        truncation = args.truncation
-        if not 2 <= truncation <= MAX_DEGREE:
-            raise ConfigError("--truncation must be in [2, %d], got %d"
-                              % (MAX_DEGREE, truncation))
+    truncation = _truncation(args, int(config.get("truncation", 128)),
+                             2, MAX_DEGREE)
     p0 = _params_of(config["params"])
     with _blame("config.params"):
         table = expansion_table(p0, tuple(columns), size=truncation)
@@ -835,7 +845,6 @@ def _check_expansion_tails(rng) -> float:
 
 
 def _check_wigner_normalization(rng) -> float:
-    from .phasespace import default_grid
 
     worst = 0.0
     for _ in range(3):
@@ -864,7 +873,6 @@ def _check_fock_negativity(rng) -> float:
 
 
 def _check_wigner_rotation(rng) -> float:
-    from .phasespace import default_grid
 
     worst = 0.0
     coeffs = [(math.sqrt(0.4), 0), (1j * math.sqrt(0.6), 2)]

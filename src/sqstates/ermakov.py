@@ -25,9 +25,8 @@ Units: hbar = omega = m = 1 throughout; everything is dimensionless.
 from __future__ import annotations
 
 import cmath
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 __all__ = [
     "ErmakovParameters",
@@ -39,10 +38,6 @@ __all__ = [
     "to_complex",
     "from_complex",
     "evolve_complex",
-    "params_to_json",
-    "params_from_json",
-    "group_to_json",
-    "group_from_json",
 ]
 
 _PARAM_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "kappa")
@@ -243,44 +238,3 @@ def evolve_complex(
     kappa = kappa0 + 0.25 * (c.c3 * c.c3 * (1.0 - cmath.exp(2j * arg))).imag
     return ErmakovParameters(alpha, beta, gamma, delta, epsilon, kappa)
 
-
-# ---------------------------------------------------------------------------
-# JSON forms: flat object for the real parameters, [re, im] pairs for the
-# complex constants.
-
-
-def params_to_json(p: ErmakovParameters) -> str:
-    return json.dumps(asdict(p), sort_keys=True)
-
-
-def params_from_json(text: str) -> ErmakovParameters:
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("expected a JSON object with the six parameter fields")
-    extra = set(data) - set(_PARAM_FIELDS)
-    if extra:
-        raise ValueError(f"unknown fields: {sorted(extra)}")
-    missing = set(_PARAM_FIELDS) - set(data)
-    if missing:
-        raise ValueError(f"missing fields: {sorted(missing)}")
-    return ErmakovParameters(**{k: float(data[k]) for k in _PARAM_FIELDS})
-
-
-def group_to_json(c: ComplexGroupParameters) -> str:
-    data = {name: [getattr(c, name).real, getattr(c, name).imag]
-            for name in ("c1", "c2", "c3")}
-    return json.dumps(data, sort_keys=True)
-
-
-def group_from_json(text: str) -> ComplexGroupParameters:
-    data = json.loads(text)
-    names = ("c1", "c2", "c3")
-    if not isinstance(data, dict) or set(data) != set(names):
-        raise ValueError("expected a JSON object with fields c1, c2, c3")
-    values = {}
-    for name in names:
-        pair = data[name]
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"{name} must be a [re, im] pair")
-        values[name] = complex(float(pair[0]), float(pair[1]))
-    return ComplexGroupParameters(**values)

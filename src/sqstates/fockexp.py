@@ -78,7 +78,6 @@ __all__ = [
     "pascal_even",
     "pascal_odd",
     "poisson_statistics",
-    "statistics_to_dict",
     "table_to_dict",
     "write_statistics_csv",
 ]
@@ -671,17 +670,6 @@ def squeezed_vacuum_coeffs(alpha0: float, beta0: float, p_max: int) -> np.ndarra
 # ----------------------------------------------------------------------
 # export helpers
 # ----------------------------------------------------------------------
-
-def statistics_to_dict(stats: PhotonStatistics) -> dict:
-    """JSON-ready representation of a statistics table."""
-    return {
-        "parity": stats.parity,
-        "mean": stats.mean,
-        "variance": stats.variance,
-        "tail": stats.tail,
-        "probabilities": [float(p) for p in stats.probabilities],
-    }
-
 
 def table_to_dict(table: ExpansionTable) -> dict:
     """JSON-ready representation of an expansion table.

@@ -33,7 +33,6 @@ making the first component of modulus > 1e-8 real and positive.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -56,9 +55,6 @@ __all__ = [
     "field_expectation",
     "interior",
     "energy_levels",
-    "operator_to_dict",
-    "operator_from_dict",
-    "operator_to_json",
 ]
 
 #: Hermiticity acceptance for matrices claiming the flag.
@@ -101,11 +97,6 @@ class OperatorMatrix:
                     "matrix claimed Hermitian but |A - A^dagger| = %.3e" % gap)
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
-
-    def __matmul__(self, other):
-        if isinstance(other, OperatorMatrix):
-            return self.entries @ other.entries
-        return self.entries @ other
 
 
 @dataclass(frozen=True)
@@ -443,26 +434,3 @@ def field_expectation(e_mode: float, h_mode: float, state_n: int,
     root = math.sqrt(4.0 * math.pi)
     return -root * e_mode * p_mean, root * h_mode * x_mean
 
-
-# ----------------------------------------------------------------------
-# serialisation
-# ----------------------------------------------------------------------
-
-def operator_to_dict(op: OperatorMatrix) -> dict:
-    """JSON-ready dict: dim plus row-major [re, im] entry pairs."""
-    rows = [[[float(z.real), float(z.imag)] for z in row]
-            for row in op.entries]
-    return {"dim": op.dim, "hermitian": bool(op.hermitian), "entries": rows}
-
-
-def operator_from_dict(payload: dict) -> OperatorMatrix:
-    """Inverse of `operator_to_dict`."""
-    entries = np.array([[complex(a, b) for a, b in row]
-                        for row in payload["entries"]])
-    return OperatorMatrix(int(payload["dim"]), entries,
-                          hermitian=bool(payload.get("hermitian", False)))
-
-
-def operator_to_json(op: OperatorMatrix) -> str:
-    """Serialise an operator to a JSON string."""
-    return json.dumps(operator_to_dict(op))

@@ -22,7 +22,7 @@ evaluates those portraits three ways and checks them against each other:
 
 Conventions.  Phase-space grids store ``values[i, j] = W(x_range[i],
 p_range[j])`` -- row index is position, column index is momentum -- and
-the serialisers below write rows in that (row-major) order.  The rotated
+`write_grid_csv` writes rows in that (row-major) order.  The rotated
 coordinates used throughout are
 
     Q = beta x + epsilon,      P = (p - 2 alpha x - delta) / beta,
@@ -42,7 +42,6 @@ both checks pin the convention used here.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -70,9 +69,6 @@ __all__ = [
     "position_marginal",
     "momentum_marginal",
     "purity",
-    "grid_to_dict",
-    "grid_from_dict",
-    "grid_to_json",
     "write_grid_csv",
 ]
 
@@ -466,7 +462,7 @@ def rotate_evolution_check(coeffs: Sequence, p0: ErmakovParameters,
 
 
 # ----------------------------------------------------------------------
-# grids, integrals, serialisation
+# grids, integrals, CSV output
 # ----------------------------------------------------------------------
 
 def default_grid(p0: ErmakovParameters, t: float = 0.0,
@@ -559,42 +555,6 @@ def purity(grid: PhaseSpaceGrid) -> float:
     v = np.real(grid.values)
     inner = np.trapezoid(v * v, dx=grid.dp, axis=1)
     return float(np.trapezoid(inner, dx=grid.dx))
-
-
-def grid_to_dict(grid: PhaseSpaceGrid) -> dict:
-    """JSON-ready dict: {x_range, p_range, values} with row-major values.
-
-    ``values[i][j]`` corresponds to ``(x_range[i], p_range[j])`` -- the
-    outer list runs over position.  Complex grids store each entry as a
-    two-element [real, imag] list.
-    """
-    v = grid.values
-    if np.iscomplexobj(v):
-        rows = [[[float(z.real), float(z.imag)] for z in row] for row in v]
-    else:
-        rows = [[float(z) for z in row] for row in v]
-    return {
-        "x_range": [float(u) for u in grid.x_range],
-        "p_range": [float(u) for u in grid.p_range],
-        "values": rows,
-    }
-
-
-def grid_from_dict(payload: dict) -> PhaseSpaceGrid:
-    """Inverse of `grid_to_dict`."""
-    raw = payload["values"]
-    if raw and raw[0] and isinstance(raw[0][0], (list, tuple)):
-        values = np.array([[complex(a, b) for a, b in row] for row in raw])
-    else:
-        values = np.array(raw, dtype=float)
-    return PhaseSpaceGrid(np.asarray(payload["x_range"], dtype=float),
-                          np.asarray(payload["p_range"], dtype=float),
-                          values)
-
-
-def grid_to_json(grid: PhaseSpaceGrid) -> str:
-    """Serialise a grid to a JSON string (row-major values)."""
-    return json.dumps(grid_to_dict(grid))
 
 
 def write_grid_csv(path, grid: PhaseSpaceGrid) -> None:

@@ -1,11 +1,10 @@
 """Polynomial special functions and the Gaussian-weighted Hermite integral.
 
 Everything here terminates: Hermite and associated Laguerre polynomials,
-the zeros of the Hermite functions, rising factorials, terminating
-2F1 / 2F0 sums, and the closed form of
-integral(exp(-lambda2 x^2) H_m(a x) H_n(b x) dx).  Degrees are capped at
-MAX_DEGREE to keep silent overflow out of the library.  Only numpy and
-the standard library are used.
+the zeros of the Hermite functions, terminating 2F1 sums, and the closed
+form of integral(exp(-lambda2 x^2) H_m(a x) H_n(b x) dx).  Degrees are
+capped at MAX_DEGREE to keep silent overflow out of the library.  Only
+numpy and the standard library are used.
 
 The closed form of the Gaussian-Hermite integral is evaluated through the
 even/odd reduction of the degenerate-lower-parameter 2F1 (half-integer
@@ -30,10 +29,8 @@ __all__ = [
     "hermite_zeros",
     "laguerre_ratios",
     "laguerre_assoc",
-    "pochhammer",
     "hyp2f1_terminating",
     "hyp2f1_even_odd",
-    "hyp2f0_terminating",
     "bailey_integral",
 ]
 
@@ -216,18 +213,10 @@ def laguerre_assoc(m: int, a: float, x):
     if m == 1:
         out = -x + a + 1.0      # direct, without the ratio form's roundings
     else:
-        *_, ratio = laguerre_ratios(m, a, x)
+        for ratio in laguerre_ratios(m, a, x):
+            pass                # keep only the last of m + 1 grids
         out = _binom(m + a, m) * ratio
     return out if out.shape else out[()]
-
-
-def pochhammer(a: Scalar, k: int) -> Scalar:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    k = _check_degree(k, "k")
-    out = 1.0
-    for i in range(k):
-        out *= a + i
-    return out
 
 
 def hyp2f1_terminating(m: int, n: int, c: Scalar, z: Scalar) -> Scalar:
@@ -277,18 +266,6 @@ def hyp2f1_even_odd(k: int, n: int, zeta: Scalar) -> complex:
     ratio = math.exp(math.lgamma(c + r) + math.lgamma(c + s)
                      - math.lgamma(c + r + s) - math.lgamma(c))
     return front * ratio * hyp2f1_terminating(r, s, c, -(zeta * zeta))
-
-
-def hyp2f0_terminating(n: int, m: int, z: Scalar) -> Scalar:
-    """Terminating 2F0(-n, -m; ; z) = sum_k (-n)_k (-m)_k z^k / k!."""
-    n = _check_degree(n, "n")
-    m = _check_degree(m, "m")
-    total = 1.0 + 0.0 * z
-    term = total
-    for k in range(min(m, n)):
-        term = term * ((k - n) * (k - m) * z) / (k + 1)
-        total += term
-    return total
 
 
 def _bailey_core(m: int, n: int, a: Scalar, b: Scalar, lam2: Scalar) -> complex:

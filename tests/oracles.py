@@ -1,8 +1,9 @@
 """Independent numeric oracles shared across test modules.
 
 Everything here deliberately avoids the closed forms under test: plain
-Gauss-Legendre quadrature, fourth-order finite-difference stencils, and
-operator exponentials on a large truncated number basis.
+Gauss-Legendre quadrature, fourth-order finite-difference stencils, a
+term-by-term hypergeometric sum, and operator exponentials on a large
+truncated number basis.
 """
 
 from functools import lru_cache
@@ -70,6 +71,15 @@ def quadrature_extent(p, x_mean=0.0):
     """Integration half width 10 * max(1, 1/|beta|, |<x>|) for a parameter set."""
     return 10.0 * max(1.0, 1.0 / abs(p.beta), abs(x_mean))
 
+
+def hyp2f0_terminating(n, m, z):
+    """Terminating 2F0(-n, -m; ; z) = sum_k (-n)_k (-m)_k z^k / k!."""
+    total = 1.0 + 0.0 * z
+    term = total
+    for k in range(min(m, n)):
+        term = term * ((k - n) * (k - m) * z) / (k + 1)
+        total += term
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,5 @@
 """Focusing-channel closed forms: PDE residual, norms, Gaussian readouts."""
 
-import json
 import math
 
 import numpy as np
@@ -12,8 +11,6 @@ from sqstates.channel import (
     density_grid,
     focus_metrics,
     psi_2d,
-    snapshot_to_dict,
-    snapshot_to_json,
     width_squared,
     write_snapshot_series,
 )
@@ -168,16 +165,6 @@ class TestSnapshots:
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         assert abs(x[i] - 1.0) < x[1] - x[0]
         assert abs(y[j]) < y[1] - y[0]
-
-    def test_json_document_fields(self):
-        c = ChannelParameters(0.5, -0.4)
-        doc = json.loads(snapshot_to_json(c, 0.7, points=21))
-        assert doc["depth"] == 0.7
-        assert doc["beta0"] == 0.5
-        assert len(doc["density"]) == 21
-        assert len(doc["density"][0]) == 21
-        rebuilt = snapshot_to_dict(c, 0.7, points=21)
-        assert rebuilt["x_range"] == doc["x_range"]
 
     def test_series_files_and_naming(self, tmp_path):
         c = ChannelParameters(0.4)

@@ -24,6 +24,14 @@ GROUND = {"alpha": 0.0, "beta": 1.0, "gamma": 0.0, "delta": 0.0,
           "epsilon": 0.0, "kappa": 0.0}
 SQUEEZED = {"alpha": 0.6, "beta": 1.4, "gamma": 0.3, "delta": -0.8,
             "epsilon": 0.5, "kappa": 0.1}
+WIGNER_FOCK = {"params": GROUND, "state": {"kind": "fock", "level": 0},
+               "times": [0.0]}
+DEMKOV_UNIT = {"channel": {"beta0": 1.0}, "times": [0.0]}
+
+
+def evolve_config(count):
+    return {"params": GROUND,
+            "times": {"start": 0.0, "stop": 1.0, "count": count}}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -117,6 +125,54 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error: %s: " % field)
         assert "arithmetic failure" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_size_caps_are_admissible(self):
+        # schema and flag parsing only: a run at the caps is never made
+        cli._validate(dict(WIGNER_FOCK, times=[0.0] * cli.MAX_TIMES,
+                           points=cli.MAX_POINTS), cli._WIGNER_SCHEMA)
+        cli._validate(dict(DEMKOV_UNIT, times=[0.0] * cli.MAX_TIMES,
+                           points=cli.MAX_POINTS), cli._DEMKOV_SCHEMA)
+        cli._validate(evolve_config(cli.MAX_ROWS), cli._EVOLVE_SCHEMA)
+        top = "%d,%d" % (cli.MAX_POINTS, cli.MAX_POINTS)
+        assert cli._parse_grid(top) == (cli.MAX_POINTS, cli.MAX_POINTS)
+
+    @pytest.mark.parametrize("command, cfg, flags, field", [
+        ("evolve", evolve_config(cli.MAX_ROWS + 1), [], "config.times.count"),
+        ("wigner", dict(WIGNER_FOCK, points=cli.MAX_POINTS + 1), [],
+         "config.points"),
+        ("demkov", dict(DEMKOV_UNIT, points=cli.MAX_POINTS + 1), [],
+         "config.points"),
+        ("wigner", dict(WIGNER_FOCK, times=[0.0] * (cli.MAX_TIMES + 1)), [],
+         "config.times"),
+        ("demkov", dict(DEMKOV_UNIT, times=[0.0] * (cli.MAX_TIMES + 1)), [],
+         "config.times"),
+        ("wigner", WIGNER_FOCK, ["--grid", "%d,2" % (cli.MAX_POINTS + 1)],
+         "--grid"),
+        ("wigner", WIGNER_FOCK, ["--grid", "2,%d" % (cli.MAX_POINTS + 1)],
+         "--grid"),
+        ("demkov", DEMKOV_UNIT,
+         ["--grid", "%d,%d" % (cli.MAX_POINTS + 1, cli.MAX_POINTS + 1)],
+         "--grid"),
+    ])
+    def test_size_cap_plus_one_is_config_error(self, tmp_path, capsys,
+                                               monkeypatch, command, cfg,
+                                               flags, field):
+        # the first compute step of each command fails loudly, so a
+        # missing cap cannot turn into an oversized allocation
+        def reached(*args, **kwargs):
+            raise AssertionError("compute reached past the size cap")
+
+        for name in ("evolve", "default_grid", "focus_metrics",
+                     "write_snapshot_series"):
+            monkeypatch.setattr(cli, name, reached)
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.split()[2].rstrip(":") == field
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_unknown_subcommand_is_usage_error(self, tmp_path):

@@ -5,7 +5,6 @@ complex rotation form of the flow (independent of the trigonometric code
 path under test) and pasted here.
 """
 
-import json
 import math
 
 import numpy as np
@@ -18,11 +17,7 @@ from sqstates.ermakov import (
     evolve,
     evolve_complex,
     from_complex,
-    group_from_json,
-    group_to_json,
     invariants,
-    params_from_json,
-    params_to_json,
     to_complex,
 )
 
@@ -185,23 +180,3 @@ class TestValidationAndJson:
     def test_rejects_nan_fields(self):
         with pytest.raises(ValueError):
             ErmakovParameters(math.nan, 1.0, 0.0, 0.0, 0.0, 0.0)
-
-    def test_params_json_round_trip(self, rng):
-        p0 = draw_params(rng)
-        text = params_to_json(p0)
-        assert as_tuple(params_from_json(text)) == pytest.approx(as_tuple(p0), abs=0)
-
-    def test_params_json_rejects_unknown_and_missing(self):
-        good = json.loads(params_to_json(GROUND))
-        bad = dict(good, extra=1.0)
-        with pytest.raises(ValueError, match="unknown"):
-            params_from_json(json.dumps(bad))
-        del good["kappa"]
-        with pytest.raises(ValueError, match="missing"):
-            params_from_json(json.dumps(good))
-
-    def test_group_json_round_trip(self, rng):
-        c = to_complex(draw_params(rng))
-        c2 = group_from_json(group_to_json(c))
-        assert c2.c1 == pytest.approx(c.c1, abs=0)
-        assert c2.c3 == pytest.approx(c.c3, abs=0)

@@ -1,6 +1,5 @@
 """Wigner/Moyal closed forms against the defining Fourier transform."""
 
-import json
 import math
 
 import numpy as np
@@ -11,10 +10,7 @@ from sqstates.phasespace import (
     PhaseSpaceGrid,
     PhaseSpacePoint,
     default_grid,
-    grid_from_dict,
     grid_normalization,
-    grid_to_dict,
-    grid_to_json,
     momentum_marginal,
     moyal,
     position_marginal,
@@ -26,6 +22,7 @@ from sqstates.phasespace import (
     wigner_numeric,
     wigner_superposition,
     wigner_tcs,
+    write_grid_csv,
 )
 from sqstates.states import DynamicState, TCSState, psi_n, psi_superposition, psi_tcs
 
@@ -301,26 +298,7 @@ class TestRotationLaw:
 
 
 class TestSerialization:
-    def test_json_round_trip_real(self):
-        p0 = ErmakovParameters(0.2, 1.2, 0.0, 0.1, -0.3, 0.0)
-        g = superposition_grid([(1.0, 1)], p0,
-                               default_grid(p0, 0.4, levels=(1,), points=41),
-                               0.4)
-        payload = json.loads(grid_to_json(g))
-        assert set(payload) == {"x_range", "p_range", "values"}
-        assert len(payload["values"]) == 41  # rows run over x
-        back = grid_from_dict(payload)
-        assert np.allclose(back.values, g.values, atol=0)
-
-    def test_dict_round_trip_complex(self):
-        x = np.linspace(-1, 1, 5)
-        vals = (np.arange(25, dtype=float) + 1j).reshape(5, 5)
-        g = PhaseSpaceGrid(x, x, vals)
-        back = grid_from_dict(grid_to_dict(g))
-        assert np.allclose(back.values, vals, atol=0)
-
     def test_csv_rows_are_position_major(self, tmp_path):
-        from sqstates.phasespace import write_grid_csv
         x = np.linspace(0.0, 1.0, 3)
         p = np.linspace(-1.0, 1.0, 2)
         vals = np.arange(6, dtype=float).reshape(3, 2)

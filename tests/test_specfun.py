@@ -1,6 +1,7 @@
 """Special-function tests against exact-arithmetic and high-precision oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,12 +17,12 @@ from sqstates.specfun import (
     hermite_function,
     hermite_function_table,
     hermite_zeros,
-    hyp2f0_terminating,
     hyp2f1_even_odd,
     hyp2f1_terminating,
     laguerre_assoc,
-    pochhammer,
 )
+
+from oracles import hyp2f0_terminating
 
 
 def hermite_series(n, x):
@@ -105,6 +106,18 @@ class TestLaguerre:
         with pytest.raises(ValueError):
             laguerre_assoc(3, -1.0, 0.5)
 
+    def test_memory_does_not_grow_with_degree(self):
+        # a degree-512 Wigner grid needs one recurrence grid at a time;
+        # holding all 513 would take 513 copies of x
+        x = np.linspace(0.0, 4.0, 4096)
+        tracemalloc.start()
+        try:
+            laguerre_assoc(MAX_DEGREE, 0.0, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * x.nbytes
+
 
 class TestHermiteZeros:
     @pytest.mark.parametrize("n", [2, 3, 65, 129, MAX_DEGREE + 1])
@@ -124,15 +137,6 @@ class TestHermiteZeros:
         for n in (0, MAX_DEGREE + 2, 3.0, True):
             with pytest.raises(ValueError):
                 hermite_zeros(n)
-
-
-class TestPochhammer:
-    def test_values(self):
-        assert pochhammer(3.0, 4) == 360.0
-        assert pochhammer(-5.0, 3) == -60.0
-        assert pochhammer(-2.0, 4) == 0.0
-        assert pochhammer(0.5, 0) == 1.0
-        assert pochhammer(0.5, 3) == pytest.approx(0.5 * 1.5 * 2.5)
 
 
 class TestHyp2f1:
