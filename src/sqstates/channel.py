@@ -220,12 +220,17 @@ def write_snapshot_series(directory, c: ChannelParameters, times,
     Index is the position in ``times`` (zero-based), so the file order
     matches the requested series regardless of the depth values.  Every
     frame is sampled before ``directory`` is created (when missing) or
-    any file is written, so a depth that fails leaves nothing behind.
+    any file is written, so a depth that fails, or whose grid is not
+    finite (an ``ArithmeticError``), leaves nothing behind.
     Only the sampled grids are held; a frame's text is written row
     block by row block, never held whole.
     """
     times = [float(t) for t in times]
     frames = [density_grid(c, t, points, half_width) for t in times]
+    for t, (x, _, vals) in zip(times, frames):
+        if not (np.isfinite(x).all() and np.isfinite(vals).all()):
+            raise ArithmeticError("non-finite density snapshot at depth %r"
+                                  % (t,))
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     paths = []

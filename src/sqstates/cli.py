@@ -20,9 +20,12 @@ verify
 
 Every command reads a single JSON config file (``--config``) that is
 validated against a schema *before* any computation: unknown keys are
-rejected, non-finite numbers are rejected, and nothing is written when
-validation fails.  Outputs are plain CSV (comma separator, ``.``
-decimal point, LF line endings, mandatory header row) and JSON.  All
+rejected, numbers that are not finite as floats (``Infinity``, ``NaN``,
+or a literal such as ``1e400`` that overflows a double) are rejected,
+and nothing is written when validation fails.  The schema rules and
+messages are JSON Schema Draft 2020-12's, checked by `sqstates._schema`.
+Outputs are plain CSV (comma separator, ``.`` decimal point, LF line
+endings, mandatory header row) and strict JSON (no ``NaN``).  All
 floating-point values are formatted with 17 significant digits, so the
 same config (plus ``--seed`` where randomness is involved) reproduces
 its CSV output byte for byte.
@@ -49,9 +52,8 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
+from . import _schema
 from ._csv import fields, write_csv
 from .channel import (
     ChannelParameters,
@@ -345,27 +347,47 @@ def _load_config(path) -> dict:
     """Read and parse a JSON config; parse failures become ConfigError."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-
-    def _reject(token):
-        raise ConfigError(
-            "non-finite number %r is not allowed in a config" % token)
-
     try:
-        data = json.loads(text, parse_constant=_reject)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("config is not valid JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    path = _nonfinite(data, ())
+    if path is not None:
+        raise ConfigError("%s: non-finite number is not allowed in a config "
+                          "(Infinity, NaN, or a literal beyond the range of "
+                          "a double)" % _schema.json_path("config", path))
     return data
+
+
+def _nonfinite(value, path):
+    """Path of the first number whose float value is not finite, or None.
+
+    ``json.loads`` reads ``Infinity`` and ``NaN``, turns a literal such as
+    ``1e400`` into ``inf``, and keeps a 400-digit integer exact.
+    """
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            found = _nonfinite(item, path + (key,))
+            if found is not None:
+                return found
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return None if math.isfinite(value) else path
+    except OverflowError:  # an integer beyond the float range
+        return path
 
 
 def _validate(instance, schema, where: str = "config") -> None:
     """Schema-check a block; the error message names the offending field."""
-    errors = list(Draft202012Validator(schema).iter_errors(instance))
-    if errors:
-        err = best_match(errors)
-        path = err.json_path.replace("$", where, 1)
-        raise ConfigError("%s: %s" % (path, err.message))
+    error = _schema.best_match(instance, schema)
+    if error is not None:
+        path, message = error
+        raise ConfigError("%s: %s" % (_schema.json_path(where, path), message))
 
 
 def _params_of(block: dict) -> ErmakovParameters:
@@ -425,7 +447,9 @@ def _write_text(path, text: str) -> None:
 
 
 def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # a NaN or an infinity would be written as bare NaN/Infinity, not JSON
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -516,6 +540,13 @@ def cmd_wigner(config: dict, args) -> int:
                     rotation_errors.append(rotate_evolution_check(
                         coeffs, p0, g, t))
 
+    if want_rotation:
+        report = _json_dumps({
+            "times": times,
+            "max_error_per_time": rotation_errors,
+            "max_error": max(rotation_errors),
+        })
+
     out = _ensure_dir(args.out)
     for i, grid in enumerate(grids):
         path = os.path.join(out, "wigner_t%d.csv" % i)
@@ -523,11 +554,7 @@ def cmd_wigner(config: dict, args) -> int:
         print("wrote %s" % path)
     if want_rotation:
         path = os.path.join(out, "rotation_report.json")
-        _write_text(path, _json_dumps({
-            "times": times,
-            "max_error_per_time": rotation_errors,
-            "max_error": max(rotation_errors),
-        }))
+        _write_text(path, report)
         print("wrote %s" % path)
     return EXIT_OK
 
@@ -564,36 +591,43 @@ def cmd_statistics(config: dict, args) -> int:
         p0 = _params_of(config["params"])
         with _blame("config.params"):
             table = expansion_table(p0, (0,), size=truncation)
-        column = table.coeffs[:, 0]
-        probs = abs(table.beta0) * (column.real**2 + column.imag**2)
-        m = np.arange(truncation, dtype=float)
-        mean = float(probs @ m)
-        variance = float(probs @ (m * m)) - mean * mean
-        stats = PhotonStatistics(probs, "full", mean, variance)
+            column = table.coeffs[:, 0]
+            probs = abs(table.beta0) * (column.real**2 + column.imag**2)
+            m = np.arange(truncation, dtype=float)
+            mean = float(probs @ m)
+            variance = float(probs @ (m * m)) - mean * mean
+            stats = PhotonStatistics(probs, "full", mean, variance)
     else:
         levels = _truncation(args, int(config.get("levels", 64)),
                              1, _LEVEL_CAPS[mode])
         if mode == "poisson":
-            stats = poisson_statistics(float(config["delta0"]),
-                                       float(config["epsilon0"]), levels)
-        elif mode == "pascal-even":
-            stats = _padded_statistics(
-                pascal_even(float(config["sigma_sum"]), levels // 2), levels)
+            delta0 = float(config["delta0"])
+            epsilon0 = float(config["epsilon0"])
+            # the mean level overflows through the larger displacement
+            field = ("config.delta0" if abs(delta0) >= abs(epsilon0)
+                     else "config.epsilon0")
+            with _blame(field):
+                stats = poisson_statistics(delta0, epsilon0, levels)
         else:
-            stats = _padded_statistics(
-                pascal_odd(float(config["sigma_sum"]), (levels - 1) // 2),
-                levels)
+            sigma_sum = float(config["sigma_sum"])
+            with _blame("config.sigma_sum"):
+                if mode == "pascal-even":
+                    stats = pascal_even(sigma_sum, levels // 2)
+                else:
+                    stats = pascal_odd(sigma_sum, (levels - 1) // 2)
+            stats = _padded_statistics(stats, levels)
+    summary = _json_dumps({
+        "mode": mode,
+        "mean": stats.mean,
+        "variance": stats.variance,
+        "tail_mass": stats.tail,
+    })
 
     out = _ensure_dir(args.out)
     csv_path = os.path.join(out, "statistics.csv")
     write_statistics_csv(csv_path, stats)
     json_path = os.path.join(out, "statistics.json")
-    _write_text(json_path, _json_dumps({
-        "mode": mode,
-        "mean": stats.mean,
-        "variance": stats.variance,
-        "tail_mass": stats.tail,
-    }))
+    _write_text(json_path, summary)
     print("wrote %s" % csv_path)
     print("wrote %s" % json_path)
     return EXIT_OK
@@ -626,12 +660,13 @@ def cmd_expand(config: dict, args) -> int:
         for m, (re, im) in enumerate(zip(column.real.tolist(),
                                          column.imag.tolist())):
             lines.append(row % (m, n, re, im, weight * (re**2 + im**2)))
+    document = _json_dumps(table_to_dict(table))
 
     out = _ensure_dir(args.out)
     csv_path = os.path.join(out, "expansion.csv")
     write_csv(csv_path, "m,n,real,imag,probability", lines)
     json_path = os.path.join(out, "expansion.json")
-    _write_text(json_path, _json_dumps(table_to_dict(table)))
+    _write_text(json_path, document)
     print("wrote %s" % csv_path)
     print("wrote %s" % json_path)
     return EXIT_OK
@@ -683,13 +718,20 @@ def cmd_demkov(config: dict, args) -> int:
         half_width = float(half_width)
 
     row = fields(5) + "\n"
-    # the envelope divides by beta0^2, which underflows for a tiny beta0
-    with _blame("config.channel", divisor="config.channel.beta0"):
+    # the envelope divides by beta0^2, which underflows for a tiny beta0;
+    # numpy's overflow warnings are silenced because every metrics row
+    # and snapshot grid is checked to be finite before it is written
+    with _blame("config.channel", divisor="config.channel.beta0"), \
+            np.errstate(all="ignore"):
         lines = []
         for t in times:
             fm = focus_metrics(c, t)
-            lines.append(row % (t, fm.peak, fm.rms_width, fm.center_x,
-                                _channel_norm(c, t)))
+            values = (t, fm.peak, fm.rms_width, fm.center_x,
+                      _channel_norm(c, t))
+            if not all(map(math.isfinite, values)):
+                raise ArithmeticError("non-finite focus metrics at depth %r"
+                                      % (t,))
+            lines.append(row % values)
         paths = write_snapshot_series(args.out, c, times, points, half_width)
     for path in paths:
         print("wrote %s" % path)
@@ -1063,10 +1105,11 @@ def cmd_verify(config: dict, args) -> int:
     if args.seed is not None:
         seed = args.seed
     report = run_verification(int(seed))
+    document = _json_dumps(report)
 
     out = _ensure_dir(args.out)
     path = os.path.join(out, "verify_report.json")
-    _write_text(path, _json_dumps(report))
+    _write_text(path, document)
 
     for entry in report["checks"]:
         print("%s %-28s max_error=%.3e tolerance=%.0e (%.2fs)" % (

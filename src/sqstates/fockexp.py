@@ -556,7 +556,8 @@ class PhotonStatistics:
     `probabilities[m]` is the occupation probability of level m; the
     mean and variance are the closed-form moments of the full (not
     truncated) distribution.  The truncated table keeps a nonnegative
-    tail, reported by the `tail` property.
+    tail, reported by the `tail` property.  A table or moment that is
+    not finite (an overflowed mean level, say) raises ArithmeticError.
     """
 
     probabilities: np.ndarray
@@ -567,6 +568,12 @@ class PhotonStatistics:
     def __post_init__(self):
         if self.parity not in ("even", "odd", "full"):
             raise ValueError(f"unknown parity {self.parity!r}")
+        if not (np.isfinite(self.probabilities).all()
+                and math.isfinite(self.mean)
+                and math.isfinite(self.variance)):
+            raise ArithmeticError(
+                "photon statistics are not finite (mean %r, variance %r)"
+                % (self.mean, self.variance))
         if np.any(self.probabilities < 0.0):
             raise ValueError("probabilities must be nonnegative")
         total = float(np.sum(self.probabilities))

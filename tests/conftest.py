@@ -1,7 +1,25 @@
+import os
+
 import numpy as np
 import pytest
 
+import sqstates
 from sqstates.ermakov import ErmakovParameters
+
+#: The directory that holds the imported ``sqstates`` package.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(sqstates.__file__)))
+
+
+def subprocess_env() -> dict:
+    """The environment for a child Python that must import this ``sqstates``.
+
+    pytest's ``pythonpath`` setting reaches only its own process, so the
+    package's source directory goes first on the child's PYTHONPATH.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def draw_params(rng, *, squeeze=(0.45, 2.1), alpha_max=1.2, disp_max=1.6,

@@ -16,6 +16,7 @@ import pytest
 
 import sqstates.channel as channel
 import sqstates.cli as cli
+from conftest import subprocess_env
 from sqstates.cli import main
 from sqstates.ermakov import ErmakovParameters, classical_trajectory
 from sqstates.states import uncertainty_extrema
@@ -179,6 +180,74 @@ class TestConfigValidation:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+
+def raw_config(tmp_path, payload, literal):
+    """A config file whose one ``"@"`` value is the raw JSON ``literal``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload).replace('"@"', literal))
+    return str(path)
+
+
+class TestNonFiniteNumbers:
+    """Overflowing input fails with the field named and writes nothing."""
+
+    # a numpy RuntimeWarning on the way would be an extra stderr line
+    pytestmark = pytest.mark.filterwarnings("error")
+
+    @pytest.mark.parametrize("payload, literal, field", [
+        (evolve_config(3) | {"times": {"start": 0.0, "stop": "@",
+                                       "count": 3}},
+         "1e400", "config.times.stop"),
+        (evolve_config(3) | {"params": dict(GROUND, beta="@")},
+         "1e400", "config.params.beta"),
+        (evolve_config(3) | {"params": dict(GROUND, delta="@")},
+         "1" + "0" * 400, "config.params.delta"),
+        ({"params": GROUND, "state": {"kind": "tcs", "zeta": [0.0, "@"]},
+          "times": [0.0]}, "-1e400", "config.state.zeta[1]"),
+        (evolve_config(3) | {"params": dict(GROUND, kappa="@")},
+         "NaN", "config.params.kappa"),
+    ], ids=["stop", "beta", "400-digit-delta", "zeta", "nan"])
+    def test_nonfinite_literal_rejected_at_load(self, tmp_path, capsys,
+                                                  payload, literal, field):
+        command = "wigner" if "state" in payload else "evolve"
+        out = tmp_path / "out"
+        assert main([command, "--config", raw_config(tmp_path, payload,
+                                                     literal),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s: non-finite" % field)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("statistics", {"mode": "poisson", "delta0": 1e200, "epsilon0": 0},
+         "config.delta0"),
+        ("statistics", {"mode": "poisson", "delta0": 1, "epsilon0": -1e200},
+         "config.epsilon0"),
+        ("statistics", {"mode": "pascal-even", "sigma_sum": 1e308},
+         "config.sigma_sum"),
+        ("statistics", {"mode": "pascal-odd", "sigma_sum": 1e308},
+         "config.sigma_sum"),
+        ("demkov", {"channel": {"beta0": 1e300}, "times": [0.5],
+                    "points": 5}, "config.channel"),
+        ("demkov", {"channel": {"beta0": 1.0}, "times": [0.5], "points": 5,
+                    "half_width": 1.7e308}, "config.channel"),
+    ], ids=["poisson-delta0", "poisson-epsilon0", "pascal-even",
+            "pascal-odd", "demkov-beta0", "demkov-half-width"])
+    def test_overflowing_result_is_config_error(self, tmp_path, capsys,
+                                                command, cfg, field):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s: arithmetic failure" % field)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_reports_refuse_nan(self):
+        with pytest.raises(ValueError):
+            cli._json_dumps({"mean": math.nan})
 
 
 class TestEvolve:
@@ -457,18 +526,29 @@ class TestVerify:
         proc = subprocess.run(
             [sys.executable, "-m", "sqstates.cli", "verify",
              "--seed", "5", "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=subprocess_env())
         assert proc.returncode == 0
         assert "all" in proc.stdout and "passed" in proc.stdout
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; importing it would cost every run
+def modules_loaded_by_cli(*packages):
+    """The modules of ``packages`` that a fresh ``import sqstates.cli`` loads."""
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, sqstates.cli; "
          "print(sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith('scipy.')))"],
-        capture_output=True, text=True)
+         "if m.split('.')[0] in %r))" % (packages,)],
+        capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would cost every run
+    assert modules_loaded_by_cli("scipy") == "[]"
+
+
+def test_cli_import_loads_no_jsonschema():
+    # jsonschema is the test oracle of sqstates._schema, not a runtime
+    # dependency; with its chain it cost about 50 ms per process
+    assert modules_loaded_by_cli("jsonschema", "referencing", "rpds") == "[]"

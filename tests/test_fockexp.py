@@ -428,6 +428,11 @@ class TestPhotonStatistics:
         with pytest.raises(ValueError):
             pascal_odd(-2.0, 10)
 
+    def test_overflowed_mean_level_is_arithmetic_error(self):
+        # nbar = inf made every probability exp(-inf) * inf = nan
+        with pytest.raises(ArithmeticError, match="not finite"):
+            poisson_statistics(1e200, 0.0, 4)
+
     def test_serialization(self, tmp_path):
         stats = pascal_even(3.0, 12)
         target = tmp_path / "levels.csv"
