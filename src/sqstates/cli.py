@@ -63,6 +63,7 @@ from .channel import (
     write_snapshot_series,
 )
 from .ermakov import (
+    MAX_TIME,
     ErmakovParameters,
     classical_trajectory,
     evolve,
@@ -158,6 +159,9 @@ _PARAM_BLOCK = {
 _TIME_LIST = {"type": "array", "items": _NUMBER, "minItems": 1,
               "maxItems": MAX_TIMES}
 
+# A time at which the parameter flow is evaluated (see ermakov.MAX_TIME).
+_FLOW_TIME = {"type": "number", "minimum": -MAX_TIME, "maximum": MAX_TIME}
+
 _PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
 
 _EVOLVE_SCHEMA = {
@@ -167,8 +171,8 @@ _EVOLVE_SCHEMA = {
         "times": {
             "type": "object",
             "properties": {
-                "start": _NUMBER,
-                "stop": _NUMBER,
+                "start": _FLOW_TIME,
+                "stop": _FLOW_TIME,
                 "count": {"type": "integer", "minimum": 1,
                           "maximum": MAX_ROWS},
             },
@@ -185,7 +189,7 @@ _WIGNER_SCHEMA = {
     "properties": {
         "params": _PARAM_BLOCK,
         "state": {"type": "object"},
-        "times": _TIME_LIST,
+        "times": _TIME_LIST | {"items": _FLOW_TIME},
         "points": _POINTS,
         "spread": {"type": "number", "exclusiveMinimum": 0},
         "rotation_check": {"type": "boolean"},

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
+    "MAX_TIME",
     "ErmakovParameters",
     "ComplexGroupParameters",
     "InvariantSet",
@@ -41,6 +43,10 @@ __all__ = [
 ]
 
 _PARAM_FIELDS = ("alpha", "beta", "gamma", "delta", "epsilon", "kappa")
+
+#: largest admissible |t|: the flow evaluates sin 2t and cos 2t, and a
+#: range of times from -MAX_TIME to MAX_TIME must have a finite span
+MAX_TIME = 0.25 * sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,9 @@ class InvariantSet:
 
 def _check_time(t: float) -> float:
     t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
+    if not abs(t) <= MAX_TIME:
+        raise ValueError(f"time must be finite with |t| <= {MAX_TIME!r}, "
+                         f"got {t!r}")
     return t
 
 
@@ -134,6 +141,11 @@ def evolve(p0: ErmakovParameters, t: float) -> ErmakovParameters:
     -------
     ErmakovParameters
         The parameter set at time t.  gamma uses the continuous branch.
+
+    Raises
+    ------
+    ArithmeticError
+        If finite initial data overflow on the way to time t.
     """
     t = _check_time(t)
     a0, b0, d0, e0 = p0.alpha, p0.beta, p0.delta, p0.epsilon
@@ -152,7 +164,10 @@ def evolve(p0: ErmakovParameters, t: float) -> ErmakovParameters:
     kappa = (p0.kappa
              + s * s * (e0 * b0sq * (a0 * e0 - b0 * d0) - a0 * d0 * d0) / den
              + 0.25 * math.sin(2.0 * t) * (e0 * e0 * b0sq - d0 * d0) / den)
-    return ErmakovParameters(alpha, beta, gamma, delta, epsilon, kappa)
+    try:
+        return ErmakovParameters(alpha, beta, gamma, delta, epsilon, kappa)
+    except ValueError as exc:  # p0 and t are valid, so this is an overflow
+        raise ArithmeticError(f"the flow overflows at t={t!r}: {exc}") from exc
 
 
 def classical_trajectory(p0: ErmakovParameters, t: float) -> tuple[float, float]:

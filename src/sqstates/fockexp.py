@@ -24,6 +24,12 @@ phi_{n+1} = (c1* adag - c2* a) phi_n / (beta sqrt(n+1)) corrupts column
 norms beyond column ~40 in double precision, which is why neither is
 the production path.
 
+The Gauss-Hermite sum is held in factored form, M(0, b0) = hxw hy^T on
+its even and odd parity blocks, over the nonnegative nodes of one rule
+per node count that is computed on first use and cached
+(`specfun.gauss_hermite_rule`).  Entries with m + n odd are never
+formed, so they are exact zeros.
+
 The expansion coefficients of the n-th dynamic state are
 
     c_mn = sum_k M_mk(alpha0, beta0) T_kn(eps0, delta0/beta0, kappa0)
@@ -31,6 +37,12 @@ The expansion coefficients of the n-th dynamic state are
 and the wavefunction is recovered as
 
     psi_n(x, t) = sqrt(beta0) sum_m c_mn exp(-i(m+1/2)t) Psi_m(x).
+
+`expansion_table` evaluates the product for its k requested columns
+without forming M: it applies the two phase dressings and the factors
+to T[:, cols] directly, row * (hxw (hy^T (col * T[:, cols]))), at
+O(size^2 k) cost, and T[:, cols] needs the Laguerre recurrence only up
+to index max(cols).
 
 NORMALIZATION: stored coefficients are the bare c_mn above -- the
 sqrt(beta0) weight is applied at reconstruction, NOT stored.  A single
@@ -58,8 +70,8 @@ from ._csv import FLOAT, write_csv
 from .ermakov import ErmakovParameters, evolve
 from .specfun import (
     MAX_DEGREE,
+    gauss_hermite_rule,
     hermite_function_table,
-    hermite_zeros,
     hyp2f1_even_odd,
     laguerre_ratios,
 )
@@ -112,6 +124,44 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 # overlap matrices
 # ----------------------------------------------------------------------
 
+def _t_entries(a: float, b: float, gamma: float, n: np.ndarray,
+               d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries T[n+d, n] and T[n, n+d] of `t_matrix`, for index arrays.
+
+    This is the diagonal kernel shared by `t_matrix` and `_t_columns`:
+    the Laguerre recurrence runs only up to max(n) and the running
+    products only up to max(d), and every entry is computed by the same
+    operations whatever else is requested, so equal (n, d) give equal
+    bits.  Raises ArithmeticError if a requested entry is not finite.
+    """
+    nu = 0.5 * (a * a + b * b)
+    if nu == 0.0:
+        value = np.where(d == 0, complex(math.cos(gamma), math.sin(gamma)), 0j)
+        return value, value
+
+    phase0 = np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu)
+    u = complex(b, a) / math.sqrt(2.0)      # governs rows m >= n
+    w = complex(-b, a) / math.sqrt(2.0)     # governs rows m < n
+    root_nu = math.sqrt(nu)                 # |u| = |w|
+    orders = np.arange(int(d.max()) + 1)
+    phase_up = (1j * u / root_nu) ** orders     # i^d u^d = (i u)^d
+    phase_dn = (-1j * w / root_nu) ** orders    # i^{-d} w^d = (-i w)^d
+    with np.errstate(over="ignore", invalid="ignore"):
+        # ratio[n, d] = L_n^d(nu) / C(n+d, n)
+        # amp[n, d] = sqrt(m!/n!) nu^{d/2} / d!, with m = n + d
+        ratio = np.array(list(laguerre_ratios(int(n.max()), orders, nu)))
+        step = (np.sqrt(np.add.outer(np.arange(len(ratio)), orders) * nu)
+                / np.maximum(orders, 1))
+        step[:, 0] = 1.0
+        amp = np.cumprod(step, axis=1)
+        value = phase0 * amp[n, d] * ratio[n, d]
+    if not np.all(np.isfinite(value)):
+        raise ArithmeticError(
+            f"displacement overlaps overflow at nu = {nu:.3e} with size "
+            f"{int(np.max(n + d)) + 1}; (a, b) = ({a!r}, {b!r}) is too large")
+    return phase_up[d] * value, phase_dn[d] * value
+
+
 def t_matrix(a: float, b: float, gamma: float, size: int) -> np.ndarray:
     """Displacement/modulation overlap matrix T_mn(a, b, gamma).
 
@@ -152,37 +202,27 @@ def t_matrix(a: float, b: float, gamma: float, size: int) -> np.ndarray:
         |T_m0|^2 = exp(-nu) nu^m / m! with nu = (a^2 + b^2)/2.
     """
     size = _check_size(size)
-    out = np.zeros((size, size), dtype=complex)
-    nu = 0.5 * (a * a + b * b)
-    if nu == 0.0:
-        np.fill_diagonal(out, complex(math.cos(gamma), math.sin(gamma)))
-        return _readonly(out)
-
-    phase0 = np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu)
-    u = complex(b, a) / math.sqrt(2.0)      # governs rows m >= n
-    w = complex(-b, a) / math.sqrt(2.0)     # governs rows m < n
-    root_nu = math.sqrt(nu)                 # |u| = |w|
-    orders = np.arange(size)
-    phase_up = (1j * u / root_nu) ** orders     # i^d u^d = (i u)^d
-    phase_dn = (-1j * w / root_nu) ** orders    # i^{-d} w^d = (-i w)^d
-
     m_idx, n_idx = np.tril_indices(size)
-    d = m_idx - n_idx
-    with np.errstate(over="ignore", invalid="ignore"):
-        # ratio[n, d] = L_n^d(nu) / C(n+d, n)
-        # amp[n, d] = sqrt(m!/n!) nu^{d/2} / d!, with m = n + d
-        ratio = np.array(list(laguerre_ratios(size - 1, orders, nu)))
-        step = np.sqrt(np.add.outer(orders, orders) * nu) / np.maximum(orders, 1)
-        step[:, 0] = 1.0
-        amp = np.cumprod(step, axis=1)
-        value = phase0 * amp[n_idx, d] * ratio[n_idx, d]
-    if not np.all(np.isfinite(value)):
-        raise ArithmeticError(
-            f"displacement overlaps overflow at nu = {nu:.3e} with size "
-            f"{size}; (a, b) = ({a!r}, {b!r}) is too large")
-    out[m_idx, n_idx] = phase_up[d] * value
-    out[n_idx, m_idx] = phase_dn[d] * value
+    lower, upper = _t_entries(a, b, gamma, n_idx, m_idx - n_idx)
+    out = np.zeros((size, size), dtype=complex)
+    out[m_idx, n_idx] = lower
+    out[n_idx, m_idx] = upper
     return _readonly(out)
+
+
+def _t_columns(a: float, b: float, gamma: float, size: int,
+               cols: tuple) -> np.ndarray:
+    """The columns `cols` of `t_matrix(a, b, gamma, size)`, bit for bit.
+
+    Column n needs the Laguerre index only up to n: its rows m >= n are
+    T[n+d, n] and its rows m < n are T[m, m+d] with m < n.  So the
+    recurrence runs max(cols) + 1 steps instead of size.
+    """
+    rows = np.arange(size)[:, None]
+    cols = np.asarray(cols)[None, :]
+    lower, upper = _t_entries(a, b, gamma, np.minimum(rows, cols),
+                              np.abs(rows - cols))
+    return np.where(rows >= cols, lower, upper)
 
 
 def _c_pair(alpha: float, beta: float) -> tuple[complex, complex]:
@@ -190,28 +230,60 @@ def _c_pair(alpha: float, beta: float) -> tuple[complex, complex]:
             complex(0.5 * (1.0 - beta * beta), alpha))
 
 
-def _real_scale_matrix(b: float, size: int) -> np.ndarray:
-    """Pure-scale overlap M_mn(0, b) for b > 0, by exact Gauss-Hermite.
+def _scale_factors(b: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature factors (hxw, hy) of the pure-scale overlap M(0, b), b > 0.
 
     Substituting u = x / s with s^2 = 2 / (1 + b^2) turns the overlap
-    integral into exp(-u^2) times a polynomial of degree m + n, so a
-    rule with size + 1 nodes integrates every entry exactly.  The
-    integrand is assembled from normalized Hermite-function tables
-    (uniformly bounded) and the modified Gauss weights
-    w_j exp(u_j^2) = 1 / (N h_{N-1}(u_j)^2), which keeps every
-    intermediate quantity O(1) at any degree.
+    integral into exp(-u^2) times a polynomial of degree m + n, so the
+    (size + 1)-node Gauss-Hermite rule integrates every entry exactly.
+    The integrand h_m(s u) h_n(b s u) is even in u when m + n is even
+    and odd otherwise, so on the half-line form of the cached rule
+    (`gauss_hermite_rule`, nodes u_j >= 0, modified weights W_j)
+
+        M_mn(0, b) = sum_j hxw[m, j] hy[n, j]   for m + n even,
+        M_mn(0, b) = 0                          for m + n odd,
+
+    with hxw = 2 s W_j h_m(s u_j) and hy = h_n(b s u_j).  Both tables come
+    from one stacked Hermite recurrence over the 2J points s u, b s u.
+    Every factor is a bounded normalized Hermite function or an O(1)
+    weight, so nothing grows or cancels at any degree.
     """
-    n_nodes = size + 1
-    u = hermite_zeros(n_nodes)
-    weight = 1.0 / (n_nodes * hermite_function_table(n_nodes - 1, u)[-1] ** 2)
+    u, weights = gauss_hermite_rule(size + 1)
     s = math.sqrt(2.0 / (1.0 + b * b))
-    hx = hermite_function_table(size - 1, s * u)
-    hy = hermite_function_table(size - 1, (b * s) * u)
-    mat = (hx * (s * weight)) @ hy.T
-    # the integrand is odd for m + n odd: enforce those zeros exactly
-    parity = np.add.outer(np.arange(size), np.arange(size)) % 2
-    mat[parity == 1] = 0.0
-    return mat
+    points = np.concatenate((s * u, (b * s) * u))
+    table = hermite_function_table(size - 1, points)
+    half = len(u)
+    return table[:, :half] * ((2.0 * s) * weights), table[:, half:]
+
+
+def _real_scale_matrix(factors, cols) -> np.ndarray:
+    """Columns `cols` of the pure-scale overlap M(0, b), from its factors.
+
+    Only the parity blocks are multiplied, even rows by even columns and
+    odd by odd (`_scale_factors`), so the entries with m + n odd are
+    exact zeros by construction and the work is a quarter of a full
+    product.
+    """
+    hxw, hy = factors
+    cols = np.asarray(cols)
+    out = np.zeros((hxw.shape[0], len(cols)))
+    for parity in (0, 1):
+        (pick,) = np.nonzero(cols % 2 == parity)
+        out[parity::2, pick] = hxw[parity::2] @ hy[cols[pick]].T
+    return out
+
+
+def _real_scale_product(factors, x: np.ndarray) -> np.ndarray:
+    """M(0, b) @ x from the factors of M(0, b), without forming M.
+
+    Applied as hxw (hy^T x) on each parity block, which costs
+    O(size J k) for k columns instead of the O(size^2 J) of M itself.
+    """
+    hxw, hy = factors
+    out = np.empty(x.shape, dtype=complex)
+    for parity in (0, 1):
+        out[parity::2] = hxw[parity::2] @ (hy[parity::2].T @ x[parity::2])
+    return out
 
 
 def _orbit_phases(alpha: float, beta: float) -> tuple[float, float, float]:
@@ -252,13 +324,33 @@ def _orbit_phases(alpha: float, beta: float) -> tuple[float, float, float]:
         st = math.sqrt(st2)
         ct = sin2t / (2.0 * st)
     t = math.atan2(st, ct)
-    pt = evolve(ErmakovParameters(0.0, b0, 0.0, 0.0, 0.0, 0.0), t)
+    try:
+        pt = evolve(ErmakovParameters(0.0, b0, 0.0, 0.0, 0.0, 0.0), t)
+    except ValueError as exc:  # b0 or t overflowed on the way
+        raise ArithmeticError(
+            f"orbit reduction overflows for alpha={alpha}, beta={beta}: "
+            f"{exc}") from exc
     if (abs(pt.alpha - alpha) > 1e-9 * (1.0 + abs(alpha))
             or abs(pt.beta - beta) > 1e-9 * (1.0 + beta)):
         raise ArithmeticError(
             f"orbit reduction failed for alpha={alpha}, beta={beta}: "
             f"reached ({pt.alpha}, {pt.beta})")
     return b0, t, pt.gamma
+
+
+def _squeeze_factors(alpha: float, beta: float, size: int):
+    """Factors ``(row, factors, col)`` of M(alpha, beta), beta != 0.
+
+    M = row[:, None] * M(0, b0) * col[None, :], with M(0, b0) held as its
+    quadrature factors (`_scale_factors`); see `m_matrix`.
+    """
+    b0, t, dgamma = _orbit_phases(alpha, abs(beta))
+    m_idx = np.arange(size)
+    row = math.sqrt(b0 / abs(beta)) * np.exp(-1j * (m_idx + 0.5) * t)
+    col = np.exp(-1j * (2.0 * m_idx + 1.0) * dgamma)
+    if beta < 0.0:
+        col = col * np.where(m_idx % 2, -1.0, 1.0)
+    return row, _scale_factors(b0, size), col
 
 
 def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
@@ -273,7 +365,10 @@ def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
         M_mn(alpha, beta) = sqrt(b0/beta) e^{-i(m+1/2)t}
                             M_mn(0, b0) e^{-i(2n+1)gamma(t)}.
 
-    Entries with m + n odd are exact zeros.
+    M(0, b0) is multiplied out from its quadrature factors one parity
+    block at a time (`_scale_factors`), so entries with m + n odd are
+    exact zeros by construction.  At alpha = 0, |beta| = 1 the matrix
+    is returned exactly, as diag(1, beta, 1, beta, ...).
 
     Parameters
     ----------
@@ -298,17 +393,11 @@ def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
         raise ValueError("beta must be nonzero")
     alpha = float(alpha)
     beta = float(beta)
-    babs = abs(beta)
-    if alpha == 0.0 and babs == 1.0:
+    if alpha == 0.0 and abs(beta) == 1.0:
         diag = np.where(np.arange(size) % 2, beta, 1.0).astype(complex)
         return _readonly(np.diag(diag))
-    b0, t, dgamma = _orbit_phases(alpha, babs)
-    core = _real_scale_matrix(b0, size)
-    m_idx = np.arange(size)
-    row = math.sqrt(b0 / babs) * np.exp(-1j * (m_idx + 0.5) * t)
-    col = np.exp(-1j * (2.0 * m_idx + 1.0) * dgamma)
-    if beta < 0.0:
-        col = col * np.where(m_idx % 2, -1.0, 1.0)
+    row, factors, col = _squeeze_factors(alpha, beta, size)
+    core = _real_scale_matrix(factors, range(size))
     return _readonly(row[:, None] * core * col[None, :])
 
 
@@ -406,8 +495,13 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
               kappa0 - alpha0 eps0^2/beta0^2) M(alpha0, beta0),
 
     and their agreement within ten times the truncation tail is
-    asserted; the first order is returned, with the initial-phase gauge
-    e^{i(2n+1)gamma0} folded into each column so that
+    asserted.  Neither order forms M: the first applies M to the
+    requested columns of T through the factors of its Gauss-Hermite sum
+    (see the module docstring), with T[:, cols] from a Laguerre
+    recurrence run only up to max(cols); the second, the cross-check,
+    multiplies the full T of the other order into M[:, cols], built from
+    the same factors.  The first order is returned, with the
+    initial-phase gauge e^{i(2n+1)gamma0} folded into each column so that
 
         psi_n(x, 0) = sqrt(beta0) sum_m c_mn Psi_m(x)
 
@@ -434,15 +528,26 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
             raise ValueError(f"column {n} outside [0, {size})")
 
     a0, b0 = p0.alpha, p0.beta
-    mmat = m_matrix(a0, b0, size)
-    tmat = t_matrix(p0.epsilon, p0.delta / b0, p0.kappa, size)
-    first = mmat @ tmat[:, cols]
+    picked = np.array(cols)
+    tcols = _t_columns(p0.epsilon, p0.delta / b0, p0.kappa, size, cols)
+    if a0 == 0.0 and abs(b0) == 1.0:
+        # the exact identity point of `m_matrix`: M = diag(1, b0, 1, b0, ...)
+        diag = np.where(np.arange(size) % 2, b0, 1.0)
+        first = diag[:, None] * tcols
+        mcols = np.zeros((size, len(cols)), dtype=complex)
+        mcols[picked, np.arange(len(cols))] = diag[picked]
+    else:
+        row, factors, col = _squeeze_factors(a0, b0, size)
+        first = row[:, None] * _real_scale_product(factors,
+                                                   col[:, None] * tcols)
+        mcols = (row[:, None] * _real_scale_matrix(factors, picked)
+                 * col[None, picked])
 
     tmat2 = t_matrix(p0.epsilon / b0,
                      p0.delta - 2.0 * a0 * p0.epsilon / b0,
                      p0.kappa - a0 * p0.epsilon**2 / b0**2,
                      size)
-    second = tmat2 @ mmat[:, cols]
+    second = tmat2 @ mcols
     if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
         raise ArithmeticError(
             "non-finite expansion coefficients: the overlap matrices "
@@ -471,7 +576,7 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
     if p0.gamma != 0.0:
         # initial-phase gauge: the matrix product is gamma0-blind, but the
         # wavefunction carries e^{i(2n+1)gamma0}, so reconstruction needs it
-        first = first * np.exp(1j * (2.0 * np.asarray(cols) + 1.0) * p0.gamma)
+        first = first * np.exp(1j * (2.0 * picked + 1.0) * p0.gamma)
     return ExpansionTable(np.ascontiguousarray(first), cols, size,
                           tail_first, b0)
 

@@ -15,6 +15,7 @@ ever enters the value; this also makes the a^2 = lambda2 limit exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Union
 
@@ -27,6 +28,7 @@ __all__ = [
     "hermite_function",
     "hermite_function_table",
     "hermite_zeros",
+    "gauss_hermite_rule",
     "laguerre_ratios",
     "laguerre_assoc",
     "hyp2f1_terminating",
@@ -153,6 +155,37 @@ def hermite_zeros(n: int) -> np.ndarray:
             f"{_ZERO_MAX_STEPS} Newton steps")
     middle = [0.0] if n % 2 else []
     return np.concatenate((-x, middle, x[::-1]))
+
+
+# One entry per valid node count and integer type (invalid counts raise and
+# are not cached), so the cache holds about (MAX_DEGREE + 1)^2 / 2 floats
+# per type at most.  `typed` keeps True from sharing the entry of 1:
+# hermite_zeros rejects bools.
+@functools.lru_cache(maxsize=None, typed=True)
+def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-line form of the n-node Gauss-Hermite rule, cached per n.
+
+    Returns ``(nodes, weights)``: the nonnegative zeros of H_n in
+    increasing order (0 first when n is odd) and their modified weights
+    w_j exp(u_j^2) = 1 / (n h_{n-1}(u_j)^2), with the zero node's weight
+    halved.  For an even function f,
+
+        integral(exp(-u^2) f(u) du) = 2 sum_j weights_j exp(-u_j^2) f(u_j)
+
+    exactly when f is a polynomial of degree below 2n.  Working with the
+    modified weights keeps every factor O(1) at any n up to
+    MAX_DEGREE + 1.  Both arrays are read-only, because every caller
+    shares them; the rule is computed on first use, never at import.
+    """
+    u = hermite_zeros(n)[n // 2:].copy()
+    for h_last in _hermite_rows(n - 1, u):
+        pass                    # keep only the last of n rows
+    weights = 1.0 / (n * h_last**2)
+    if n % 2:
+        weights[0] *= 0.5
+    u.flags.writeable = False
+    weights.flags.writeable = False
+    return u, weights
 
 
 def laguerre_ratios(nmax: int, a, x):

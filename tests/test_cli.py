@@ -18,7 +18,7 @@ import sqstates.channel as channel
 import sqstates.cli as cli
 from conftest import subprocess_env
 from sqstates.cli import main
-from sqstates.ermakov import ErmakovParameters, classical_trajectory
+from sqstates.ermakov import MAX_TIME, ErmakovParameters, classical_trajectory
 from sqstates.states import uncertainty_extrema
 
 GROUND = {"alpha": 0.0, "beta": 1.0, "gamma": 0.0, "delta": 0.0,
@@ -244,6 +244,41 @@ class TestNonFiniteNumbers:
         assert err.startswith("config error: %s: arithmetic failure" % field)
         assert err.count("\n") == 1
         assert not out.exists()
+
+    HUGE_ALPHA = dict(GROUND, alpha=1e200)
+
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("evolve", evolve_config(3) | {"params": HUGE_ALPHA},
+         "config.params: arithmetic failure"),
+        ("evolve", evolve_config(3) | {"times": {"start": 0.0, "stop": 1e308,
+                                                 "count": 3}},
+         "config.times.stop: 1e+308 is greater than the maximum"),
+        ("wigner", WIGNER_FOCK | {"times": [-1e308]},
+         "config.times[0]: -1e+308 is less than the minimum"),
+        ("expand", {"params": HUGE_ALPHA, "columns": [0]},
+         "config.params: arithmetic failure"),
+        ("statistics", {"mode": "full-expansion", "params": HUGE_ALPHA},
+         "config.params: arithmetic failure"),
+    ], ids=["evolve-alpha", "evolve-stop", "wigner-time", "expand-alpha",
+            "full-expansion-alpha"])
+    def test_huge_finite_input_names_its_field(self, tmp_path, capsys,
+                                               command, cfg, message):
+        # finite inputs whose flow overflows inside the computation
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_widest_admissible_time_range_is_finite(self, tmp_path):
+        cfg = evolve_config(3) | {"times": {"start": -MAX_TIME,
+                                            "stop": MAX_TIME,
+                                            "count": 7}}
+        assert main(["evolve", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == 0
+        assert np.all(np.isfinite(read_csv(tmp_path / "evolve.csv")))
 
     def test_reports_refuse_nan(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from sqstates import fockexp
 from sqstates.ermakov import ErmakovParameters, evolve
 from sqstates.fockexp import (
     ExpansionTable,
@@ -327,6 +328,83 @@ class TestExpansionTable:
         rebuilt = np.array([[complex(re, im) for re, im in col]
                             for col in doc["coeffs"]]).T
         assert np.array_equal(rebuilt, tab.coeffs)
+
+
+# gamma0 != 0 with beta0 > 0; beta0 < 0; the exact identity point of
+# m_matrix at beta0 = +1 and -1
+FACTORED_CASES = [
+    ErmakovParameters(0.3, 1.2, 0.7, 0.4, -0.5, 0.2),
+    ErmakovParameters(-0.4, -0.9, 0.3, 0.2, 0.3, -0.1),
+    ErmakovParameters(0.0, 1.0, 0.5, 0.3, -0.2, 0.1),
+    ErmakovParameters(0.0, -1.0, -1.1, 0.3, -0.2, 0.1),
+]
+
+
+class TestFactoredExpansion:
+    """The first-order product never forms M, and never a full T."""
+
+    @pytest.mark.parametrize("size", [7, 8, 128, 512])
+    @pytest.mark.parametrize("p0", FACTORED_CASES,
+                             ids=["gamma0", "beta0<0", "identity", "-identity"])
+    def test_matches_explicit_matrix_product(self, size, p0):
+        # odd and even sizes give rules of even and odd node counts; the
+        # last column carries a large tail, so warnings are expected
+        cols = (0, 5, size - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            tab = expansion_table(p0, cols, size)
+        tmat = t_matrix(p0.epsilon, p0.delta / p0.beta, p0.kappa, size)
+        gauge = np.exp(1j * (2.0 * np.array(cols) + 1.0) * p0.gamma)
+        ref = (m_matrix(p0.alpha, p0.beta, size) @ tmat[:, cols]) * gauge
+        tail = 1.0 - abs(p0.beta) * np.sum(np.abs(ref) ** 2, axis=0)
+        assert np.max(np.abs(tab.coeffs - ref)) <= 1e-13
+        assert np.max(np.abs(tab.tail_mass - tail)) <= 1e-13
+
+    @pytest.mark.parametrize("size", [7, 8, 129])
+    @pytest.mark.parametrize("beta", [1.3, -0.7])
+    def test_m_matrix_parity_zeros_are_exact(self, size, beta):
+        # both node-count parities, both signs of beta
+        out = m_matrix(0.4, beta, size)
+        m, n = np.indices(out.shape)
+        assert np.all(out[(m + n) % 2 == 1] == 0.0)
+
+    @pytest.mark.parametrize("size", [7, 8, 128, 512])
+    @pytest.mark.parametrize("a, b, g", [(0.4, 0.3, 0.1), (0.0, 0.0, 0.7),
+                                         (1.2, -0.9, 2.0)])
+    def test_column_restricted_t_is_bit_identical(self, size, a, b, g):
+        cols = (0, 5, size - 1)
+        got = fockexp._t_columns(a, b, g, size, cols)
+        want = np.ascontiguousarray(t_matrix(a, b, g, size)[:, cols])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("p0", FACTORED_CASES[::2],
+                             ids=["generic", "identity"])
+    def test_builds_no_squeeze_matrix_and_one_t_matrix(self, monkeypatch, p0):
+        calls = {"m_matrix": 0, "t_matrix": 0}
+
+        def counted(name):
+            inner = getattr(fockexp, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fockexp, name, counted(name))
+        expansion_table(p0, (0, 1, 2), 64)
+        # the one t_matrix is the full T2 of the inline cross-check
+        assert calls == {"m_matrix": 0, "t_matrix": 1}
+
+    def test_cross_check_is_live(self, monkeypatch):
+        # a norm-preserving 1e-6 error in the first-order product: a
+        # rescaling would also move the tail that sets the check's budget
+        inner = fockexp._real_scale_product
+        monkeypatch.setattr(fockexp, "_real_scale_product",
+                            lambda factors, x: inner(factors, x)
+                            * np.exp(1e-6j))
+        with pytest.raises(ArithmeticError, match="disagree"):
+            expansion_table(FACTORED_CASES[0], (0, 1, 2), 128)
 
 
 class TestTimeDependentExpansion:

@@ -13,6 +13,7 @@ from sqstates.specfun import (
     MAX_DEGREE,
     ParameterDegeneracyError,
     bailey_integral,
+    gauss_hermite_rule,
     hermite,
     hermite_function,
     hermite_function_table,
@@ -137,6 +138,40 @@ class TestHermiteZeros:
         for n in (0, MAX_DEGREE + 2, 3.0, True):
             with pytest.raises(ValueError):
                 hermite_zeros(n)
+
+
+class TestGaussHermiteRule:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 65])
+    def test_matches_reference_rule(self, n):
+        nodes, weights = gauss_hermite_rule(n)
+        ref_nodes, ref_weights = roots_hermite(n)
+        modified = ref_weights[n // 2:] * np.exp(ref_nodes[n // 2:] ** 2)
+        if n % 2:
+            modified[0] *= 0.5      # the zero node is shared by both halves
+        assert np.max(np.abs(nodes - ref_nodes[n // 2:])) <= 5e-14
+        assert weights == pytest.approx(modified, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_half_line_sum_integrates_even_monomials(self, n):
+        # integral(exp(-u^2) u^(2k) du) = Gamma(k + 1/2), exact below degree 2n
+        nodes, weights = gauss_hermite_rule(n)
+        for k in range(n):
+            got = 2.0 * np.sum(weights * np.exp(-nodes**2) * nodes ** (2 * k))
+            assert got == pytest.approx(math.gamma(k + 0.5), rel=1e-13)
+
+    def test_cached_arrays_are_shared_and_read_only(self):
+        nodes, weights = gauss_hermite_rule(17)
+        again = gauss_hermite_rule(17)
+        assert again[0] is nodes and again[1] is weights
+        for array in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_rejects_bad_count_even_after_caching_one(self):
+        gauss_hermite_rule(1)
+        for n in (0, MAX_DEGREE + 2, 3.0, True):
+            with pytest.raises(ValueError):
+                gauss_hermite_rule(n)
 
 
 class TestHyp2f1:
