@@ -5,8 +5,8 @@ matrix
 
     T_mn(a, b, g) = integral( Psi_m(x)* exp(i(g + b x)) Psi_n(x + a) dx )
 
-is evaluated in closed form through associated Laguerre polynomials, and
-the squeeze-type matrix
+is evaluated in closed form through associated Laguerre polynomials
+(Cahill & Glauber), and the squeeze-type matrix
 
     M_mn(alpha, beta) = integral( Psi_m(x)* exp(i alpha x^2) Psi_n(beta x) dx )
 
@@ -38,11 +38,24 @@ and the wavefunction is recovered as
 
     psi_n(x, t) = sqrt(beta0) sum_m c_mn exp(-i(m+1/2)t) Psi_m(x).
 
+T is held in factored form too.  With nu = (a^2 + b^2)/2 and the unit
+zeta = (a + i b)/|a + i b|,
+
+    T = e^{i(g - ab/2) - nu/2} diag(conj(zeta)^m) S diag(zeta^n),
+
+where S is real and both of its triangles hold the same numbers
+R[n, d] = sqrt(n!/(n+d)!) nu^{d/2} L_n^d(nu), the lower one with a sign
+(-1)^d.  R is computed once, on the triangle n + d < size only, by one
+difference-form Laguerre recurrence that drops an order at every step
+(`_displacement_upper`).
+
 `expansion_table` evaluates the product for its k requested columns
-without forming M: it applies the two phase dressings and the factors
-to T[:, cols] directly, row * (hxw (hy^T (col * T[:, cols]))), at
-O(size^2 k) cost, and T[:, cols] needs the Laguerre recurrence only up
-to index max(cols).
+without forming M or T: it applies the two phase dressings and the
+factors of M to T[:, cols] directly, row * (hxw (hy^T (col * T[:, cols]))),
+at O(size^2 k) cost, and T[:, cols] needs the Laguerre recurrence only up
+to index max(cols).  Its cross-check applies the T of the other
+factorization order to M[:, cols] as two real triangle products
+(`_t_product`), so no complex size x size matrix is ever formed.
 
 NORMALIZATION: stored coefficients are the bare c_mn above -- the
 sqrt(beta0) weight is applied at reconstruction, NOT stored.  A single
@@ -65,6 +78,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csv import FLOAT, write_csv
 from .ermakov import ErmakovParameters, evolve
@@ -73,7 +87,7 @@ from .specfun import (
     gauss_hermite_rule,
     hermite_function_table,
     hyp2f1_even_odd,
-    laguerre_ratios,
+    laguerre_ratio_table,
 )
 
 __all__ = [
@@ -124,42 +138,107 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 # overlap matrices
 # ----------------------------------------------------------------------
 
-def _t_entries(a: float, b: float, gamma: float, n: np.ndarray,
-               d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entries T[n+d, n] and T[n, n+d] of `t_matrix`, for index arrays.
+def _displacement_upper(nu: float, rows: int, size: int) -> np.ndarray:
+    """The real kernel of `t_matrix` on its triangle, rows n < rows.
 
-    This is the diagonal kernel shared by `t_matrix` and `_t_columns`:
-    the Laguerre recurrence runs only up to max(n) and the running
-    products only up to max(d), and every entry is computed by the same
-    operations whatever else is requested, so equal (n, d) give equal
-    bits.  Raises ArithmeticError if a requested entry is not finite.
+    Returns the (rows, size) array U with U[n, n + d] = R[n, d] for
+    n + d < size, where
+
+        R[n, d] = sqrt(m!/n!) nu^{d/2} / d! * L_n^d(nu) / C(n+d, n)
+                = sqrt(n!/m!) nu^{d/2} L_n^d(nu),       m = n + d,
+
+    and zeros below the diagonal.  The Laguerre ratio comes from the
+    shrinking-slice recurrence of `laguerre_ratio_table`; the amplitude
+    is a running product of sqrt(m nu)/(m - n) along each row, started
+    at the diagonal.  Left of the diagonal only exact ones and zeros are
+    formed, so nothing there can overflow.  Rows n < rows are the same
+    bits for every rows.  Raises ArithmeticError if an entry is not
+    finite.
     """
-    nu = 0.5 * (a * a + b * b)
-    if nu == 0.0:
-        value = np.where(d == 0, complex(math.cos(gamma), math.sin(gamma)), 0j)
-        return value, value
-
-    phase0 = np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu)
-    u = complex(b, a) / math.sqrt(2.0)      # governs rows m >= n
-    w = complex(-b, a) / math.sqrt(2.0)     # governs rows m < n
-    root_nu = math.sqrt(nu)                 # |u| = |w|
-    orders = np.arange(int(d.max()) + 1)
-    phase_up = (1j * u / root_nu) ** orders     # i^d u^d = (i u)^d
-    phase_dn = (-1j * w / root_nu) ** orders    # i^{-d} w^d = (-i w)^d
     with np.errstate(over="ignore", invalid="ignore"):
-        # ratio[n, d] = L_n^d(nu) / C(n+d, n)
-        # amp[n, d] = sqrt(m!/n!) nu^{d/2} / d!, with m = n + d
-        ratio = np.array(list(laguerre_ratios(int(n.max()), orders, nu)))
-        step = (np.sqrt(np.add.outer(np.arange(len(ratio)), orders) * nu)
-                / np.maximum(orders, 1))
-        step[:, 0] = 1.0
-        amp = np.cumprod(step, axis=1)
-        value = phase0 * amp[n, d] * ratio[n, d]
-    if not np.all(np.isfinite(value)):
+        upper = laguerre_ratio_table(rows, size, nu)
+        # step[n, m] = sqrt(m nu)/(m - n) right of the diagonal, 1 on and
+        # left of it; dist[n, m] = m - n is a strided view, not a table
+        dist = sliding_window_view(np.arange(1.0 - rows, size), size)[::-1]
+        step = np.ones((rows, size))
+        np.divide(np.sqrt(np.arange(size) * nu), dist, out=step,
+                  where=dist > 0)
+        upper *= np.cumprod(step, axis=1, out=step)
+    if not np.all(np.isfinite(upper)):
         raise ArithmeticError(
             f"displacement overlaps overflow at nu = {nu:.3e} with size "
-            f"{int(np.max(n + d)) + 1}; (a, b) = ({a!r}, {b!r}) is too large")
-    return phase_up[d] * value, phase_dn[d] * value
+            f"{size}; the shift and modulation are too large")
+    return upper
+
+
+def _zeta_powers(a: float, b: float, size: int) -> np.ndarray:
+    """zeta^n = e^{i n theta}, theta = arg(a + i b), for n < size.
+
+    theta is split as hi + lo with hi on 24 bits, so n hi is exact for
+    every n < 2^29 and the phase picks up no rounding that grows with n.
+    """
+    theta = math.atan2(b, a)
+    hi = float(np.float32(theta))
+    n = np.arange(size)
+    return np.exp(1j * (n * hi)) * np.exp(1j * (n * (theta - hi)))
+
+
+def _t_columns(a: float, b: float, gamma: float, size: int,
+               cols) -> np.ndarray:
+    """The columns `cols` of `t_matrix(a, b, gamma, size)`.
+
+    T = e^{i(gamma - ab/2) - nu/2} diag(conj(zeta)^m) S diag(zeta^n): the
+    upper triangle of the real S is U from `_displacement_upper`,
+    S[m, n] = U[m, n] for m <= n, and the lower triangle is its mirror
+    with a sign, S[m, n] = (-1)^{m-n} U[n, m].  Column c needs the rows
+    n <= c of U only, so the recurrence runs max(cols) + 1 steps; equal
+    columns get equal bits whatever else is requested.  Each entry
+    takes its phase as the one power zeta^{n-m}, so it carries the
+    roundings of the closed form and no more.
+    """
+    cols = np.asarray(cols)
+    m = np.arange(size)[:, None]
+    nu = 0.5 * (a * a + b * b)
+    if nu == 0.0:
+        return np.where(m == cols, complex(math.cos(gamma), math.sin(gamma)),
+                        0j)
+    rows = int(cols.max()) + 1
+    upper = _displacement_upper(nu, rows, size)
+    sign = np.where(np.arange(size) % 2, -1.0, 1.0)
+    s = upper[cols].T * (sign[:, None] * sign[cols])
+    np.copyto(s[:rows], upper[:, cols], where=m[:rows] <= cols)
+    lag = cols - m                      # zeta^{n-m} = conj(zeta)^m zeta^n
+    zeta = _zeta_powers(a, b, size)[np.abs(lag)]
+    phase = np.where(lag >= 0, zeta, zeta.conj())
+    return np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu) * s * phase
+
+
+def _t_product(a: float, b: float, gamma: float, x: np.ndarray) -> np.ndarray:
+    """t_matrix(a, b, gamma, len(x)) @ x for a (size, k) x, without forming T.
+
+    With the factorization of `_t_columns`, T x is
+    e^{i(gamma - ab/2) - nu/2} conj(zeta)^m (S y) with y = zeta^n x, and
+
+        S y = U_s y + diag(U) y + D U_s^T (D y),
+
+    where U_s is U without its diagonal and D = diag((-1)^m).  Both
+    products are real, on the (size, 2k) real view of y; the phases
+    touch only the size x k vectors.  Every entry of S still comes from
+    its own Laguerre closed form.
+    """
+    size = x.shape[0]
+    nu = 0.5 * (a * a + b * b)
+    if nu == 0.0:
+        return complex(math.cos(gamma), math.sin(gamma)) * x
+    upper = _displacement_upper(nu, size, size)
+    diag = upper.diagonal().copy()
+    np.fill_diagonal(upper, 0.0)
+    zeta = _zeta_powers(a, b, size)
+    sign = np.where(np.arange(size) % 2, -1.0, 1.0)[:, None]
+    y = (zeta[:, None] * x).view(float)
+    sy = upper @ y + diag[:, None] * y + sign * (upper.T @ (sign * y))
+    left = np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu) * zeta.conj()
+    return left[:, None] * sy.view(complex)
 
 
 def t_matrix(a: float, b: float, gamma: float, size: int) -> np.ndarray:
@@ -168,20 +247,23 @@ def t_matrix(a: float, b: float, gamma: float, size: int) -> np.ndarray:
     Matrix of the map Psi_n(x) -> exp(i(gamma + b x)) Psi_n(x + a) on the
     oscillator basis; unitary up to truncation.  This is the closed form
     of Cahill & Glauber, Phys. Rev. 177, 1857 (1969): with
-    nu = (a^2 + b^2)/2 and d = m - n >= 0,
+    nu = (a^2 + b^2)/2, zeta = (a + i b)/|a + i b| and d = |m - n|,
 
-        T_mn = e^{i(gamma - a b/2) - nu/2} (i u / |u|)^d
-               sqrt(n!/m!) nu^{d/2} L_n^d(nu),     u = (b + i a)/sqrt(2),
+        T_mn = e^{i(gamma - a b/2) - nu/2} conj(zeta)^m S_mn zeta^n,
+        S_mn = sqrt(n!/m!) nu^{d/2} L_n^d(nu) (-1)^d    for m >= n,
+        S_mn = sqrt(m!/n!) nu^{d/2} L_m^d(nu)           for m < n.
 
-    and the rows m < n follow with (-i w / |w|)^d, w = (-b + i a)/sqrt(2).
-    All diagonals are evaluated at once: one difference-form Laguerre
-    recurrence in n (`laguerre_ratios`) runs across every order d and
-    yields p = L_n^d(nu) / C(n+d, n), and the remaining factor
-    C(n+d, n) sqrt(n!/m!) nu^{d/2} = sqrt(m!/n!) nu^{d/2} / d! is a
-    running product along each diagonal.  Both stay accurate to a few
-    units in the last place over the full MAX_DEGREE range (entries are
-    bounded by 1) for moderate (a, b).  For large nu the factors leave
-    the floating-point range; that raises ArithmeticError.
+    S is real, and its two triangles hold the same numbers R[min(m, n), d]
+    up to the sign.  R is evaluated once, on the triangle n + d < size
+    only (`_displacement_upper`): one difference-form Laguerre recurrence
+    in n (`laguerre_ratio_table`) runs across every order d and yields
+    p = L_n^d(nu) / C(n+d, n), shrinking by one order per step, and the
+    remaining factor C(n+d, n) sqrt(n!/m!) nu^{d/2} =
+    sqrt(m!/n!) nu^{d/2} / d! is a running product in d.
+    Both stay accurate to a few units in the last place over the full
+    MAX_DEGREE range (entries are bounded by 1) for moderate (a, b).  For
+    large nu the factors leave the floating-point range; that raises
+    ArithmeticError.
 
     Parameters
     ----------
@@ -202,27 +284,7 @@ def t_matrix(a: float, b: float, gamma: float, size: int) -> np.ndarray:
         |T_m0|^2 = exp(-nu) nu^m / m! with nu = (a^2 + b^2)/2.
     """
     size = _check_size(size)
-    m_idx, n_idx = np.tril_indices(size)
-    lower, upper = _t_entries(a, b, gamma, n_idx, m_idx - n_idx)
-    out = np.zeros((size, size), dtype=complex)
-    out[m_idx, n_idx] = lower
-    out[n_idx, m_idx] = upper
-    return _readonly(out)
-
-
-def _t_columns(a: float, b: float, gamma: float, size: int,
-               cols: tuple) -> np.ndarray:
-    """The columns `cols` of `t_matrix(a, b, gamma, size)`, bit for bit.
-
-    Column n needs the Laguerre index only up to n: its rows m >= n are
-    T[n+d, n] and its rows m < n are T[m, m+d] with m < n.  So the
-    recurrence runs max(cols) + 1 steps instead of size.
-    """
-    rows = np.arange(size)[:, None]
-    cols = np.asarray(cols)[None, :]
-    lower, upper = _t_entries(a, b, gamma, np.minimum(rows, cols),
-                              np.abs(rows - cols))
-    return np.where(rows >= cols, lower, upper)
+    return _readonly(_t_columns(a, b, gamma, size, range(size)))
 
 
 def _c_pair(alpha: float, beta: float) -> tuple[complex, complex]:
@@ -495,12 +557,13 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
               kappa0 - alpha0 eps0^2/beta0^2) M(alpha0, beta0),
 
     and their agreement within ten times the truncation tail is
-    asserted.  Neither order forms M: the first applies M to the
+    asserted.  Neither order forms M or T: the first applies M to the
     requested columns of T through the factors of its Gauss-Hermite sum
-    (see the module docstring), with T[:, cols] from a Laguerre
-    recurrence run only up to max(cols); the second, the cross-check,
-    multiplies the full T of the other order into M[:, cols], built from
-    the same factors.  The first order is returned, with the
+    (see the module docstring), with T[:, cols] from the real triangle
+    kernel run only up to max(cols); the second, the cross-check,
+    applies the T of the other order to M[:, cols], built from the same
+    factors, as two real triangle products over the whole triangle
+    (`_t_product`).  The first order is returned, with the
     initial-phase gauge e^{i(2n+1)gamma0} folded into each column so that
 
         psi_n(x, 0) = sqrt(beta0) sum_m c_mn Psi_m(x)
@@ -543,11 +606,10 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
         mcols = (row[:, None] * _real_scale_matrix(factors, picked)
                  * col[None, picked])
 
-    tmat2 = t_matrix(p0.epsilon / b0,
-                     p0.delta - 2.0 * a0 * p0.epsilon / b0,
-                     p0.kappa - a0 * p0.epsilon**2 / b0**2,
-                     size)
-    second = tmat2 @ mcols
+    second = _t_product(p0.epsilon / b0,
+                        p0.delta - 2.0 * a0 * p0.epsilon / b0,
+                        p0.kappa - a0 * p0.epsilon**2 / b0**2,
+                        mcols)
     if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
         raise ArithmeticError(
             "non-finite expansion coefficients: the overlap matrices "

@@ -324,7 +324,13 @@ def _moyal_values(m: int, n: int, p: ErmakovParameters, x, mom):
     order = n - m
     log_amp = 0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1)) \
         + 0.5 * order * math.log(2.0)
-    phase = cmath.exp(2j * order * p.gamma) * (-1.0) ** m / math.pi
+    try:
+        phase = cmath.exp(2j * order * p.gamma)
+    except ValueError as exc:   # 2 order gamma overflowed to infinity
+        raise ArithmeticError(
+            f"cross-function phase 2 * {order} * gamma overflows at "
+            f"gamma = {p.gamma!r}") from exc
+    phase = phase * (-1.0) ** m / math.pi
     core = np.exp(-rsq + log_amp) * laguerre_assoc(m, order, 2.0 * rsq)
     if order == 0:
         return phase * core

@@ -30,6 +30,7 @@ __all__ = [
     "hermite_zeros",
     "gauss_hermite_rule",
     "laguerre_ratios",
+    "laguerre_ratio_table",
     "laguerre_assoc",
     "hyp2f1_terminating",
     "hyp2f1_even_odd",
@@ -188,6 +189,17 @@ def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, weights
 
 
+def _laguerre_step(k: int, ka1, x, p, delta, out=None):
+    """Advance the difference form of `laguerre_ratios` from k to k + 1.
+
+    ``ka1`` holds k + a + 1 for the orders a that ``p`` and ``delta``
+    carry; returns ``(p_{k+1}, delta_{k+1})``, with p_{k+1} written to
+    ``out`` when given.
+    """
+    delta = -x / ka1 * p + (k / ka1) * delta
+    return np.add(p, delta, out=out), delta
+
+
 def laguerre_ratios(nmax: int, a, x):
     """Yield p_k = L_k^a(x) / C(k + a, k) for k = 0, 1, ..., nmax.
 
@@ -210,9 +222,34 @@ def laguerre_ratios(nmax: int, a, x):
     p = delta + 1.0
     yield p
     for k in range(1, nmax):
-        delta = -x / (k + a1) * p + (k / (k + a1)) * delta
-        p = p + delta
+        p, delta = _laguerre_step(k, k + a1, x, p, delta)
         yield p
+
+
+def laguerre_ratio_table(rows: int, size: int, x: float) -> np.ndarray:
+    """The ratios L_n^d(x) / C(n + d, n) on the triangle n < rows, n + d < size.
+
+    Entry [n, n + d] of the returned (rows, size) array holds the ratio
+    of degree n and order d; the entries below the diagonal are zeros
+    and nothing is evaluated there.  Row n + 1 is one step of the
+    `laguerre_ratios` recurrence over the orders d < size - n - 1, so
+    every step is one order shorter than the one before, and each entry
+    has the bits `laguerre_ratios` gives it.  Requires 1 <= rows <= size.
+    """
+    if not 1 <= rows <= size:
+        raise ValueError(f"need 1 <= rows <= size, got {rows} and {size}")
+    out = np.zeros((rows, size))
+    out[0] = 1.0
+    if rows == 1:
+        return out
+    ka1 = np.arange(1.0, size + 1.0)       # k + d + 1 sits at ka1[k + d]
+    delta = -x / ka1[:-1]
+    p = np.add(delta, 1.0, out=out[1, 1:])
+    for k in range(1, rows - 1):
+        width = size - k - 1
+        p, delta = _laguerre_step(k, ka1[k:k + width], x, p[:width],
+                                  delta[:width], out=out[k + 1, k + 1:])
+    return out
 
 
 def _binom(top: float, k: int) -> float:

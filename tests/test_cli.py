@@ -246,6 +246,11 @@ class TestNonFiniteNumbers:
         assert not out.exists()
 
     HUGE_ALPHA = dict(GROUND, alpha=1e200)
+    # 2 * 512 * gamma(t) overflows in the phase of the level-512 terms
+    LEVEL_512 = {"params": GROUND, "points": 5,
+                 "state": {"kind": "superposition", "terms": [
+                     {"level": 0, "amplitude": [0.6, 0.0]},
+                     {"level": 512, "amplitude": [0.0, 0.8]}]}}
 
     @pytest.mark.parametrize("command, cfg, message", [
         ("evolve", evolve_config(3) | {"params": HUGE_ALPHA},
@@ -259,8 +264,14 @@ class TestNonFiniteNumbers:
          "config.params: arithmetic failure"),
         ("statistics", {"mode": "full-expansion", "params": HUGE_ALPHA},
          "config.params: arithmetic failure"),
+        ("wigner", LEVEL_512 | {"times": [4e307]},
+         "config.params: arithmetic failure"),
+        ("wigner", LEVEL_512 | {"params": dict(GROUND, gamma=1e306),
+                                "times": [0.0]},
+         "config.params: arithmetic failure"),
     ], ids=["evolve-alpha", "evolve-stop", "wigner-time", "expand-alpha",
-            "full-expansion-alpha"])
+            "full-expansion-alpha", "wigner-level-512-time",
+            "wigner-level-512-gamma"])
     def test_huge_finite_input_names_its_field(self, tmp_path, capsys,
                                                command, cfg, message):
         # finite inputs whose flow overflows inside the computation

@@ -26,7 +26,11 @@ from sqstates.fockexp import (
     time_dependent_expansion,
     write_statistics_csv,
 )
-from sqstates.specfun import hermite_function_table
+from sqstates.specfun import (
+    hermite_function_table,
+    laguerre_ratio_table,
+    laguerre_ratios,
+)
 from sqstates.states import DynamicState, psi_n
 
 from conftest import draw_params
@@ -379,7 +383,7 @@ class TestFactoredExpansion:
 
     @pytest.mark.parametrize("p0", FACTORED_CASES[::2],
                              ids=["generic", "identity"])
-    def test_builds_no_squeeze_matrix_and_one_t_matrix(self, monkeypatch, p0):
+    def test_builds_no_squeeze_matrix_and_no_t_matrix(self, monkeypatch, p0):
         calls = {"m_matrix": 0, "t_matrix": 0}
 
         def counted(name):
@@ -393,8 +397,7 @@ class TestFactoredExpansion:
         for name in calls:
             monkeypatch.setattr(fockexp, name, counted(name))
         expansion_table(p0, (0, 1, 2), 64)
-        # the one t_matrix is the full T2 of the inline cross-check
-        assert calls == {"m_matrix": 0, "t_matrix": 1}
+        assert calls == {"m_matrix": 0, "t_matrix": 0}
 
     def test_cross_check_is_live(self, monkeypatch):
         # a norm-preserving 1e-6 error in the first-order product: a
@@ -405,6 +408,57 @@ class TestFactoredExpansion:
                             * np.exp(1e-6j))
         with pytest.raises(ArithmeticError, match="disagree"):
             expansion_table(FACTORED_CASES[0], (0, 1, 2), 128)
+
+    def test_cross_check_is_live_on_the_second_order(self, monkeypatch):
+        # the same norm-preserving error in the T2 application
+        inner = fockexp._t_product
+        monkeypatch.setattr(fockexp, "_t_product",
+                            lambda a, b, g, x: inner(a, b, g, x)
+                            * np.exp(1e-6j))
+        with pytest.raises(ArithmeticError, match="disagree"):
+            expansion_table(FACTORED_CASES[0], (0, 1, 2), 128)
+
+
+class TestTriangleKernel:
+    """T is applied and sliced from one real triangle, never formed."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 128, 512])
+    @pytest.mark.parametrize("nu", [0.0, 2.5e-4, 0.33, 3.1, 20.5])
+    def test_product_matches_formed_matrix(self, size, nu, rng):
+        a, b, g = 0.6 * math.sqrt(2.0 * nu), -0.8 * math.sqrt(2.0 * nu), 0.3
+        x = rng.normal(size=(size, 3)) + 1j * rng.normal(size=(size, 3))
+        x /= np.linalg.norm(x, axis=0)
+        got = fockexp._t_product(a, b, g, x)
+        want = t_matrix(a, b, g, size) @ x
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("angle", [0.3, 2.9, -2.5])
+    def test_product_phases_do_not_drift_with_the_level(self, angle):
+        # conj(zeta)^m zeta^n near the diagonal at m, n ~ 500: a phase
+        # n * theta rounded as a whole would put ~5e-14 here
+        a, b = 2.0 * math.cos(angle), 2.0 * math.sin(angle)
+        x = np.eye(512, dtype=complex)[:, ::37].copy()
+        got = fockexp._t_product(a, b, 0.3, x)
+        want = t_matrix(a, b, 0.3, 512) @ x
+        assert np.max(np.abs(got - want)) <= 2e-15
+
+    @pytest.mark.parametrize("rows, size", [(1, 1), (1, 6), (4, 9), (9, 9)])
+    def test_ratio_table_matches_generator(self, rows, size):
+        # the triangle keeps the bits of the full recurrence and leaves
+        # zeros below the diagonal
+        x = 0.37
+        table = laguerre_ratio_table(rows, size, x)
+        full = list(laguerre_ratios(rows - 1, np.arange(size), x))
+        for n in range(rows):
+            assert np.array_equal(table[n, n:].view(np.uint64),
+                                  full[n][:size - n].view(np.uint64))
+            assert np.all(table[n, :n] == 0.0)
+
+    def test_ratio_table_rejects_bad_shape(self):
+        with pytest.raises(ValueError):
+            laguerre_ratio_table(0, 4, 0.1)
+        with pytest.raises(ValueError):
+            laguerre_ratio_table(5, 4, 0.1)
 
 
 class TestTimeDependentExpansion:
