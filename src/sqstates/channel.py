@@ -33,7 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import FLOAT, format_axis, mesh_lines, write_csv
+from ._csv import (
+    BLOCK_ROWS,
+    FLOAT,
+    block_lines,
+    format_axis,
+    row_starts,
+    staged,
+    write_csv,
+)
 from .ermakov import ErmakovParameters, _continuous_arg
 
 __all__ = [
@@ -187,6 +195,16 @@ def _snapshot_axes(c: ChannelParameters, points: int, half_width):
     return x, x.copy()
 
 
+def _row_block(c: ChannelParameters, x, y, t: float, i0: int):
+    """The density on the grid rows x[i0:i0 + BLOCK_ROWS] x all of ``y``.
+
+    The one evaluator behind every snapshot grid: the rows come in as a
+    column and ``y`` as a row, so each elementwise operation sees the
+    same operands, and gives the same bits, as on the full grid.
+    """
+    return density(c, x[i0:i0 + BLOCK_ROWS, None], y[None, :], t)
+
+
 def density_grid(c: ChannelParameters, t: float, points: int = 301,
                  half_width=None):
     """Sample the density on a centred square grid.
@@ -199,6 +217,8 @@ def density_grid(c: ChannelParameters, t: float, points: int = 301,
     while the waist has an rms width of 0.071, so the focused frame
     holds its packet in about one cell.  The sampled values stay exact
     pointwise; pass a smaller ``half_width`` to resolve the waist.
+    The grid is filled one row block at a time, by the evaluator that
+    `write_snapshot_series` streams to disk.
 
     Returns
     -------
@@ -207,8 +227,21 @@ def density_grid(c: ChannelParameters, t: float, points: int = 301,
         ``(x[i], y[j])``.
     """
     x, y = _snapshot_axes(c, points, half_width)
-    vals = density(c, x[:, None], y[None, :], t)
+    vals = np.empty((len(x), len(y)))
+    for i0 in row_starts(len(x)):
+        vals[i0:i0 + BLOCK_ROWS] = _row_block(c, x, y, t, i0)
     return x, y, vals
+
+
+def _finite_rows(c: ChannelParameters, x, y, t: float):
+    """The row blocks of one snapshot, each checked to be finite."""
+    for i0 in row_starts(len(x)):
+        vals = _row_block(c, x, y, t, i0)
+        if not (np.isfinite(x[i0:i0 + BLOCK_ROWS]).all()
+                and np.isfinite(vals).all()):
+            raise ArithmeticError("non-finite density snapshot at depth %r"
+                                  % (t,))
+        yield vals
 
 
 def write_snapshot_series(directory, c: ChannelParameters, times,
@@ -218,28 +251,23 @@ def write_snapshot_series(directory, c: ChannelParameters, times,
     Each file is a (depth, x, y, density) table in x-major row order.
 
     Index is the position in ``times`` (zero-based), so the file order
-    matches the requested series regardless of the depth values.  Every
-    frame is sampled before ``directory`` is created (when missing) or
-    any file is written, so a depth that fails, or whose grid is not
-    finite (an ``ArithmeticError``), leaves nothing behind.
-    Only the sampled grids are held; a frame's text is written row
-    block by row block, never held whole.
+    matches the requested series regardless of the depth values.  Each
+    frame is sampled, checked to be finite, formatted and written one
+    row block at a time, so no whole grid and no whole text is held.
+    The files are staged (`sqstates._csv.staged`): they appear in
+    ``directory``, which is created when missing, only once every frame
+    is written.  A depth that fails, or whose grid is not finite (an
+    ``ArithmeticError``), leaves nothing behind.
     """
     times = [float(t) for t in times]
-    frames = [density_grid(c, t, points, half_width) for t in times]
-    for t, (x, _, vals) in zip(times, frames):
-        if not (np.isfinite(x).all() and np.isfinite(vals).all()):
-            raise ArithmeticError("non-finite density snapshot at depth %r"
-                                  % (t,))
+    x, y = _snapshot_axes(c, points, half_width)
+    lead, inner = format_axis(x), format_axis(y)
     directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for index, (t, (x, y, vals)) in enumerate(zip(times, frames)):
-        target = os.path.join(directory, "snapshot_t%d.csv" % index)
-        depth = FLOAT % t + ","
-        write_csv(target, "depth,x,y,density",
-                  mesh_lines([depth + text for text in format_axis(x)],
-                             format_axis(y), vals))
-        paths.append(target)
-    return paths
-
+    names = ["snapshot_t%d.csv" % index for index in range(len(times))]
+    with staged(directory) as stage:
+        for name, t in zip(names, times):
+            depth = FLOAT % t + ","
+            write_csv(os.path.join(stage, name), "depth,x,y,density",
+                      block_lines([depth + text for text in lead], inner,
+                                  _finite_rows(c, x, y, t)))
+    return [os.path.join(directory, name) for name in names]

@@ -35,9 +35,13 @@ error, 3 I/O error.  A config that passes the schema but whose numbers
 make a computation fail (an ``ArithmeticError``: a ``ZeroDivisionError``
 from an underflowed scale, an overflowing overlap matrix, or an internal
 cross-check lost to roundoff) also exits 2, with a one-line message that
-names the config field or block behind it, and no traceback.  Every
-command computes all its results before it creates the output directory
-or writes a file, so such a failure leaves no output behind.
+names the config field or block behind it, and no traceback.  Grids
+and flow tables are computed, checked and written one block of rows at
+a time, so a check that spans a whole grid ends after its file is
+written.  Every command therefore writes into a staging directory
+(`sqstates._csv.staged`) whose files move into ``--out`` only when the
+whole run has succeeded: a failure leaves no output behind, and files
+already in ``--out`` stay.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _schema
-from ._csv import fields, write_csv
+from ._csv import BLOCK_ROWS, fields, row_starts, staged, write_csv
 from .channel import (
     ChannelParameters,
     density,
@@ -89,10 +93,10 @@ from .phasespace import (
     grid_normalization,
     moyal,
     rotate_evolution_check,
-    superposition_grid,
     tcs_center,
     tcs_grid,
-    write_grid_csv,
+    write_superposition_csv,
+    write_tcs_csv,
 )
 from .specfun import (
     MAX_DEGREE,
@@ -133,12 +137,16 @@ class ConfigError(ValueError):
 
 _NUMBER = {"type": "number"}
 
-# Size caps.  The largest admissible run (16 frames of 1001 x 1001, or a
-# million evolve rows) peaks near 0.45 GB; larger requests are config
-# errors, not allocation failures.
+# Size caps; larger requests are config errors, not allocation failures
+# or runs of unbounded length.  Grids and tables are written in row
+# blocks, so the largest admissible runs peak near 40 MB (16 frames of
+# 1001 x 1001 with the rotation check, or a million evolve rows; see
+# README.md for the measurements).
 MAX_ROWS = 1_000_000
 MAX_POINTS = 1001
 MAX_TIMES = 16
+# A superposition costs terms^2 cross-function evaluations per mesh cell.
+MAX_TERMS = 16
 
 _POINTS = {"type": "integer", "minimum": 2, "maximum": MAX_POINTS}
 
@@ -221,6 +229,7 @@ _STATE_SCHEMAS = {
             "terms": {
                 "type": "array",
                 "minItems": 1,
+                "maxItems": MAX_TERMS,
                 "items": {
                     "type": "object",
                     "properties": {
@@ -422,12 +431,6 @@ def _truncation(args, default: int, low: int, high: int) -> int:
     return args.truncation
 
 
-def _ensure_dir(path) -> str:
-    path = os.fspath(path)
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 @contextlib.contextmanager
 def _blame(block: str, divisor: str | None = None):
     """Report an ArithmeticError raised inside as a config error.
@@ -472,21 +475,26 @@ def cmd_evolve(config: dict, args) -> int:
     ts = np.linspace(float(block["start"]), float(block["stop"]),
                      int(block["count"]))
     row = fields(13) + "\n"
-    lines = []
-    # covariance divides by beta(t)^2, which underflows for a tiny beta
-    with _blame("config.params", divisor="config.params.beta"):
-        for t in ts.tolist():
-            p = evolve(p0, t)
-            cov = covariance(p)
-            x_mean, p_mean = classical_trajectory(p0, t)
-            lines.append(row % (
-                t, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.kappa,
-                cov.sigma_p, cov.sigma_x, cov.sigma_px,
-                cov.sigma_p * cov.sigma_x, x_mean, p_mean))
-    out = _ensure_dir(args.out)
-    path = os.path.join(out, "evolve.csv")
-    write_csv(path, _EVOLVE_HEADER, lines)
-    print("wrote %s" % path)
+
+    def rows():
+        # Python floats, taken one block at a time: a list of all of
+        # them would hold about 32 MB at MAX_ROWS
+        for i0 in row_starts(len(ts)):
+            for t in ts[i0:i0 + BLOCK_ROWS].tolist():
+                p = evolve(p0, t)
+                cov = covariance(p)
+                x_mean, p_mean = classical_trajectory(p0, t)
+                yield row % (
+                    t, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
+                    p.kappa, cov.sigma_p, cov.sigma_x, cov.sigma_px,
+                    cov.sigma_p * cov.sigma_x, x_mean, p_mean)
+
+    # covariance divides by beta(t)^2, which underflows for a tiny beta;
+    # the rows are computed as they are written
+    with staged(args.out) as stage, \
+            _blame("config.params", divisor="config.params.beta"):
+        write_csv(os.path.join(stage, "evolve.csv"), _EVOLVE_HEADER, rows())
+    print("wrote %s" % os.path.join(args.out, "evolve.csv"))
     return EXIT_OK
 
 
@@ -515,51 +523,43 @@ def cmd_wigner(config: dict, args) -> int:
     want_rotation = bool(config.get("rotation_check", False))
     times = [float(t) for t in config["times"]]
 
-    grids = []
-    rotation_errors = []
     if kind == "tcs" and want_rotation:
         raise ConfigError("config.rotation_check: the rotation report "
                           "needs a basis-state superposition")
-    # the grid sizing divides by beta(t)^2, which underflows for a tiny beta
-    with _blame("config.params", divisor="config.params.beta"):
+    if kind == "fock":
+        coeffs = [(1.0 + 0.0j, int(state["level"]))]
+    elif kind == "superposition":
+        coeffs = [(complex(term["amplitude"][0], term["amplitude"][1]),
+                   int(term["level"])) for term in state["terms"]]
+    names = ["wigner_t%d.csv" % i for i in range(len(times))]
+    rotation_errors = []
+    # each grid is computed as it is written; the grid sizing divides by
+    # beta(t)^2, which underflows for a tiny beta
+    with staged(args.out) as stage, \
+            _blame("config.params", divisor="config.params.beta"):
         if kind == "tcs":
-            zeta = complex(state["zeta"][0], state["zeta"][1])
-            s = TCSState(zeta, p0)
-            for t in times:
+            s = TCSState(complex(state["zeta"][0], state["zeta"][1]), p0)
+        for name, t in zip(names, times):
+            path = os.path.join(stage, name)
+            if kind == "tcs":
                 g = default_grid(p0, t, (0,), shape, spread,
                                  center=tcs_center(s, t))
-                grids.append(tcs_grid(s, g, t))
-        else:
-            if kind == "fock":
-                coeffs = [(1.0 + 0.0j, int(state["level"]))]
+                write_tcs_csv(path, s, g, t)
             else:
-                coeffs = [(complex(term["amplitude"][0],
-                                   term["amplitude"][1]),
-                           int(term["level"])) for term in state["terms"]]
-            levels = tuple(n for _, n in coeffs)
-            for t in times:
-                g = default_grid(p0, t, levels, shape, spread)
-                grids.append(superposition_grid(coeffs, p0, g, t))
-                if want_rotation:
-                    rotation_errors.append(rotate_evolution_check(
-                        coeffs, p0, g, t))
-
-    if want_rotation:
-        report = _json_dumps({
-            "times": times,
-            "max_error_per_time": rotation_errors,
-            "max_error": max(rotation_errors),
-        })
-
-    out = _ensure_dir(args.out)
-    for i, grid in enumerate(grids):
-        path = os.path.join(out, "wigner_t%d.csv" % i)
-        write_grid_csv(path, grid)
-        print("wrote %s" % path)
-    if want_rotation:
-        path = os.path.join(out, "rotation_report.json")
-        _write_text(path, report)
-        print("wrote %s" % path)
+                g = default_grid(p0, t, tuple(n for _, n in coeffs), shape,
+                                 spread)
+                error = write_superposition_csv(path, coeffs, p0, g, t,
+                                                want_rotation)
+                rotation_errors.append(error)
+        if want_rotation:
+            names.append("rotation_report.json")
+            _write_text(os.path.join(stage, names[-1]), _json_dumps({
+                "times": times,
+                "max_error_per_time": rotation_errors,
+                "max_error": max(rotation_errors),
+            }))
+    for name in names:
+        print("wrote %s" % os.path.join(args.out, name))
     return EXIT_OK
 
 
@@ -627,13 +627,11 @@ def cmd_statistics(config: dict, args) -> int:
         "tail_mass": stats.tail,
     })
 
-    out = _ensure_dir(args.out)
-    csv_path = os.path.join(out, "statistics.csv")
-    write_statistics_csv(csv_path, stats)
-    json_path = os.path.join(out, "statistics.json")
-    _write_text(json_path, summary)
-    print("wrote %s" % csv_path)
-    print("wrote %s" % json_path)
+    with staged(args.out) as stage:
+        write_statistics_csv(os.path.join(stage, "statistics.csv"), stats)
+        _write_text(os.path.join(stage, "statistics.json"), summary)
+    print("wrote %s" % os.path.join(args.out, "statistics.csv"))
+    print("wrote %s" % os.path.join(args.out, "statistics.json"))
     return EXIT_OK
 
 
@@ -666,13 +664,12 @@ def cmd_expand(config: dict, args) -> int:
             lines.append(row % (m, n, re, im, weight * (re**2 + im**2)))
     document = _json_dumps(table_to_dict(table))
 
-    out = _ensure_dir(args.out)
-    csv_path = os.path.join(out, "expansion.csv")
-    write_csv(csv_path, "m,n,real,imag,probability", lines)
-    json_path = os.path.join(out, "expansion.json")
-    _write_text(json_path, document)
-    print("wrote %s" % csv_path)
-    print("wrote %s" % json_path)
+    with staged(args.out) as stage:
+        write_csv(os.path.join(stage, "expansion.csv"),
+                  "m,n,real,imag,probability", lines)
+        _write_text(os.path.join(stage, "expansion.json"), document)
+    print("wrote %s" % os.path.join(args.out, "expansion.csv"))
+    print("wrote %s" % os.path.join(args.out, "expansion.json"))
     return EXIT_OK
 
 
@@ -681,22 +678,29 @@ def _channel_norm(c: ChannelParameters, t: float) -> float:
 
     The metrics column must stay meaningful for strongly focusing
     channels, where a fixed plotting grid can badly under-resolve the
-    waist, so the norm is integrated on its own adaptive mesh.
+    waist, so the norm is integrated on its own adaptive mesh.  The
+    inner integrals are taken one row block at a time; each row's sum
+    is the same as on the whole mesh, and the outer integral sums them
+    in the same order.
     """
     w = width_squared(c, t)
     half = 7.0 * math.sqrt(w) + 1.0
     cx = c.delta0 * math.sin(t)
     xs = np.linspace(cx - half, cx + half, 401)
     ys = np.linspace(-half, half, 401)
-    vals = density(c, xs[:, None], ys[None, :], t)
-    return float(np.trapezoid(np.trapezoid(vals, ys, axis=1), xs))
+    inner = np.concatenate([
+        np.trapezoid(density(c, xs[i:i + BLOCK_ROWS, None], ys[None, :], t),
+                     ys, axis=1)
+        for i in row_starts(len(xs))])
+    return float(np.trapezoid(inner, xs))
 
 
 def cmd_demkov(config: dict, args) -> int:
     """Write channel density snapshots plus a focus-metrics table.
 
-    Every metrics row and every snapshot grid is computed before the
-    output directory or any file is created.  All snapshots share one
+    Every metrics row is computed before any snapshot; the snapshots
+    are written one row block at a time (see
+    `channel.write_snapshot_series`).  All snapshots share one
     square grid sized for the widest frame (see
     `channel.density_grid`), which under-resolves a strong focus: at
     beta0 = 0.1 the half-width is 60, a 401-point grid is 0.3 apart and
@@ -722,10 +726,13 @@ def cmd_demkov(config: dict, args) -> int:
         half_width = float(half_width)
 
     row = fields(5) + "\n"
+    names = ["snapshot_t%d.csv" % i for i in range(len(times))]
+    names.append("metrics.csv")
     # the envelope divides by beta0^2, which underflows for a tiny beta0;
     # numpy's overflow warnings are silenced because every metrics row
-    # and snapshot grid is checked to be finite before it is written
-    with _blame("config.channel", divisor="config.channel.beta0"), \
+    # and snapshot block is checked to be finite before it is written
+    with staged(args.out) as stage, \
+            _blame("config.channel", divisor="config.channel.beta0"), \
             np.errstate(all="ignore"):
         lines = []
         for t in times:
@@ -736,12 +743,11 @@ def cmd_demkov(config: dict, args) -> int:
                 raise ArithmeticError("non-finite focus metrics at depth %r"
                                       % (t,))
             lines.append(row % values)
-        paths = write_snapshot_series(args.out, c, times, points, half_width)
-    for path in paths:
-        print("wrote %s" % path)
-    metrics_path = os.path.join(os.fspath(args.out), "metrics.csv")
-    write_csv(metrics_path, "t,peak,rms_width,center_x,norm", lines)
-    print("wrote %s" % metrics_path)
+        write_snapshot_series(stage, c, times, points, half_width)
+        write_csv(os.path.join(stage, names[-1]),
+                  "t,peak,rms_width,center_x,norm", lines)
+    for name in names:
+        print("wrote %s" % os.path.join(args.out, name))
     return EXIT_OK
 
 
@@ -1111,9 +1117,9 @@ def cmd_verify(config: dict, args) -> int:
     report = run_verification(int(seed))
     document = _json_dumps(report)
 
-    out = _ensure_dir(args.out)
-    path = os.path.join(out, "verify_report.json")
-    _write_text(path, document)
+    with staged(args.out) as stage:
+        _write_text(os.path.join(stage, "verify_report.json"), document)
+    path = os.path.join(args.out, "verify_report.json")
 
     for entry in report["checks"]:
         print("%s %-28s max_error=%.3e tolerance=%.0e (%.2fs)" % (

@@ -17,9 +17,9 @@ dressings, and M(0, b0) itself is a Gauss-Hermite sum that integrates
 every entry *exactly*: after rescaling the integration variable the
 integrand is a product of two bounded normalized Hermite functions, so
 nothing in the construction grows or cancels.  The direct
-hypergeometric form of a single entry is kept in `m_entry` for
-cross-validation; summing it termwise loses ~100 digits to cancellation
-near size 128, and the textbook ladder recurrence
+hypergeometric form of a single entry (the tests keep it as an oracle)
+loses ~100 digits to cancellation near size 128 when summed termwise,
+and the textbook ladder recurrence
 phi_{n+1} = (c1* adag - c2* a) phi_n / (beta sqrt(n+1)) corrupts column
 norms beyond column ~40 in double precision, which is why neither is
 the production path.
@@ -86,7 +86,6 @@ from .specfun import (
     MAX_DEGREE,
     gauss_hermite_rule,
     hermite_function_table,
-    hyp2f1_even_odd,
     laguerre_ratio_table,
 )
 
@@ -96,7 +95,6 @@ __all__ = [
     "PhotonStatistics",
     "t_matrix",
     "m_matrix",
-    "m_entry",
     "c_coeffs",
     "expansion_table",
     "time_dependent_expansion",
@@ -108,8 +106,6 @@ __all__ = [
     "write_statistics_csv",
 ]
 
-_LN2 = math.log(2.0)
-_LNPI = math.log(math.pi)
 
 #: above this tail the TruncationWarning message flags results as unreliable
 TAIL_HARD_LIMIT = 1e-3
@@ -445,7 +441,7 @@ def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
     -------
     ndarray
         Read-only complex matrix of shape (size, size), equal to the
-        hypergeometric closed form (see `m_entry`) wherever the latter
+        hypergeometric closed form of a single entry wherever the latter
         is well conditioned.  Column norms satisfy
         beta * sum_m |M_mn|^2 = 1 up to truncation tail; the entrywise
         accuracy is uniform in size (~1e-13 absolute at MAX_DEGREE).
@@ -461,41 +457,6 @@ def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
     row, factors, col = _squeeze_factors(alpha, beta, size)
     core = _real_scale_matrix(factors, range(size))
     return _readonly(row[:, None] * core * col[None, :])
-
-
-def m_entry(m: int, n: int, alpha: float, beta: float, branch: int = 1) -> complex:
-    """One squeeze-overlap entry from its hypergeometric closed form.
-
-    Intended for cross-validation of `m_matrix` at small m + n, where
-    the terminating sum is well conditioned.  The half powers of
-    c2 = (1-beta^2)/2 + i alpha are taken as w^m conj(w)^n with
-    w = sqrt(c2) principal, and the sign of the reduced argument
-    zeta = branch * beta / |c2| is the `branch` convention: branch=+1
-    reproduces the defining integral (the even/odd reduction is even in
-    zeta for even entries, so only odd-odd entries are sensitive).
-
-    Returns 0 exactly when m + n is odd.
-    """
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    if beta == 0.0:
-        raise ValueError("beta must be nonzero")
-    if (m + n) % 2:
-        return 0j
-    c1, c2 = _c_pair(alpha, beta)
-    if c2 == 0:
-        # pure rescale by |beta| = 1: identity up to the parity of n
-        if m != n:
-            return 0j
-        return complex((-1.0) ** n) if beta < 0 else 1 + 0j
-    zeta = branch * beta / abs(c2)
-    f = hyp2f1_even_odd(m, n, zeta)
-    w = np.sqrt(c2)
-    log_amp = (0.5 * (m + n) * _LN2 + math.lgamma(0.5 * (m + n + 1))
-               - 0.5 * (math.lgamma(m + 1.0) + math.lgamma(n + 1.0))
-               - 0.5 * _LNPI)
-    powers = w**m * np.conj(w)**n * np.exp(-0.5 * (m + n + 1) * np.log(complex(c1)))
-    return complex(1j**(n % 4) * math.exp(log_amp) * powers * f)
 
 
 # ----------------------------------------------------------------------

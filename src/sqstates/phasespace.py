@@ -48,7 +48,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._csv import format_axis, mesh_lines, write_csv
+from ._csv import (
+    BLOCK_ROWS,
+    block_lines,
+    format_axis,
+    mesh_lines,
+    row_starts,
+    write_csv,
+)
 from .ermakov import ErmakovParameters, classical_trajectory, evolve
 from .specfun import MAX_DEGREE, laguerre_assoc
 from .states import TCSState, covariance
@@ -70,6 +77,8 @@ __all__ = [
     "momentum_marginal",
     "purity",
     "write_grid_csv",
+    "write_tcs_csv",
+    "write_superposition_csv",
 ]
 
 #: Convergence flag threshold for the Fourier quadrature: the run is
@@ -451,7 +460,7 @@ def rotate_evolution_check(coeffs: Sequence, p0: ErmakovParameters,
     This evaluates both sides of that identity for a superposition state
     over the grid's mesh (the grid's stored values are ignored; it only
     supplies the sampling domain) and returns the maximum absolute
-    difference.
+    difference.  The mesh is visited one row block at a time.
 
     Returns
     -------
@@ -459,12 +468,29 @@ def rotate_evolution_check(coeffs: Sequence, p0: ErmakovParameters,
         max |W(x, p; t) - W(rotated; 0)| over the mesh.
     """
     pairs = _check_coeffs(coeffs)
-    xg, pg = np.meshgrid(grid.x_range, grid.p_range, indexing="ij")
-    now = _superposition_values(pairs, evolve(p0, t), xg, pg)
+    now = evolve(p0, t)
+    gap = _rotation_gap(pairs, p0, t)
+    return float(_running_max(_row_blocks(
+        lambda x, mom: gap(_superposition_values(pairs, now, x, mom), x, mom),
+        grid)))
+
+
+def _rotation_gap(pairs, p0: ErmakovParameters, t: float):
+    """The block form of the rotation law, given the evolved values.
+
+    Returns ``gap(now, x, mom)``: the largest |now - W(rotated; 0)| over
+    one block, where ``now`` holds the complex superposition values at
+    time t on the block's mesh (x, mom).
+    """
+    then = evolve(p0, 0.0)
     c, s = math.cos(t), math.sin(t)
-    back = _superposition_values(pairs, evolve(p0, 0.0),
-                                 xg * c - pg * s, xg * s + pg * c)
-    return float(np.max(np.abs(now - back)))
+
+    def gap(now, x, mom):
+        back = _superposition_values(pairs, then, x * c - mom * s,
+                                     x * s + mom * c)
+        return np.max(np.abs(now - back))
+
+    return gap
 
 
 # ----------------------------------------------------------------------
@@ -484,7 +510,9 @@ def default_grid(p0: ErmakovParameters, t: float = 0.0,
     each side, inflated by sqrt(2 n + 1) for the highest populated
     level n (number states widen with the square root of the level).
     ``points`` is one count for both axes or an ``(nx, np)`` pair.
-    Values are zero-filled; pass the grid to an evaluator to populate it.
+    Values are a read-only view of a single zero, so no array of the
+    whole mesh is allocated; pass the grid to an evaluator to populate
+    it.
     """
     nx, np_ = (points, points) if np.ndim(points) == 0 else points
     if min(nx, np_) < 2:
@@ -501,14 +529,95 @@ def default_grid(p0: ErmakovParameters, t: float = 0.0,
     return PhaseSpaceGrid(
         np.linspace(x_mean - half_x, x_mean + half_x, nx),
         np.linspace(p_mean - half_p, p_mean + half_p, np_),
-        np.zeros((nx, np_)))
+        np.broadcast_to(0.0, (nx, np_)))
+
+
+def _row_block(evaluate, x, mom, i0: int):
+    """``evaluate`` on the mesh rows x[i0:i0 + BLOCK_ROWS] x all of ``mom``.
+
+    The one evaluator behind every grid of this module.  Positions come
+    in as a column and momenta as a row, so every elementwise operation
+    sees the same operands, and gives the same bits, as on a full mesh.
+    """
+    return evaluate(x[i0:i0 + BLOCK_ROWS, None], mom[None, :])
+
+
+def _row_blocks(evaluate, grid: PhaseSpaceGrid):
+    """`_row_block` over the grid's mesh, block after block."""
+    x, mom = grid.x_range, grid.p_range
+    for i0 in row_starts(len(x)):
+        yield _row_block(evaluate, x, mom, i0)
+
+
+def _running_max(blocks):
+    """The largest entry over all blocks; a NaN anywhere gives NaN.
+
+    ``np.maximum`` keeps a NaN as ``np.max`` over the whole grid would,
+    and a max does not depend on order, so the result is exact.
+    """
+    top = 0.0
+    for block in blocks:
+        top = np.maximum(top, np.max(block))
+    return top
+
+
+def _collect(grid: PhaseSpaceGrid, blocks) -> PhaseSpaceGrid:
+    """A grid over ``grid``'s mesh holding the real row blocks in order."""
+    x, mom = grid.x_range, grid.p_range
+    values = np.empty((len(x), len(mom)))
+    # every block is drawn, so a check that ends the blocks still runs
+    for k, block in enumerate(blocks):
+        values[k * BLOCK_ROWS:(k + 1) * BLOCK_ROWS] = block
+    return PhaseSpaceGrid(x, mom, values)
+
+
+def _tcs_rows(s: TCSState, grid: PhaseSpaceGrid, t: float):
+    """Row blocks of the packet Wigner function over the grid's mesh."""
+    p = evolve(s.params0, t)
+    return _row_blocks(lambda x, mom: _tcs_values(s, p, x, mom), grid)
+
+
+def _superposition_rows(coeffs, p0: ErmakovParameters,
+                        grid: PhaseSpaceGrid, t: float, gaps=None):
+    """Real row blocks of a superposition Wigner function.
+
+    With a list ``gaps``, the rotation-law gap of each block (see
+    `rotate_evolution_check`) is appended to it, computed from the same
+    evolved values.
+    """
+    pairs = _check_coeffs(coeffs)
+    p = evolve(p0, t)
+    gap = None if gaps is None else _rotation_gap(pairs, p0, t)
+
+    def evaluate(x, mom):
+        vals = _superposition_values(pairs, p, x, mom)
+        if gap is not None:
+            gaps.append(gap(vals, x, mom))
+        return vals
+
+    return _real_parts(_row_blocks(evaluate, grid))
+
+
+def _real_parts(blocks):
+    """The real parts of complex blocks whose imaginary parts are roundoff.
+
+    The imaginary residual is checked against 1e-10 relative to the
+    largest |value| of the whole grid.  Both are running maxima over
+    the blocks, so the check is exact; it raises after the last block.
+    """
+    top = worst = 0.0
+    for vals in blocks:
+        top = np.maximum(top, np.max(np.abs(vals)))
+        worst = np.maximum(worst, np.max(np.abs(vals.imag)))
+        yield vals.real
+    if worst > 1e-10 * (1.0 + top):
+        raise ArithmeticError(
+            "superposition Wigner grid has imaginary residual %.3e" % worst)
 
 
 def tcs_grid(s: TCSState, grid: PhaseSpaceGrid, t: float) -> PhaseSpaceGrid:
     """Evaluate the packet Wigner function over a grid's mesh."""
-    p = evolve(s.params0, t)
-    xg, pg = np.meshgrid(grid.x_range, grid.p_range, indexing="ij")
-    return PhaseSpaceGrid(grid.x_range, grid.p_range, _tcs_values(s, p, xg, pg))
+    return _collect(grid, _tcs_rows(s, grid, t))
 
 
 def superposition_grid(coeffs: Sequence, p0: ErmakovParameters,
@@ -519,16 +628,7 @@ def superposition_grid(coeffs: Sequence, p0: ErmakovParameters,
     (relative to the largest value) and dropped, as in the scalar
     evaluator.
     """
-    pairs = _check_coeffs(coeffs)
-    p = evolve(p0, t)
-    xg, pg = np.meshgrid(grid.x_range, grid.p_range, indexing="ij")
-    vals = _superposition_values(pairs, p, xg, pg)
-    top = float(np.max(np.abs(vals))) if vals.size else 0.0
-    worst = float(np.max(np.abs(vals.imag)))
-    if worst > 1e-10 * (1.0 + top):
-        raise ArithmeticError(
-            "superposition Wigner grid has imaginary residual %.3e" % worst)
-    return PhaseSpaceGrid(grid.x_range, grid.p_range, vals.real)
+    return _collect(grid, _superposition_rows(coeffs, p0, grid, t))
 
 
 def grid_normalization(grid: PhaseSpaceGrid):
@@ -575,3 +675,40 @@ def write_grid_csv(path, grid: PhaseSpaceGrid) -> None:
     write_csv(path, header, mesh_lines(format_axis(grid.x_range),
                                        format_axis(grid.p_range),
                                        grid.values))
+
+
+def _write_rows(path, grid: PhaseSpaceGrid, blocks) -> None:
+    """`write_grid_csv` of a real grid whose values arrive as row blocks."""
+    write_csv(path, "x,p,W", block_lines(format_axis(grid.x_range),
+                                         format_axis(grid.p_range), blocks))
+
+
+def write_tcs_csv(path, s: TCSState, grid: PhaseSpaceGrid, t: float) -> None:
+    """Write ``tcs_grid(s, grid, t)`` as `write_grid_csv` would, same bytes.
+
+    The values are computed, formatted and written one row block at a
+    time, so no array of the whole mesh is ever held.
+    """
+    _write_rows(path, grid, _tcs_rows(s, grid, t))
+
+
+def write_superposition_csv(path, coeffs: Sequence, p0: ErmakovParameters,
+                            grid: PhaseSpaceGrid, t: float,
+                            rotation_check: bool = False):
+    """Write ``superposition_grid(...)`` as `write_grid_csv` would, same bytes.
+
+    The values are computed, checked, formatted and written one row
+    block at a time, so no array of the whole mesh is ever held.  The
+    imaginary-residual check spans the whole grid, so it raises only
+    after the last block is written; write into a staging directory
+    (`sqstates._csv.staged`) to keep a failed file out of sight.
+
+    Returns
+    -------
+    float or None
+        With ``rotation_check``, the value of `rotate_evolution_check`
+        on the same mesh, taken from the same evolved values; else None.
+    """
+    gaps = [] if rotation_check else None
+    _write_rows(path, grid, _superposition_rows(coeffs, p0, grid, t, gaps))
+    return float(_running_max(gaps)) if rotation_check else None

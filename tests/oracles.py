@@ -1,14 +1,19 @@
 """Independent numeric oracles shared across test modules.
 
 Everything here deliberately avoids the closed forms under test: plain
-Gauss-Legendre quadrature, fourth-order finite-difference stencils, a
-term-by-term hypergeometric sum, and operator exponentials on a large
-truncated number basis.
+Gauss-Legendre quadrature, fourth-order finite-difference stencils,
+term-by-term hypergeometric sums, and operator exponentials on a large
+truncated number basis.  The one package function used is
+`sqstates.specfun.hyp2f1_even_odd`, which its own tests pin against
+exact arithmetic.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
+
+from sqstates.specfun import hyp2f1_even_odd
 
 #: number levels of the operator-algebra basis behind `fock_tail`
 FOCK_DIM = 1024
@@ -80,6 +85,38 @@ def hyp2f0_terminating(n, m, z):
         term = term * ((k - n) * (k - m) * z) / (k + 1)
         total += term
     return total
+
+
+def m_entry(m, n, alpha, beta, branch=1):
+    """One squeeze-overlap entry of `fockexp.m_matrix`, hypergeometric form.
+
+    Well conditioned only at small m + n, where the terminating sum
+    does not cancel.  The half powers of c2 = (1-beta^2)/2 + i alpha are
+    taken as w^m conj(w)^n with w = sqrt(c2) principal, and the sign of
+    the reduced argument zeta = branch * beta / |c2| is the `branch`
+    convention: branch=+1 reproduces the defining integral (the even/odd
+    reduction is even in zeta for even entries, so only odd-odd entries
+    are sensitive).  Returns 0 exactly when m + n is odd.
+    """
+    if (m + n) % 2:
+        return 0j
+    c1 = complex(0.5 * (1.0 + beta * beta), -alpha)
+    c2 = complex(0.5 * (1.0 - beta * beta), alpha)
+    if c2 == 0:
+        # pure rescale by |beta| = 1: identity up to the parity of n
+        if m != n:
+            return 0j
+        return complex((-1.0) ** n) if beta < 0 else 1 + 0j
+    zeta = branch * beta / abs(c2)
+    f = hyp2f1_even_odd(m, n, zeta)
+    w = np.sqrt(c2)
+    log_amp = (0.5 * (m + n) * math.log(2.0)
+               + math.lgamma(0.5 * (m + n + 1))
+               - 0.5 * (math.lgamma(m + 1.0) + math.lgamma(n + 1.0))
+               - 0.5 * math.log(math.pi))
+    powers = (w**m * np.conj(w)**n
+              * np.exp(-0.5 * (m + n + 1) * np.log(complex(c1))))
+    return complex(1j**(n % 4) * math.exp(log_amp) * powers * f)
 
 
 @lru_cache(maxsize=None)

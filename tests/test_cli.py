@@ -8,6 +8,7 @@ documented contract (0 ok, 1 verification failure, 2 config error,
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -16,9 +17,15 @@ import pytest
 
 import sqstates.channel as channel
 import sqstates.cli as cli
+import sqstates.phasespace as phasespace
 from conftest import subprocess_env
 from sqstates.cli import main
-from sqstates.ermakov import MAX_TIME, ErmakovParameters, classical_trajectory
+from sqstates.ermakov import (
+    MAX_TIME,
+    ErmakovParameters,
+    classical_trajectory,
+    evolve,
+)
 from sqstates.states import uncertainty_extrema
 
 GROUND = {"alpha": 0.0, "beta": 1.0, "gamma": 0.0, "delta": 0.0,
@@ -28,6 +35,13 @@ SQUEEZED = {"alpha": 0.6, "beta": 1.4, "gamma": 0.3, "delta": -0.8,
 WIGNER_FOCK = {"params": GROUND, "state": {"kind": "fock", "level": 0},
                "times": [0.0]}
 DEMKOV_UNIT = {"channel": {"beta0": 1.0}, "times": [0.0]}
+
+
+def superposition(count):
+    """A normalized superposition of the levels 0 .. count - 1."""
+    amp = [1.0 / math.sqrt(count), 0.0]
+    return {"kind": "superposition",
+            "terms": [{"level": n, "amplitude": amp} for n in range(count)]}
 
 
 def evolve_config(count):
@@ -135,6 +149,8 @@ class TestConfigValidation:
         cli._validate(dict(DEMKOV_UNIT, times=[0.0] * cli.MAX_TIMES,
                            points=cli.MAX_POINTS), cli._DEMKOV_SCHEMA)
         cli._validate(evolve_config(cli.MAX_ROWS), cli._EVOLVE_SCHEMA)
+        cli._validate(superposition(cli.MAX_TERMS),
+                      cli._STATE_SCHEMAS["superposition"])
         top = "%d,%d" % (cli.MAX_POINTS, cli.MAX_POINTS)
         assert cli._parse_grid(top) == (cli.MAX_POINTS, cli.MAX_POINTS)
 
@@ -155,6 +171,8 @@ class TestConfigValidation:
         ("demkov", DEMKOV_UNIT,
          ["--grid", "%d,%d" % (cli.MAX_POINTS + 1, cli.MAX_POINTS + 1)],
          "--grid"),
+        ("wigner", dict(WIGNER_FOCK, state=superposition(cli.MAX_TERMS + 1)),
+         [], "config.state.terms"),
     ])
     def test_size_cap_plus_one_is_config_error(self, tmp_path, capsys,
                                                monkeypatch, command, cfg,
@@ -391,6 +409,27 @@ class TestWigner:
                      "--out", str(tmp_path)]) == 2
         assert "rotation" in capsys.readouterr().err
 
+    def test_imaginary_residual_writes_nothing(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a residual in the first row of each block; the check spans the
+        # whole grid, so it fails only after the file has been written
+        real = phasespace._superposition_values
+
+        def leaky(pairs, p, x, mom):
+            vals = real(pairs, p, x, mom)
+            return vals + 1e-6j * (x == np.min(x))
+
+        monkeypatch.setattr(phasespace, "_superposition_values", leaky)
+        cfg = {"params": SQUEEZED, "state": superposition(2),
+               "times": [0.0], "points": 81}
+        out = tmp_path / "out"
+        assert main(["wigner", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.params: ")
+        assert "imaginary residual" in err
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_unnormalized_superposition_rejected(self, tmp_path, capsys):
         cfg = {"params": GROUND,
                "state": {"kind": "superposition",
@@ -538,6 +577,125 @@ class TestDemkov:
         assert main(["demkov", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path), "--grid", "21,31"]) == 2
         assert "square" in capsys.readouterr().err
+
+
+class TestAtomicity:
+    """A run that fails after it has written a file leaves nothing behind.
+
+    Each failure is injected at the second time (or depth), in a row
+    block after the first, by the per-element evaluator that the block
+    evaluator calls, so a run that streams its grids has already
+    written the first file when it fails.
+    """
+
+    CONFIGS = {
+        "wigner": {"params": SQUEEZED, "state": superposition(2),
+                   "times": [0.0, 0.9], "points": 81,
+                   "rotation_check": True},
+        "demkov": {"channel": {"beta0": 0.5}, "times": [0.0, 0.9],
+                   "points": 81},
+    }
+
+    @staticmethod
+    def fail_late(monkeypatch, command, cfg):
+        """Raise once the evaluation at time 1 reaches the last mesh row."""
+        t = cfg["times"][1]
+        if command == "wigner":
+            p0 = ErmakovParameters(**cfg["params"])
+            levels = [term["level"] for term in cfg["state"]["terms"]]
+            rows = phasespace.default_grid(p0, t, levels,
+                                           cfg["points"]).x_range
+            module, name, late = phasespace, "_superposition_values", \
+                evolve(p0, t)
+
+            def where(pairs, p, x, mom):
+                return p, x
+        else:
+            c = channel.ChannelParameters(cfg["channel"]["beta0"])
+            rows = channel.density_grid(c, t, cfg["points"])[0]
+            module, name, late = channel, "density", t
+
+            def where(c, x, y, t):
+                return t, x
+        real = getattr(module, name)
+
+        def failing(*args):
+            stamp, x = where(*args)
+            if stamp == late and np.max(x) == rows[-1]:
+                raise ArithmeticError("injected failure")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, failing)
+
+    @pytest.mark.parametrize("command", ["wigner", "demkov"])
+    def test_failure_after_first_file_leaves_nothing(self, tmp_path, capsys,
+                                                    monkeypatch, command):
+        cfg = self.CONFIGS[command]
+        config = write_config(tmp_path, cfg)
+        self.fail_late(monkeypatch, command, cfg)
+        assert main([command, "--config", config,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "injected failure" in err and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["wigner", "demkov"])
+    def test_failure_keeps_existing_out_as_it_was(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        cfg = self.CONFIGS[command]
+        config = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("unrelated\n")
+        self.fail_late(monkeypatch, command, cfg)
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert "injected failure" in capsys.readouterr().err
+        assert os.listdir(out) == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "unrelated\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
+
+
+def peak_rss_mb(tmp_path, command=None, cfg=None):
+    """Peak RSS (``VmHWM``) of a fresh process that imports ``sqstates.cli``.
+
+    With a command, the process also runs it on ``cfg`` (written to
+    ``tmp_path``) into ``tmp_path / "out"`` and must exit 0.
+    """
+    run = ""
+    if command is not None:
+        run = ("assert cli.main([%r, '--config', %r, '--out', %r]) == 0"
+               % (command, write_config(tmp_path, cfg),
+                  str(tmp_path / "out")))
+    code = ("import sqstates.cli as cli\n%s\n"
+            "print([line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')][0])" % run)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1]) / 1024.0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+class TestMemory:
+    """Grids are computed and written in row blocks, never held whole."""
+
+    def test_largest_wigner_grid_with_rotation_check(self, tmp_path):
+        # the whole grid and its transients peaked at about 208 MB
+        cfg = {"params": GROUND,
+               "state": {"kind": "superposition",
+                         "terms": [{"level": 0, "amplitude": [0.6, 0.0]},
+                                   {"level": 2, "amplitude": [0.0, 0.8]}]},
+               "times": [1.3], "points": cli.MAX_POINTS,
+               "rotation_check": True}
+        assert peak_rss_mb(tmp_path, "wigner", cfg) < 64.0
+
+    def test_demkov_stays_near_the_import_floor(self, tmp_path):
+        # whole 401 x 401 frames and norm meshes held about 12 MB more
+        cfg = {"channel": {"beta0": 0.1, "delta0": 0.0},
+               "times": [0.0, 0.25 * math.pi, 0.5 * math.pi], "points": 401}
+        floor = peak_rss_mb(tmp_path)
+        assert peak_rss_mb(tmp_path, "demkov", cfg) - floor <= 8.0
 
 
 class TestVerify:

@@ -15,7 +15,6 @@ from sqstates.fockexp import (
     TruncationWarning,
     c_coeffs,
     expansion_table,
-    m_entry,
     m_matrix,
     pascal_even,
     pascal_odd,
@@ -34,7 +33,7 @@ from sqstates.specfun import (
 from sqstates.states import DynamicState, psi_n
 
 from conftest import draw_params
-from oracles import gauss_grid, hyp2f0_terminating
+from oracles import gauss_grid, hyp2f0_terminating, m_entry
 
 GROUND = ErmakovParameters(0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 

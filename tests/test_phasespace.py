@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sqstates.phasespace as phasespace
 from sqstates.ermakov import ErmakovParameters, evolve
 from sqstates.phasespace import (
     PhaseSpaceGrid,
@@ -312,3 +313,58 @@ class TestSerialization:
         assert float(cells[0]) == 0.0
         assert float(cells[1]) == 1.0
         assert float(cells[2]) == 1.0
+
+
+class TestRowBlocks:
+    """Grids are evaluated in row blocks; whole-grid checks see every block.
+
+    The references evaluate the whole mesh at once, as the grids were
+    evaluated before they were split into blocks.  A 70-row mesh has
+    three blocks, the last one short.
+    """
+
+    COEFFS = [(math.sqrt(0.4), 0), (1j * math.sqrt(0.6), 2)]
+
+    @staticmethod
+    def mesh(grid):
+        return np.meshgrid(grid.x_range, grid.p_range, indexing="ij")
+
+    def test_grids_match_whole_mesh_evaluation(self, rng):
+        p0 = draw_params(rng)
+        t = 0.7
+        g = default_grid(p0, t, (0, 2), points=(70, 45))
+        xg, pg = self.mesh(g)
+        pairs = phasespace._check_coeffs(self.COEFFS)
+        whole = phasespace._superposition_values(pairs, evolve(p0, t), xg, pg)
+        assert np.array_equal(superposition_grid(self.COEFFS, p0, g, t).values,
+                              whole.real)
+        s = TCSState(0.4 - 0.3j, p0)
+        assert np.array_equal(
+            tcs_grid(s, g, t).values,
+            phasespace._tcs_values(s, evolve(p0, t), xg, pg))
+
+    def test_rotation_check_is_the_whole_mesh_max(self, rng):
+        p0 = draw_params(rng)
+        t = 1.3
+        g = default_grid(p0, 0.0, (0, 2), points=(70, 45))
+        xg, pg = self.mesh(g)
+        pairs = phasespace._check_coeffs(self.COEFFS)
+        now = phasespace._superposition_values(pairs, evolve(p0, t), xg, pg)
+        c, s = math.cos(t), math.sin(t)
+        back = phasespace._superposition_values(
+            pairs, evolve(p0, 0.0), xg * c - pg * s, xg * s + pg * c)
+        assert (rotate_evolution_check(self.COEFFS, p0, g, t)
+                == float(np.max(np.abs(now - back))))
+
+    @pytest.mark.parametrize("row", [0, 40, 69])
+    def test_imaginary_residual_in_any_block_raises(self, monkeypatch, row):
+        p0 = ErmakovParameters(0.3, 0.8, 0.1, 0.2, 0.5, 0.0)
+        g = default_grid(p0, 0.0, (0, 2), points=(70, 45))
+        real = phasespace._superposition_values
+
+        def leaky(pairs, p, x, mom):
+            return real(pairs, p, x, mom) + 1e-6j * (x == g.x_range[row])
+
+        monkeypatch.setattr(phasespace, "_superposition_values", leaky)
+        with pytest.raises(ArithmeticError, match="imaginary residual"):
+            superposition_grid(self.COEFFS, p0, g, 0.0)
