@@ -15,14 +15,24 @@ last block has been written; what keeps a failed run from leaving files
 behind is `staged`: every file of a run is written into a staging
 directory and moved into the output directory only when the whole run
 has succeeded.
+
+A run's files are independent, and formatting holds the interpreter
+lock, so `run_tasks` writes them side by side in forked worker
+processes, one file per worker, as many at a time as the process may
+use CPUs.  Errors surface exactly as a loop over the files would raise
+them.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 import shutil
+import signal
+import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -139,3 +149,117 @@ def staged(out):
         shutil.rmtree(stage, ignore_errors=True)
         raise
     os.rmdir(stage)
+
+
+def _width(count: int) -> int:
+    """How many of ``count`` tasks `run_tasks` runs at a time."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(count, len(os.sched_getaffinity(0)))
+
+
+def _work(task, fd: int):
+    """The body of a forked worker: run ``task``, send its outcome, exit.
+
+    The outcome ``(ok, value or exception, warnings)`` goes to the
+    parent pickled through ``fd``.  Warnings pass the inherited filters
+    and are recorded, not shown, for the parent to re-issue.  The
+    worker never returns into the caller's stack: it leaves through
+    ``os._exit``, with status 0 once its outcome is sent and 1 if even
+    that failed, which the parent reads as a worker without a result.
+    """
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                outcome = [True, task()]
+            except BaseException as exc:
+                outcome = [False, exc]
+        outcome.append([(w.message, w.category, w.filename, w.lineno)
+                        for w in caught])
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(outcome, fh)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _start(task):
+    """Fork a worker that runs ``task``; returns its pid and result pipe."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        os.close(read)
+        _work(task, write)
+    os.close(write)
+    return pid, read
+
+
+def _outcome(name: str, pid: int, fd: int):
+    """Read a worker's outcome to the end of its pipe, then reap it."""
+    try:
+        with os.fdopen(fd, "rb") as fh:
+            data = fh.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = ("killed by %s" % signal.Signals(-code).name if code < 0
+               else "exit status %d" % code)
+        raise ChildProcessError("the worker writing %s ended without a "
+                                "result (%s)" % (name, how)) from None
+
+
+def run_tasks(tasks: dict) -> list:
+    """Run a run's per-file tasks, each in its own forked worker.
+
+    ``tasks`` maps each file's name to a zero-argument callable that
+    computes, checks, formats and writes that file (into a `staged`
+    directory) and returns a small picklable value.  Returns the values
+    in task order.  Up to one worker per CPU the process may run on
+    runs at a time; with one CPU, or where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, the tasks run here, in order.
+
+    The outcome is the one a loop over the tasks would give.  Workers
+    are reaped in task order; the first failing task's exception is
+    raised once every task before it has finished, after every other
+    worker has been killed and reaped.  A worker that dies without a
+    result (killed by a signal, say) raises ``ChildProcessError``
+    naming its file.  Warnings a worker records are re-issued here, in
+    task order.  Standard output and error are flushed before the
+    first fork, so no buffered text is written twice.
+    """
+    names, calls = list(tasks), list(tasks.values())
+    width = _width(len(calls))
+    if width <= 1:
+        return [call() for call in calls]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    running = {}
+    values = []
+    try:
+        for i, name in enumerate(names):
+            while len(running) < width and i + len(running) < len(calls):
+                k = i + len(running)
+                running[k] = _start(calls[k])
+            ok, value, caught = _outcome(name, *running.pop(i))
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno)
+            if not ok:
+                raise value
+            values.append(value)
+    finally:
+        for pid, fd in running.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+    return values

@@ -39,6 +39,7 @@ from ._csv import (
     block_lines,
     format_axis,
     row_starts,
+    run_tasks,
     staged,
     write_csv,
 )
@@ -253,21 +254,28 @@ def write_snapshot_series(directory, c: ChannelParameters, times,
     Index is the position in ``times`` (zero-based), so the file order
     matches the requested series regardless of the depth values.  Each
     frame is sampled, checked to be finite, formatted and written one
-    row block at a time, so no whole grid and no whole text is held.
-    The files are staged (`sqstates._csv.staged`): they appear in
-    ``directory``, which is created when missing, only once every frame
-    is written.  A depth that fails, or whose grid is not finite (an
-    ``ArithmeticError``), leaves nothing behind.
+    row block at a time, so no whole grid and no whole text is held,
+    and the frames are written side by side, one worker per depth
+    (`sqstates._csv.run_tasks`).  The files are staged
+    (`sqstates._csv.staged`): they appear in ``directory``, which is
+    created when missing, only once every frame is written.  A depth
+    that fails, or whose grid is not finite (an ``ArithmeticError``),
+    leaves nothing behind; the first such depth is the one reported.
     """
     times = [float(t) for t in times]
     x, y = _snapshot_axes(c, points, half_width)
     lead, inner = format_axis(x), format_axis(y)
     directory = os.fspath(directory)
     names = ["snapshot_t%d.csv" % index for index in range(len(times))]
+
+    def frame(path, t):
+        depth = FLOAT % t + ","
+        return lambda: write_csv(
+            path, "depth,x,y,density",
+            block_lines([depth + text for text in lead], inner,
+                        _finite_rows(c, x, y, t)))
+
     with staged(directory) as stage:
-        for name, t in zip(names, times):
-            depth = FLOAT % t + ","
-            write_csv(os.path.join(stage, name), "depth,x,y,density",
-                      block_lines([depth + text for text in lead], inner,
-                                  _finite_rows(c, x, y, t)))
+        run_tasks({name: frame(os.path.join(stage, name), t)
+                   for name, t in zip(names, times)})
     return [os.path.join(directory, name) for name in names]

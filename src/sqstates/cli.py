@@ -41,7 +41,11 @@ a time, so a check that spans a whole grid ends after its file is
 written.  Every command therefore writes into a staging directory
 (`sqstates._csv.staged`) whose files move into ``--out`` only when the
 whole run has succeeded: a failure leaves no output behind, and files
-already in ``--out`` stay.
+already in ``--out`` stay.  ``wigner`` and ``demkov`` write their grid
+files side by side, one forked worker per file
+(`sqstates._csv.run_tasks`); the error reported is the one a
+file-by-file loop would raise first, and a worker that dies without a
+result is an I/O error (exit 3) that names its file.
 """
 
 from __future__ import annotations
@@ -58,7 +62,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import _schema
-from ._csv import BLOCK_ROWS, fields, row_starts, staged, write_csv
+from ._csv import (
+    BLOCK_ROWS,
+    fields,
+    row_starts,
+    run_tasks,
+    staged,
+    write_csv,
+)
 from .channel import (
     ChannelParameters,
     density,
@@ -432,18 +443,23 @@ def _truncation(args, default: int, low: int, high: int) -> int:
 
 
 @contextlib.contextmanager
-def _blame(block: str, divisor: str | None = None):
+def _blame(block: str, divisor: str | None = None,
+           nonfinite: str | None = None):
     """Report an ArithmeticError raised inside as a config error.
 
     The message names ``divisor`` for a ZeroDivisionError (the one field
-    whose derived scale can underflow to a zero divisor) and the config
-    ``block`` for every other arithmetic failure.
+    whose derived scale can underflow to a zero divisor), ``nonfinite``
+    for a FloatingPointError (a grid block that is not finite), and the
+    config ``block`` for every other arithmetic failure.
     """
     try:
         yield
     except ArithmeticError as exc:
-        field = (divisor if divisor and isinstance(exc, ZeroDivisionError)
-                 else block)
+        field = block
+        if divisor and isinstance(exc, ZeroDivisionError):
+            field = divisor
+        elif nonfinite and isinstance(exc, FloatingPointError):
+            field = nonfinite
         raise ConfigError("%s: arithmetic failure (%s: %s)"
                           % (field, type(exc).__name__, exc)) from exc
 
@@ -532,25 +548,33 @@ def cmd_wigner(config: dict, args) -> int:
         coeffs = [(complex(term["amplitude"][0], term["amplitude"][1]),
                    int(term["level"])) for term in state["terms"]]
     names = ["wigner_t%d.csv" % i for i in range(len(times))]
-    rotation_errors = []
-    # each grid is computed as it is written; the grid sizing divides by
-    # beta(t)^2, which underflows for a tiny beta
+    levels = (0,) if kind == "tcs" else tuple(n for _, n in coeffs)
+
+    def frame(path, t):
+        # one worker task per time: size the grid, then compute, check
+        # and write it; returns the rotation error (None without check)
+        def task():
+            if kind == "tcs":
+                g = default_grid(p0, t, levels, shape, spread,
+                                 center=tcs_center(s, t))
+                return write_tcs_csv(path, s, g, t)
+            g = default_grid(p0, t, levels, shape, spread)
+            return write_superposition_csv(path, coeffs, p0, g, t,
+                                           want_rotation)
+        return task
+
+    # the grid sizing divides by beta(t)^2, which underflows for a tiny
+    # beta; numpy's overflow warnings are silenced because every grid
+    # block is checked to be finite before it is written
     with staged(args.out) as stage, \
-            _blame("config.params", divisor="config.params.beta"):
+            _blame("config.params", divisor="config.params.beta",
+                   nonfinite="config.state"), \
+            np.errstate(all="ignore"):
         if kind == "tcs":
             s = TCSState(complex(state["zeta"][0], state["zeta"][1]), p0)
-        for name, t in zip(names, times):
-            path = os.path.join(stage, name)
-            if kind == "tcs":
-                g = default_grid(p0, t, (0,), shape, spread,
-                                 center=tcs_center(s, t))
-                write_tcs_csv(path, s, g, t)
-            else:
-                g = default_grid(p0, t, tuple(n for _, n in coeffs), shape,
-                                 spread)
-                error = write_superposition_csv(path, coeffs, p0, g, t,
-                                                want_rotation)
-                rotation_errors.append(error)
+        rotation_errors = run_tasks({
+            name: frame(os.path.join(stage, name), t)
+            for name, t in zip(names, times)})
         if want_rotation:
             names.append("rotation_report.json")
             _write_text(os.path.join(stage, names[-1]), _json_dumps({

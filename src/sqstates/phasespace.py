@@ -407,14 +407,27 @@ def _check_coeffs(coeffs) -> list[tuple[complex, int]]:
 
 
 def _superposition_values(pairs, p: ErmakovParameters, x, mom):
-    """Double sum of cross functions at fixed evolved parameters."""
+    """Double sum of cross functions at fixed evolved parameters.
+
+    The terms are added in row-major (j, k) order, but each cross
+    function is evaluated once per unordered pair: the term (k, j) of
+    a pair j < k is the conjugate W_kj = conj(W_jk) of the array
+    evaluated for (j, k), held until it is added.  So T terms cost
+    T (T + 1) / 2 evaluations instead of T^2, and the sum is the bits
+    of the full double loop.
+    """
     acc = np.zeros(np.broadcast(x, mom).shape, dtype=complex)
-    for cj, nj in pairs:
-        for ck, nk in pairs:
-            if nj <= nk:
+    held = {}
+    for j, (cj, nj) in enumerate(pairs):
+        for k, (ck, nk) in enumerate(pairs):
+            if k < j:
+                w = np.conj(held.pop((k, j)))
+            elif nj <= nk:
                 w = _moyal_values(nj, nk, p, x, mom)
             else:
                 w = np.conj(_moyal_values(nk, nj, p, x, mom))
+            if k > j:
+                held[j, k] = w
             acc += np.conj(cj) * ck * w
     return acc
 
@@ -677,19 +690,40 @@ def write_grid_csv(path, grid: PhaseSpaceGrid) -> None:
                                        grid.values))
 
 
-def _write_rows(path, grid: PhaseSpaceGrid, blocks) -> None:
-    """`write_grid_csv` of a real grid whose values arrive as row blocks."""
+def _finite(blocks, t: float):
+    """The row blocks of a grid at time ``t``, each checked to be finite.
+
+    A non-finite block raises ``FloatingPointError`` before it is
+    written: at high basis levels an underflowed Gaussian factor meets
+    an overflowed Laguerre value in `_moyal_values`, and the grid would
+    otherwise carry NaN.
+    """
+    for k, vals in enumerate(blocks):
+        if not np.isfinite(vals).all():
+            raise FloatingPointError(
+                "non-finite Wigner value at t = %r in mesh rows %d to %d"
+                % (t, k * BLOCK_ROWS, k * BLOCK_ROWS + len(vals) - 1))
+        yield vals
+
+
+def _write_rows(path, grid: PhaseSpaceGrid, blocks, t: float) -> None:
+    """`write_grid_csv` of a real grid whose values arrive as row blocks.
+
+    Each block is checked to be finite (`_finite`) before it is written.
+    """
     write_csv(path, "x,p,W", block_lines(format_axis(grid.x_range),
-                                         format_axis(grid.p_range), blocks))
+                                         format_axis(grid.p_range),
+                                         _finite(blocks, t)))
 
 
 def write_tcs_csv(path, s: TCSState, grid: PhaseSpaceGrid, t: float) -> None:
     """Write ``tcs_grid(s, grid, t)`` as `write_grid_csv` would, same bytes.
 
-    The values are computed, formatted and written one row block at a
-    time, so no array of the whole mesh is ever held.
+    The values are computed, checked to be finite, formatted and
+    written one row block at a time, so no array of the whole mesh is
+    ever held.
     """
-    _write_rows(path, grid, _tcs_rows(s, grid, t))
+    _write_rows(path, grid, _tcs_rows(s, grid, t), t)
 
 
 def write_superposition_csv(path, coeffs: Sequence, p0: ErmakovParameters,
@@ -698,10 +732,12 @@ def write_superposition_csv(path, coeffs: Sequence, p0: ErmakovParameters,
     """Write ``superposition_grid(...)`` as `write_grid_csv` would, same bytes.
 
     The values are computed, checked, formatted and written one row
-    block at a time, so no array of the whole mesh is ever held.  The
-    imaginary-residual check spans the whole grid, so it raises only
-    after the last block is written; write into a staging directory
-    (`sqstates._csv.staged`) to keep a failed file out of sight.
+    block at a time, so no array of the whole mesh is ever held.  A
+    block that is not finite raises ``FloatingPointError`` before it is
+    written.  The imaginary-residual check spans the whole grid, so it
+    raises only after the last block is written; write into a staging
+    directory (`sqstates._csv.staged`) to keep a failed file out of
+    sight.
 
     Returns
     -------
@@ -710,5 +746,6 @@ def write_superposition_csv(path, coeffs: Sequence, p0: ErmakovParameters,
         on the same mesh, taken from the same evolved values; else None.
     """
     gaps = [] if rotation_check else None
-    _write_rows(path, grid, _superposition_rows(coeffs, p0, grid, t, gaps))
+    rows = _superposition_rows(coeffs, p0, grid, t, gaps)
+    _write_rows(path, grid, rows, t)
     return float(_running_max(gaps)) if rotation_check else None

@@ -251,8 +251,13 @@ class TestNonFiniteNumbers:
                     "points": 5}, "config.channel"),
         ("demkov", {"channel": {"beta0": 1.0}, "times": [0.5], "points": 5,
                     "half_width": 1.7e308}, "config.channel"),
+        # an underflowed Gaussian times an overflowed Laguerre value: the
+        # grid held 2048 NaN cells of 2601 when it was not checked
+        ("wigner", {"params": GROUND, "state": {"kind": "fock", "level": 200},
+                    "times": [0.0], "points": 51}, "config.state"),
     ], ids=["poisson-delta0", "poisson-epsilon0", "pascal-even",
-            "pascal-odd", "demkov-beta0", "demkov-half-width"])
+            "pascal-odd", "demkov-beta0", "demkov-half-width",
+            "wigner-fock-200"])
     def test_overflowing_result_is_config_error(self, tmp_path, capsys,
                                                 command, cfg, field):
         out = tmp_path / "out"
@@ -656,19 +661,24 @@ class TestAtomicity:
 
 
 def peak_rss_mb(tmp_path, command=None, cfg=None):
-    """Peak RSS (``VmHWM``) of a fresh process that imports ``sqstates.cli``.
+    """Peak RSS of a fresh process that imports ``sqstates.cli``.
 
     With a command, the process also runs it on ``cfg`` (written to
-    ``tmp_path``) into ``tmp_path / "out"`` and must exit 0.
+    ``tmp_path``) into ``tmp_path / "out"`` and must exit 0.  The peak
+    is the larger of the process's own ``VmHWM`` and the largest
+    ``ru_maxrss`` of its reaped children, the forked workers that write
+    its grid files.
     """
     run = ""
     if command is not None:
         run = ("assert cli.main([%r, '--config', %r, '--out', %r]) == 0"
                % (command, write_config(tmp_path, cfg),
                   str(tmp_path / "out")))
-    code = ("import sqstates.cli as cli\n%s\n"
-            "print([line.split()[1] for line in open('/proc/self/status')"
-            " if line.startswith('VmHWM:')][0])" % run)
+    code = ("import resource\nimport sqstates.cli as cli\n%s\n"
+            "own = [line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')][0]\n"
+            "workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss"
+            "\nprint(max(int(own), workers))" % run)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
@@ -680,13 +690,16 @@ def peak_rss_mb(tmp_path, command=None, cfg=None):
 class TestMemory:
     """Grids are computed and written in row blocks, never held whole."""
 
-    def test_largest_wigner_grid_with_rotation_check(self, tmp_path):
+    # one time runs in process, two in forked workers
+    @pytest.mark.parametrize("times", [[1.3], [0.0, 1.3]],
+                             ids=["one-time", "two-times"])
+    def test_largest_wigner_grid_with_rotation_check(self, tmp_path, times):
         # the whole grid and its transients peaked at about 208 MB
         cfg = {"params": GROUND,
                "state": {"kind": "superposition",
                          "terms": [{"level": 0, "amplitude": [0.6, 0.0]},
                                    {"level": 2, "amplitude": [0.0, 0.8]}]},
-               "times": [1.3], "points": cli.MAX_POINTS,
+               "times": times, "points": cli.MAX_POINTS,
                "rotation_check": True}
         assert peak_rss_mb(tmp_path, "wigner", cfg) < 64.0
 

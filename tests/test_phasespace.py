@@ -368,3 +368,73 @@ class TestRowBlocks:
         monkeypatch.setattr(phasespace, "_superposition_values", leaky)
         with pytest.raises(ArithmeticError, match="imaginary residual"):
             superposition_grid(self.COEFFS, p0, g, 0.0)
+
+
+class TestCrossFunctionReuse:
+    """Each unordered pair's cross function is evaluated once per block."""
+
+    # four terms with unsorted labels, so both branches of the pair
+    # order are taken, and complex weights, so a wrong conjugate shows
+    COEFFS = [(0.5, 3), (0.5j, 0), (-0.5, 5), (0.3 + 0.4j, 1)]
+
+    @staticmethod
+    def double_loop(pairs, p, x, mom):
+        """The double sum with every term evaluated, in row-major order."""
+        acc = np.zeros(np.broadcast(x, mom).shape, dtype=complex)
+        for cj, nj in pairs:
+            for ck, nk in pairs:
+                if nj <= nk:
+                    w = phasespace._moyal_values(nj, nk, p, x, mom)
+                else:
+                    w = np.conj(phasespace._moyal_values(nk, nj, p, x, mom))
+                acc += np.conj(cj) * ck * w
+        return acc
+
+    def test_one_evaluation_per_unordered_pair(self, monkeypatch, rng):
+        p0 = draw_params(rng)
+        g = default_grid(p0, 0.4, (0, 5), points=(70, 45))
+        real = phasespace._moyal_values
+        calls = []
+
+        def counted(m, n, p, x, mom):
+            calls.append((m, n))
+            return real(m, n, p, x, mom)
+
+        monkeypatch.setattr(phasespace, "_moyal_values", counted)
+        superposition_grid(self.COEFFS, p0, g, 0.4)
+        terms = len(self.COEFFS)
+        blocks = 3                      # 70 rows: 32 + 32 + 6
+        assert len(calls) == blocks * terms * (terms + 1) // 2
+        assert all(m <= n for m, n in calls)
+        assert len(set(calls)) == terms * (terms + 1) // 2
+
+    def test_bits_equal_the_double_loop(self, rng):
+        for _ in range(3):
+            p0 = draw_params(rng)
+            t = rng.uniform(-2.0, 2.0)
+            p = evolve(p0, t)
+            g = default_grid(p0, t, (0, 5), points=(37, 29))
+            xg, pg = np.meshgrid(g.x_range, g.p_range, indexing="ij")
+            pairs = phasespace._check_coeffs(self.COEFFS)
+            fast = phasespace._superposition_values(pairs, p, xg, pg)
+            assert fast.tobytes() == self.double_loop(pairs, p, xg,
+                                                      pg).tobytes()
+            point = phasespace._superposition_values(pairs, p, 0.3, -0.2)
+            assert point.tobytes() == self.double_loop(pairs, p, 0.3,
+                                                       -0.2).tobytes()
+
+
+class TestFiniteBlocks:
+    def test_nonfinite_block_raises_before_it_is_written(self, tmp_path):
+        # a lone level 200 overflows its Laguerre factor off centre
+        g = default_grid(ErmakovParameters(0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
+                         0.0, (200,), 51)
+        path = tmp_path / "w.csv"
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError,
+                              match="non-finite Wigner value at t = 0.0 "
+                                    "in mesh rows 0 to 31"):
+            phasespace.write_superposition_csv(
+                path, [(1.0, 200)],
+                ErmakovParameters(0.0, 1.0, 0.0, 0.0, 0.0, 0.0), g, 0.0)
+        assert path.read_text() == "x,p,W\n"
