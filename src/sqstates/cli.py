@@ -33,8 +33,9 @@ its CSV output byte for byte.
 Exit codes: 0 success, 1 verification failure, 2 usage or config
 error, 3 I/O error.  A config that passes the schema but whose numbers
 make a computation fail (an ``ArithmeticError``: a ``ZeroDivisionError``
-from an underflowed scale, an overflowing overlap matrix, or an internal
-cross-check lost to roundoff) also exits 2, with a one-line message that
+or a `sqstates.states.ScaleRangeError` from an underflowed scale, an
+overflowing overlap matrix, or an internal cross-check lost to roundoff)
+also exits 2, with a one-line message that
 names the config field or block behind it, and no traceback.  Grids
 and flow tables are computed, checked and written one block of rows at
 a time, so a check that spans a whole grid ends after its file is
@@ -117,6 +118,7 @@ from .specfun import (
 )
 from .states import (
     DynamicState,
+    ScaleRangeError,
     TCSState,
     covariance,
     psi_n,
@@ -443,21 +445,22 @@ def _truncation(args, default: int, low: int, high: int) -> int:
 
 
 @contextlib.contextmanager
-def _blame(block: str, divisor: str | None = None,
+def _blame(block: str, scale: str | None = None,
            nonfinite: str | None = None):
     """Report an ArithmeticError raised inside as a config error.
 
-    The message names ``divisor`` for a ZeroDivisionError (the one field
-    whose derived scale can underflow to a zero divisor), ``nonfinite``
-    for a FloatingPointError (a grid block that is not finite), and the
-    config ``block`` for every other arithmetic failure.
+    The message names ``scale`` for a ZeroDivisionError or a
+    ScaleRangeError (the one field whose derived scale can leave the
+    float range, to a zero divisor or a zero second moment),
+    ``nonfinite`` for a FloatingPointError (a grid block that is not
+    finite), and the config ``block`` for every other arithmetic failure.
     """
     try:
         yield
     except ArithmeticError as exc:
         field = block
-        if divisor and isinstance(exc, ZeroDivisionError):
-            field = divisor
+        if scale and isinstance(exc, (ZeroDivisionError, ScaleRangeError)):
+            field = scale
         elif nonfinite and isinstance(exc, FloatingPointError):
             field = nonfinite
         raise ConfigError("%s: arithmetic failure (%s: %s)"
@@ -483,6 +486,52 @@ _EVOLVE_HEADER = ("t,alpha,beta,gamma,delta,epsilon,kappa,"
                   "sigma_p,sigma_x,sigma_px,product,x_mean,p_mean")
 
 
+#: Flow rows evaluated, checked, formatted and written together.  A flow
+#: row costs far less than a mesh row, so the per-block cost of the
+#: array route is spread over more rows.
+FLOW_ROWS = 32 * BLOCK_ROWS
+
+
+def _flow_row(p0: ErmakovParameters, t: float) -> tuple:
+    """One row of ``evolve.csv`` through the scalar route."""
+    p = evolve(p0, t)
+    cov = covariance(p)
+    x_mean, p_mean = classical_trajectory(p0, t)
+    row = (t, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.kappa,
+           cov.sigma_p, cov.sigma_x, cov.sigma_px, cov.sigma_p * cov.sigma_x,
+           x_mean, p_mean)
+    if not all(map(math.isfinite, row)):
+        raise FloatingPointError("non-finite flow value at t = %r" % t)
+    return row
+
+
+def _flow_rows(p0: ErmakovParameters, ts: np.ndarray):
+    """The rows of ``evolve.csv`` at the times ``ts``, as `_flow_row` gives.
+
+    The block goes through the array route of the flow and is checked
+    whole; if any row fails a check, the block is evaluated again
+    through the scalar route, which raises at the first bad time.
+    Returns an iterable of row tuples.
+    """
+    try:
+        p = evolve(p0, ts)
+        cov = covariance(p)
+        x_mean, p_mean = classical_trajectory(p0, ts)
+    except (ArithmeticError, ValueError):
+        pass
+    else:
+        columns = (ts, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
+                   p.kappa, cov.sigma_p, cov.sigma_x, cov.sigma_px,
+                   cov.sigma_p * cov.sigma_x, x_mean, p_mean)
+        if all(np.isfinite(c).all() for c in columns):
+            # as Python floats a few rows at a time: a whole block of
+            # them raised the process's peak by about 0.4 MB
+            return (row for i in range(0, len(ts), BLOCK_ROWS)
+                    for row in zip(*[c[i:i + BLOCK_ROWS].tolist()
+                                     for c in columns]))
+    return [_flow_row(p0, t) for t in ts.tolist()]
+
+
 def cmd_evolve(config: dict, args) -> int:
     """Tabulate the parameter flow and its second moments over a range."""
     _validate(config, _EVOLVE_SCHEMA)
@@ -492,24 +541,17 @@ def cmd_evolve(config: dict, args) -> int:
                      int(block["count"]))
     row = fields(13) + "\n"
 
-    def rows():
-        # Python floats, taken one block at a time: a list of all of
-        # them would hold about 32 MB at MAX_ROWS
-        for i0 in row_starts(len(ts)):
-            for t in ts[i0:i0 + BLOCK_ROWS].tolist():
-                p = evolve(p0, t)
-                cov = covariance(p)
-                x_mean, p_mean = classical_trajectory(p0, t)
-                yield row % (
-                    t, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
-                    p.kappa, cov.sigma_p, cov.sigma_x, cov.sigma_px,
-                    cov.sigma_p * cov.sigma_x, x_mean, p_mean)
+    def lines():
+        for i0 in range(0, len(ts), FLOW_ROWS):
+            yield from map(row.__mod__, _flow_rows(p0, ts[i0:i0 + FLOW_ROWS]))
 
     # covariance divides by beta(t)^2, which underflows for a tiny beta;
-    # the rows are computed as they are written
+    # the rows are computed as they are written, and numpy's overflow
+    # warnings are silenced because every block is checked to be finite
     with staged(args.out) as stage, \
-            _blame("config.params", divisor="config.params.beta"):
-        write_csv(os.path.join(stage, "evolve.csv"), _EVOLVE_HEADER, rows())
+            _blame("config.params", scale="config.params.beta"), \
+            np.errstate(all="ignore"):
+        write_csv(os.path.join(stage, "evolve.csv"), _EVOLVE_HEADER, lines())
     print("wrote %s" % os.path.join(args.out, "evolve.csv"))
     return EXIT_OK
 
@@ -567,7 +609,7 @@ def cmd_wigner(config: dict, args) -> int:
     # beta; numpy's overflow warnings are silenced because every grid
     # block is checked to be finite before it is written
     with staged(args.out) as stage, \
-            _blame("config.params", divisor="config.params.beta",
+            _blame("config.params", scale="config.params.beta",
                    nonfinite="config.state"), \
             np.errstate(all="ignore"):
         if kind == "tcs":
@@ -756,7 +798,7 @@ def cmd_demkov(config: dict, args) -> int:
     # numpy's overflow warnings are silenced because every metrics row
     # and snapshot block is checked to be finite before it is written
     with staged(args.out) as stage, \
-            _blame("config.channel", divisor="config.channel.beta0"), \
+            _blame("config.channel", scale="config.channel.beta0"), \
             np.errstate(all="ignore"):
         lines = []
         for t in times:
@@ -854,11 +896,10 @@ def _check_variance_consistency(rng) -> float:
     for _ in range(12):
         p0 = _draw(rng)
         var_p, var_x, product = variance_series(p0, ts)
-        for i, t in enumerate(ts):
-            cov = covariance(evolve(p0, float(t)))
-            worst = max(worst, abs(var_p[i] - cov.sigma_p),
-                        abs(var_x[i] - cov.sigma_x),
-                        abs(product[i] - cov.sigma_p * cov.sigma_x))
+        cov = covariance(evolve(p0, ts))
+        worst = max(worst, np.max(abs(var_p - cov.sigma_p)),
+                    np.max(abs(var_x - cov.sigma_x)),
+                    np.max(abs(product - cov.sigma_p * cov.sigma_x)))
     return worst
 
 

@@ -19,6 +19,19 @@ is obtained from the continuous argument of z(t) = c1*e^{it} + c2*e^{-it},
 never from a principal-branch arctangent, so gamma decreases by exactly
 pi over each period 2*pi.
 
+Array route: `evolve` and `classical_trajectory` also take a 1-d float64
+array of times and then return struct-of-arrays results (an
+`ErmakovParameters` whose six fields are arrays, one entry per time), the
+same bits the scalar route gives time by time.  The closed forms are
+written once (`_closed_form`) for both routes: numpy runs only + - * /
+and sqrt, which IEEE 754 rounds the same on arrays as on floats, while
+sin, cos, atan2, remainder and the ``**2`` square (libm ``pow``, which
+``x*x`` does not always match) stay libm calls on Python floats, one per
+entry, because numpy's own versions may take SIMD paths that differ in
+the last bit.  Every scalar check holds entrywise; when an entry fails
+one, the array is evaluated again through the scalar route, which raises
+the scalar error at the first bad entry.
+
 Units: hbar = omega = m = 1 throughout; everything is dimensionless.
 """
 
@@ -28,6 +41,10 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
+from types import SimpleNamespace
+
+import numpy as np
 
 __all__ = [
     "MAX_TIME",
@@ -51,11 +68,13 @@ MAX_TIME = 0.25 * sys.float_info.max
 
 @dataclass(frozen=True)
 class ErmakovParameters:
-    """One instant of the six-parameter Gaussian packet.
+    """One instant of the six-parameter Gaussian packet, or many.
 
     beta must be nonzero (it scales the envelope width as 1/beta**2); the
     canonical sign at construction from real data is beta > 0, but negative
-    beta is representable and evolves consistently.
+    beta is representable and evolves consistently.  `evolve` over an
+    array of times gives six 1-d float64 arrays, one entry per time, and
+    the checks then hold entrywise.
     """
 
     alpha: float
@@ -66,6 +85,14 @@ class ErmakovParameters:
     kappa: float
 
     def __post_init__(self):
+        if isinstance(self.beta, np.ndarray):
+            values = [getattr(self, name) for name in _PARAM_FIELDS]
+            if (all(np.isfinite(v).all() for v in values)
+                    and (self.beta != 0.0).all()):
+                return
+            for row in zip(*[v.tolist() for v in values]):
+                ErmakovParameters(*row)  # raises at the first bad entry
+            return
         for name in _PARAM_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -114,6 +141,42 @@ def _check_time(t: float) -> float:
     return t
 
 
+def _libm(fn, values: list, *more) -> np.ndarray:
+    """``fn`` over the entries of its arguments, one call per entry."""
+    return np.fromiter(map(fn, values, *more), float, len(values))
+
+
+#: The elementwise functions of the closed forms at one float time ...
+_ONE = SimpleNamespace(sin=math.sin, cos=math.cos, sqrt=math.sqrt,
+                       atan2=math.atan2, remainder=math.remainder,
+                       square=lambda x: x ** 2)
+
+#: ... and at a 1-d array of times: libm on each entry as a Python float,
+#: and numpy only for sqrt, which IEEE 754 rounds exactly.
+_EACH = SimpleNamespace(
+    sin=lambda x: _libm(math.sin, x.tolist()),
+    cos=lambda x: _libm(math.cos, x.tolist()),
+    sqrt=np.sqrt,
+    atan2=lambda y, x: _libm(math.atan2, y.tolist(), x.tolist()),
+    remainder=lambda x, y: _libm(math.remainder, x.tolist(), repeat(y)),
+    square=lambda x: _libm(pow, x.tolist(), repeat(2)))
+
+
+def _times(t):
+    """The checked time(s) ``t`` and the elementwise functions for them.
+
+    A 1-d array goes with `_EACH`, anything else is one float time and
+    goes with `_ONE`.
+    """
+    if isinstance(t, np.ndarray) and t.ndim == 1:
+        t = np.asarray(t, dtype=float)
+        if not (np.abs(t) <= MAX_TIME).all():
+            for x in t.tolist():
+                _check_time(x)  # raises at the first bad time
+        return t, _EACH
+    return _check_time(t), _ONE
+
+
 def _continuous_arg(p0: ErmakovParameters, t: float) -> float:
     """Continuous argument of z(t) = (cos t + 2 alpha0 sin t) + i beta0^2 sin t.
 
@@ -122,59 +185,102 @@ def _continuous_arg(p0: ErmakovParameters, t: float) -> float:
     against 2*pi recovers the continuous branch from the principal one.
     """
     s, c = math.sin(t), math.cos(t)
-    re = c + 2.0 * p0.alpha * s
-    im = p0.beta * p0.beta * s
-    return t + math.remainder(math.atan2(im, re) - t, 2.0 * math.pi)
+    return _branch(t, p0.beta * p0.beta * s, c + 2.0 * p0.alpha * s, _ONE)
 
 
-def evolve(p0: ErmakovParameters, t: float) -> ErmakovParameters:
+def _branch(t, im, re, m):
+    """The argument of re + i im on the branch `_continuous_arg` takes."""
+    return t + m.remainder(m.atan2(im, re) - t, 2.0 * math.pi)
+
+
+def _closed_form(p0: ErmakovParameters, t, m):
+    """The flow at time(s) ``t``: its denominator and the six parameters.
+
+    Written once for the scalar and the array route; ``m`` holds the
+    elementwise functions for ``t`` (see `_times`).  The rest is + - * /
+    on floats or float64 arrays alike, in the same order, so both routes
+    give the same bits.
+    """
+    a0, b0, d0, e0 = p0.alpha, p0.beta, p0.delta, p0.epsilon
+    s, c = m.sin(t), m.cos(t)
+    sin2t, cos2t = m.sin(2.0 * t), m.cos(2.0 * t)
+    b0sq = b0 * b0
+    lin = 2.0 * a0 * s + c  # the real part of z(t), see `_continuous_arg`
+    den = b0sq * b0sq * s * s + m.square(lin)
+    root = m.sqrt(den)
+
+    alpha = (a0 * cos2t
+             + 0.25 * sin2t * (b0sq * b0sq + 4.0 * a0 * a0 - 1.0)) / den
+    beta = b0 / root
+    gamma = p0.gamma - 0.5 * _branch(t, b0sq * s, lin, m)
+    delta = (d0 * lin + e0 * b0sq * b0 * s) / den
+    epsilon = (e0 * lin - b0 * d0 * s) / root
+    kappa = (p0.kappa
+             + s * s * (e0 * b0sq * (a0 * e0 - b0 * d0) - a0 * d0 * d0) / den
+             + 0.25 * sin2t * (e0 * e0 * b0sq - d0 * d0) / den)
+    return den, (alpha, beta, gamma, delta, epsilon, kappa)
+
+
+def evolve(p0: ErmakovParameters, t) -> ErmakovParameters:
     """Evolve initial parameters to time t through the real closed forms.
 
     Parameters
     ----------
     p0 : ErmakovParameters
         Initial data at t = 0.
-    t : float
-        Target time (any finite real; the flow is globally defined).
+    t : float or 1-d float64 array
+        Target time (any finite real; the flow is globally defined), or
+        an array of them.
 
     Returns
     -------
     ErmakovParameters
-        The parameter set at time t.  gamma uses the continuous branch.
+        The parameter set at time t, or for an array of times six arrays
+        with one entry per time, bit for bit the parameter sets the
+        times give one by one.  gamma uses the continuous branch.
 
     Raises
     ------
     ArithmeticError
-        If finite initial data overflow on the way to time t.
+        If finite initial data overflow on the way to time t; for an
+        array, the error of the first time at which they do.
     """
-    t = _check_time(t)
-    a0, b0, d0, e0 = p0.alpha, p0.beta, p0.delta, p0.epsilon
-    s, c = math.sin(t), math.cos(t)
-    b0sq = b0 * b0
-    den = b0sq * b0sq * s * s + (2.0 * a0 * s + c) ** 2
+    t, m = _times(t)
+    if m is _EACH:
+        return _evolve_each(p0, t)
+    den, values = _closed_form(p0, t, m)
     if not den > 0.0:  # mathematically impossible; guards NaN propagation
         raise ArithmeticError(f"degenerate denominator {den!r} at t={t!r}")
-
-    alpha = (a0 * math.cos(2.0 * t)
-             + 0.25 * math.sin(2.0 * t) * (b0sq * b0sq + 4.0 * a0 * a0 - 1.0)) / den
-    beta = b0 / math.sqrt(den)
-    gamma = p0.gamma - 0.5 * _continuous_arg(p0, t)
-    delta = (d0 * (2.0 * a0 * s + c) + e0 * b0sq * b0 * s) / den
-    epsilon = (e0 * (2.0 * a0 * s + c) - b0 * d0 * s) / math.sqrt(den)
-    kappa = (p0.kappa
-             + s * s * (e0 * b0sq * (a0 * e0 - b0 * d0) - a0 * d0 * d0) / den
-             + 0.25 * math.sin(2.0 * t) * (e0 * e0 * b0sq - d0 * d0) / den)
     try:
-        return ErmakovParameters(alpha, beta, gamma, delta, epsilon, kappa)
+        return ErmakovParameters(*values)
     except ValueError as exc:  # p0 and t are valid, so this is an overflow
         raise ArithmeticError(f"the flow overflows at t={t!r}: {exc}") from exc
 
 
-def classical_trajectory(p0: ErmakovParameters, t: float) -> tuple[float, float]:
-    """Return (<x>, <p>) at time t; the centroid follows the classical orbit."""
-    t = _check_time(t)
+def _evolve_each(p0: ErmakovParameters, ts: np.ndarray) -> ErmakovParameters:
+    """The array route of `evolve`, over checked times ``ts``."""
+    try:
+        # every entry is checked, so numpy's warnings are noise
+        with np.errstate(all="ignore"):
+            den, values = _closed_form(p0, ts, _EACH)
+        if not (den > 0.0).all():
+            raise ArithmeticError("degenerate denominator")
+        return ErmakovParameters(*values)
+    except (ArithmeticError, ValueError):
+        for t in ts.tolist():
+            evolve(p0, t)  # raises at the first bad time
+        raise
+
+
+def classical_trajectory(p0: ErmakovParameters, t):
+    """Return (<x>, <p>) at time t; the centroid follows the classical orbit.
+
+    For an array of times both are arrays, one entry per time, bit for
+    bit the values the times give one by one.
+    """
+    t, m = _times(t)
     a0, b0, d0, e0 = p0.alpha, p0.beta, p0.delta, p0.epsilon
-    s, c = math.sin(t), math.cos(t)
+    s, c = m.sin(t), m.cos(t)
     w = 2.0 * a0 * e0 - b0 * d0
     x_mean = -(w * s + e0 * c) / b0
     p_mean = -(w * c - e0 * s) / b0

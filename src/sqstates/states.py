@@ -27,6 +27,7 @@ __all__ = [
     "DynamicState",
     "TCSState",
     "CovarianceTriple",
+    "ScaleRangeError",
     "UncertaintyExtrema",
     "psi_n",
     "psi_tcs",
@@ -68,19 +69,43 @@ class TCSState:
 
 @dataclass(frozen=True)
 class CovarianceTriple:
-    """Second moments (sigma_p, sigma_x, sigma_px) of a Gaussian packet."""
+    """Second moments (sigma_p, sigma_x, sigma_px) of a Gaussian packet.
+
+    From `covariance` of a flow over an array of times, each field is a
+    1-d float64 array, one entry per time, and the checks hold entrywise.
+    """
 
     sigma_p: float
     sigma_x: float
     sigma_px: float
 
     def __post_init__(self):
-        if not (self.sigma_p > 0 and self.sigma_x > 0):
+        sp, sx, spx = self.sigma_p, self.sigma_x, self.sigma_px
+        if isinstance(sp, np.ndarray):
+            with np.errstate(all="ignore"):  # a bad entry is reported below
+                prod = sp * sx
+                good = ((sp > 0) & (sx > 0)
+                        & (abs(prod - spx * spx - 0.25)
+                           <= 1e-12 * np.maximum(1.0, abs(prod))))
+            if good.all():
+                return
+            for row in zip(sp.tolist(), sx.tolist(), spx.tolist()):
+                CovarianceTriple(*row)  # raises at the first bad entry
+            return
+        if not (sp > 0 and sx > 0):
             raise ValueError("sigma_p and sigma_x must be positive")
-        det = self.sigma_p * self.sigma_x - self.sigma_px * self.sigma_px
-        scale = max(1.0, abs(self.sigma_p * self.sigma_x))
-        if abs(det - 0.25) > 1e-12 * scale:
+        det = sp * sx - spx * spx
+        scale = max(1.0, abs(sp * sx))
+        if not abs(det - 0.25) <= 1e-12 * scale:  # a NaN fails too
             raise ValueError(f"determinant {det!r} violates the 1/4 identity")
+
+
+class ScaleRangeError(ArithmeticError):
+    """A power of beta left the float range inside `covariance`.
+
+    sigma_p and sigma_x are positive for every finite nonzero beta, so
+    when one of them is not, beta^2 overflowed or beta^4 underflowed.
+    """
 
 
 @dataclass(frozen=True)
@@ -156,14 +181,55 @@ def psi_superposition(coeffs: Sequence[complex], p0: ErmakovParameters, x, t: fl
     return _shape_like(vals, x)
 
 
-def covariance(p: ErmakovParameters) -> CovarianceTriple:
-    """Second moments at one instant; plain arithmetic, exact for rationals."""
-    a, b = p.alpha, p.beta
+def _moments(a, b):
+    """(sigma_p, sigma_x, sigma_px) from alpha and beta, scalars or arrays."""
     bsq = b * b
-    sigma_p = (4 * a * a + bsq * bsq) / (2 * bsq)
-    sigma_x = 1 / (2 * bsq)
-    sigma_px = a / bsq
-    return CovarianceTriple(sigma_p, sigma_x, sigma_px)
+    return (4 * a * a + bsq * bsq) / (2 * bsq), 1 / (2 * bsq), a / bsq
+
+
+def _covariance(a, b) -> CovarianceTriple:
+    sigma_p, sigma_x, sigma_px = _moments(a, b)
+    if not (sigma_p > 0 and sigma_x > 0):
+        raise ScaleRangeError(
+            f"sigma_p = {sigma_p!r} and sigma_x = {sigma_x!r} at "
+            f"beta = {b!r}: beta^2 or beta^4 is out of the float range")
+    try:
+        return CovarianceTriple(sigma_p, sigma_x, sigma_px)
+    except ValueError as exc:  # alpha and beta are valid: an overflow
+        raise ArithmeticError(f"the second moments overflow: {exc}") from exc
+
+
+def covariance(p: ErmakovParameters) -> CovarianceTriple:
+    """Second moments at one instant; plain arithmetic, exact for rationals.
+
+    For parameters from `evolve` over an array of times the moments are
+    arrays, one entry per time, bit for bit those of each instant.
+
+    Raises
+    ------
+    ZeroDivisionError
+        If beta^2 underflows to 0.
+    ScaleRangeError
+        If beta^2 overflows or beta^4 underflows, so that sigma_p or
+        sigma_x is not positive.
+    ArithmeticError
+        If the moments overflow, so that the determinant identity fails.
+
+    For arrays, the error is that of the first bad entry.
+    """
+    a, b = p.alpha, p.beta
+    if not isinstance(b, np.ndarray):
+        return _covariance(a, b)
+    # every entry is checked (a zero beta^2 gives a NaN moment or
+    # determinant), so numpy's warnings are noise
+    with np.errstate(all="ignore"):
+        moments = _moments(a, b)
+    try:
+        return CovarianceTriple(*moments)
+    except ValueError:
+        for entry in zip(a.tolist(), b.tolist()):
+            _covariance(*entry)  # raises at the first bad entry
+        raise
 
 
 def variance_series(p0: ErmakovParameters, t):

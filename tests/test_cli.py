@@ -129,10 +129,17 @@ class TestConfigValidation:
         ("expand", {"params": dict(GROUND, beta=1e-6, delta=30.0,
                                    epsilon=-30.0),
                     "columns": [0, 1], "truncation": 128}),
+        # beta^4 underflows to 0, and with it sigma_p
+        ("evolve", {"params": dict(GROUND, beta=1e-150),
+                    "times": {"start": 0.0, "stop": 1.0, "count": 3}}),
+        ("wigner", {"params": dict(GROUND, beta=1e-150),
+                    "state": {"kind": "fock", "level": 1}, "times": [0.0],
+                    "points": 5}),
     ])
     def test_arithmetic_failure_is_config_error(self, tmp_path, capsys,
                                                 command, cfg):
         field = {"evolve": "config.params.beta",
+                 "wigner": "config.params.beta",
                  "expand": "config.params"}[command]
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, cfg),
@@ -292,9 +299,13 @@ class TestNonFiniteNumbers:
         ("wigner", LEVEL_512 | {"params": dict(GROUND, gamma=1e306),
                                 "times": [0.0]},
          "config.params: arithmetic failure"),
+        # sigma_p * sigma_x overflows: evolve.csv held inf when unchecked
+        ("evolve", evolve_config(3) | {"params": dict(GROUND, alpha=0.3,
+                                                      beta=1e-100)},
+         "config.params: arithmetic failure"),
     ], ids=["evolve-alpha", "evolve-stop", "wigner-time", "expand-alpha",
             "full-expansion-alpha", "wigner-level-512-time",
-            "wigner-level-512-gamma"])
+            "wigner-level-512-gamma", "evolve-product"])
     def test_huge_finite_input_names_its_field(self, tmp_path, capsys,
                                                command, cfg, message):
         # finite inputs whose flow overflows inside the computation
@@ -354,6 +365,71 @@ class TestEvolve:
                          "--out", str(tmp_path / sub)]) == 0
         assert ((tmp_path / "a" / "evolve.csv").read_bytes()
                 == (tmp_path / "b" / "evolve.csv").read_bytes())
+
+
+    def test_rows_are_the_scalar_route_across_flow_blocks(self, tmp_path):
+        count = 2 * cli.FLOW_ROWS + 37
+        cfg = {"params": SQUEEZED,
+               "times": {"start": -3.0, "stop": 40.0, "count": count}}
+        assert main(["evolve", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)]) == 0
+        p0 = ErmakovParameters(**SQUEEZED)
+        row = cli.fields(13) + "\n"
+        expected = "".join(row % cli._flow_row(p0, t)
+                           for t in np.linspace(-3.0, 40.0, count).tolist())
+        text = (tmp_path / "evolve.csv").read_text()
+        assert text == cli._EVOLVE_HEADER + "\n" + expected
+
+    def test_failure_in_second_flow_block_is_the_scalar_error(self, tmp_path,
+                                                              capsys):
+        # beta^4 underflows; sigma_p is 0 only where alpha(t) is too,
+        # at t = 0 exactly, row 1536 of 2049 (times are multiples of 2^-40)
+        params = dict(GROUND, beta=1.2e-81)
+        start, stop, count = -1536 * 2.0 ** -40, 512 * 2.0 ** -40, 2049
+        p0 = ErmakovParameters(**params)
+        for i, t in enumerate(np.linspace(start, stop, count).tolist()):
+            try:
+                cli._flow_row(p0, t)
+            except ArithmeticError as exc:
+                error = exc
+                break
+        assert cli.FLOW_ROWS <= i < 2 * cli.FLOW_ROWS
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "evolve.csv").write_text("kept\n")
+        cfg = {"params": params,
+               "times": {"start": start, "stop": stop, "count": count}}
+        assert main(["evolve", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config.params.beta: arithmetic failure (%s: %s)\n"
+            % (type(error).__name__, error))
+        assert os.listdir(out) == ["evolve.csv"]
+        assert (out / "evolve.csv").read_text() == "kept\n"
+
+    def test_nonfinite_row_names_its_time(self, tmp_path, capsys,
+                                          monkeypatch):
+        # every check of the flow passes; the centroid is made infinite
+        # from t = 0.5 on, row 1500 of 3000
+        real = cli.classical_trajectory
+
+        def overflowing(p0, t):
+            x_mean, p_mean = real(p0, t)
+            return x_mean + np.where(np.asarray(t) >= 0.5, math.inf, 0.0), \
+                p_mean
+
+        monkeypatch.setattr(cli, "classical_trajectory", overflowing)
+        cfg = {"params": SQUEEZED,
+               "times": {"start": 0.0, "stop": 1.0, "count": 3000}}
+        ts = np.linspace(0.0, 1.0, 3000)
+        first = float(ts[ts >= 0.5][0])
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config.params: arithmetic failure "
+            "(FloatingPointError: non-finite flow value at t = %r)\n" % first)
+        assert not out.exists()
 
 
 class TestWigner:
@@ -702,6 +778,13 @@ class TestMemory:
                "times": times, "points": cli.MAX_POINTS,
                "rotation_check": True}
         assert peak_rss_mb(tmp_path, "wigner", cfg) < 64.0
+
+    def test_evolve_stays_near_the_import_floor(self, tmp_path):
+        # times go through the flow one block at a time
+        cfg = {"params": SQUEEZED,
+               "times": {"start": 0.0, "stop": 100.0, "count": 100_001}}
+        floor = peak_rss_mb(tmp_path)
+        assert peak_rss_mb(tmp_path, "evolve", cfg) - floor <= 4.0
 
     def test_demkov_stays_near_the_import_floor(self, tmp_path):
         # whole 401 x 401 frames and norm meshes held about 12 MB more

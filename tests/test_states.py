@@ -197,6 +197,9 @@ class TestCovariance:
             CovarianceTriple(1.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="positive"):
             CovarianceTriple(-0.5, -0.5, 0.0)
+        # inf * inf - inf * inf is a NaN determinant, which fails too
+        with pytest.raises(ValueError, match="determinant nan"):
+            CovarianceTriple(math.inf, math.inf, math.inf)
 
     def test_matches_variance_series(self, rng):
         for _ in range(30):
