@@ -20,7 +20,9 @@ A run's files are independent, and formatting holds the interpreter
 lock, so `run_tasks` writes them side by side in forked worker
 processes, one file per worker, as many at a time as the process may
 use CPUs.  Errors surface exactly as a loop over the files would raise
-them.
+them.  Only the command-line front end (`sqstates.cli`) stages a run and
+spreads its files over workers; every library writer writes one file to
+the path it is given.
 """
 
 from __future__ import annotations
@@ -61,17 +63,15 @@ def row_starts(count: int) -> range:
 def block_lines(lead, inner, blocks):
     """The lines of a sampled mesh that arrives as row blocks.
 
-    ``blocks`` yields 2-d arrays whose rows, in order, are the mesh rows
-    of ``lead``.  Mesh row ``i`` becomes one line
-    ``lead[i],inner[j],<cells>`` per inner index ``j``, where the cells
-    are ``values[i, j]`` (one field for a real mesh, real and imaginary
-    part for a complex one).  ``lead`` and ``inner`` are preformatted
-    text, e.g. from `format_axis`.  Yields the text of one mesh row at
-    a time; a block of the wrong width or row count raises
-    ``ValueError`` when it arrives.
+    ``blocks`` yields 2-d real arrays whose rows, in order, are the mesh
+    rows of ``lead``.  Mesh row ``i``, with values ``v``, becomes one
+    line ``lead[i],inner[j],v[j]`` per inner index ``j``.  ``lead`` and
+    ``inner`` are preformatted text, e.g. from `format_axis`.  Yields
+    the text of one mesh row at a time; a block of the wrong width or
+    row count raises ``ValueError`` when it arrives.
     """
+    parts = ["," + text + "," + FLOAT + "\n" for text in inner]
     done = 0
-    parts = None
     for block in blocks:
         block = np.asarray(block)
         if (block.ndim != 2 or block.shape[1] != len(inner)
@@ -79,35 +79,13 @@ def block_lines(lead, inner, blocks):
             raise ValueError("mesh block of shape %s does not fit %d x %d "
                              "axes at row %d"
                              % (block.shape, len(lead), len(inner), done))
-        if np.iscomplexobj(block):
-            cells = np.stack((block.real, block.imag), axis=-1)
-        else:
-            cells = block[..., None]
         rows = len(block)
-        if parts is None:
-            tail = "," + fields(cells.shape[-1]) + "\n"
-            parts = ["," + text + tail for text in inner]
-        for head, row in zip(lead[done:done + rows],
-                             cells.reshape(rows, -1).tolist()):
+        for head, row in zip(lead[done:done + rows], block.tolist()):
             yield (head + head.join(parts)) % tuple(row)
         done += rows
     if done != len(lead):
         raise ValueError("mesh blocks hold %d rows, axes %d"
                          % (done, len(lead)))
-
-
-def mesh_lines(lead, inner, values):
-    """The lines of a sampled mesh held whole, as `block_lines` gives them.
-
-    The shape is checked here, before any line is produced, so a
-    mismatch cannot leave a half-written file.
-    """
-    values = np.asarray(values)
-    if values.shape[:2] != (len(lead), len(inner)):
-        raise ValueError("mesh values of shape %s do not match %d x %d axes"
-                         % (values.shape, len(lead), len(inner)))
-    return block_lines(lead, inner, (values[i:i + BLOCK_ROWS]
-                                     for i in row_starts(len(lead))))
 
 
 def write_csv(path, header: str, lines) -> None:

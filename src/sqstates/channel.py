@@ -28,7 +28,6 @@ label it "depth" since that is what a beamline measures.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,6 @@ from ._csv import (
     block_lines,
     format_axis,
     row_starts,
-    run_tasks,
-    staged,
     write_csv,
 )
 from .ermakov import ErmakovParameters, _continuous_arg
@@ -53,7 +50,7 @@ __all__ = [
     "density",
     "focus_metrics",
     "density_grid",
-    "write_snapshot_series",
+    "write_snapshot_csv",
 ]
 
 
@@ -219,7 +216,7 @@ def density_grid(c: ChannelParameters, t: float, points: int = 301,
     holds its packet in about one cell.  The sampled values stay exact
     pointwise; pass a smaller ``half_width`` to resolve the waist.
     The grid is filled one row block at a time, by the evaluator that
-    `write_snapshot_series` streams to disk.
+    `write_snapshot_csv` streams to disk.
 
     Returns
     -------
@@ -245,37 +242,20 @@ def _finite_rows(c: ChannelParameters, x, y, t: float):
         yield vals
 
 
-def write_snapshot_series(directory, c: ChannelParameters, times,
-                          points: int = 301, half_width=None) -> list:
-    """Write snapshot_t{index}.csv per requested depth; returns the paths.
+def write_snapshot_csv(path, c: ChannelParameters, t: float,
+                       points: int = 301, half_width=None) -> None:
+    """Write ``density_grid(c, t, points, half_width)`` as one CSV file.
 
-    Each file is a (depth, x, y, density) table in x-major row order.
-
-    Index is the position in ``times`` (zero-based), so the file order
-    matches the requested series regardless of the depth values.  Each
-    frame is sampled, checked to be finite, formatted and written one
-    row block at a time, so no whole grid and no whole text is held,
-    and the frames are written side by side, one worker per depth
-    (`sqstates._csv.run_tasks`).  The files are staged
-    (`sqstates._csv.staged`): they appear in ``directory``, which is
-    created when missing, only once every frame is written.  A depth
-    that fails, or whose grid is not finite (an ``ArithmeticError``),
-    leaves nothing behind; the first such depth is the one reported.
+    Each row is (depth, x, y, density), x-major, with 17 significant
+    digits.  The grid is sampled, checked to be finite, formatted and
+    written one row block at a time, so no whole grid and no whole text
+    is held.  A grid that is not finite raises ``ArithmeticError`` when
+    its first bad block arrives, after the blocks before it are
+    written; the command-line front end writes into a staging
+    directory, which keeps a failed file out of sight.
     """
-    times = [float(t) for t in times]
     x, y = _snapshot_axes(c, points, half_width)
-    lead, inner = format_axis(x), format_axis(y)
-    directory = os.fspath(directory)
-    names = ["snapshot_t%d.csv" % index for index in range(len(times))]
-
-    def frame(path, t):
-        depth = FLOAT % t + ","
-        return lambda: write_csv(
-            path, "depth,x,y,density",
-            block_lines([depth + text for text in lead], inner,
-                        _finite_rows(c, x, y, t)))
-
-    with staged(directory) as stage:
-        run_tasks({name: frame(os.path.join(stage, name), t)
-                   for name, t in zip(names, times)})
-    return [os.path.join(directory, name) for name in names]
+    depth = FLOAT % t + ","
+    write_csv(path, "depth,x,y,density",
+              block_lines([depth + text for text in format_axis(x)],
+                          format_axis(y), _finite_rows(c, x, y, t)))

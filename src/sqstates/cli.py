@@ -39,14 +39,16 @@ also exits 2, with a one-line message that
 names the config field or block behind it, and no traceback.  Grids
 and flow tables are computed, checked and written one block of rows at
 a time, so a check that spans a whole grid ends after its file is
-written.  Every command therefore writes into a staging directory
+written.  Every command therefore writes into one staging directory
 (`sqstates._csv.staged`) whose files move into ``--out`` only when the
 whole run has succeeded: a failure leaves no output behind, and files
 already in ``--out`` stay.  ``wigner`` and ``demkov`` write their grid
 files side by side, one forked worker per file
 (`sqstates._csv.run_tasks`); the error reported is the one a
 file-by-file loop would raise first, and a worker that dies without a
-result is an I/O error (exit 3) that names its file.
+result is an I/O error (exit 3) that names its file.  Staging and
+fan-out are decided here only: each grid task calls a library writer
+that writes one file to the path it is given.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from .channel import (
     density,
     focus_metrics,
     width_squared,
-    write_snapshot_series,
+    write_snapshot_csv,
 )
 from .ermakov import (
     MAX_TIME,
@@ -370,20 +372,27 @@ _VERIFY_SCHEMA = {
 # ----------------------------------------------------------------------
 
 def _load_config(path) -> dict:
-    """Read and parse a JSON config; parse failures become ConfigError."""
+    """Read and parse a JSON config; parse failures become ConfigError.
+
+    A config nested deeper than the interpreter's recursion limit, which
+    ``json.loads`` or `_nonfinite` cannot descend, is one such failure.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         data = json.loads(text)
+        bad = _nonfinite(data, ()) if isinstance(data, dict) else None
     except json.JSONDecodeError as exc:
         raise ConfigError("config is not valid JSON: %s" % exc) from exc
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply to read: %s"
+                          % exc) from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    path = _nonfinite(data, ())
-    if path is not None:
+    if bad is not None:
         raise ConfigError("%s: non-finite number is not allowed in a config "
                           "(Infinity, NaN, or a literal beyond the range of "
-                          "a double)" % _schema.json_path("config", path))
+                          "a double)" % _schema.json_path("config", bad))
     return data
 
 
@@ -764,9 +773,10 @@ def _channel_norm(c: ChannelParameters, t: float) -> float:
 def cmd_demkov(config: dict, args) -> int:
     """Write channel density snapshots plus a focus-metrics table.
 
-    Every metrics row is computed before any snapshot; the snapshots
-    are written one row block at a time (see
-    `channel.write_snapshot_series`).  All snapshots share one
+    Every metrics row is computed before any snapshot.  Each snapshot
+    is one task of `run_tasks`, written one row block at a time by
+    `channel.write_snapshot_csv` into the run's one staging directory;
+    ``metrics.csv`` is written last.  All snapshots share one
     square grid sized for the widest frame (see
     `channel.density_grid`), which under-resolves a strong focus: at
     beta0 = 0.1 the half-width is 60, a 401-point grid is 0.3 apart and
@@ -794,6 +804,10 @@ def cmd_demkov(config: dict, args) -> int:
     row = fields(5) + "\n"
     names = ["snapshot_t%d.csv" % i for i in range(len(times))]
     names.append("metrics.csv")
+
+    def frame(path, t):
+        return lambda: write_snapshot_csv(path, c, t, points, half_width)
+
     # the envelope divides by beta0^2, which underflows for a tiny beta0;
     # numpy's overflow warnings are silenced because every metrics row
     # and snapshot block is checked to be finite before it is written
@@ -809,7 +823,8 @@ def cmd_demkov(config: dict, args) -> int:
                 raise ArithmeticError("non-finite focus metrics at depth %r"
                                       % (t,))
             lines.append(row % values)
-        write_snapshot_series(stage, c, times, points, half_width)
+        run_tasks({name: frame(os.path.join(stage, name), t)
+                   for name, t in zip(names, times)})
         write_csv(os.path.join(stage, names[-1]),
                   "t,peak,rms_width,center_x,norm", lines)
     for name in names:
@@ -1178,6 +1193,9 @@ def cmd_verify(config: dict, args) -> int:
     _validate(config, _VERIFY_SCHEMA)
     seed = config.get("seed", DEFAULT_SEED)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be a non-negative integer, got %d"
+                              % args.seed)
         seed = args.seed
     report = run_verification(int(seed))
     document = _json_dumps(report)

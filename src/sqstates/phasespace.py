@@ -22,8 +22,8 @@ evaluates those portraits three ways and checks them against each other:
 
 Conventions.  Phase-space grids store ``values[i, j] = W(x_range[i],
 p_range[j])`` -- row index is position, column index is momentum -- and
-`write_grid_csv` writes rows in that (row-major) order.  The rotated
-coordinates used throughout are
+`write_tcs_csv` and `write_superposition_csv` write rows in that
+(row-major) order.  The rotated coordinates used throughout are
 
     Q = beta x + epsilon,      P = (p - 2 alpha x - delta) / beta,
 
@@ -52,7 +52,6 @@ from ._csv import (
     BLOCK_ROWS,
     block_lines,
     format_axis,
-    mesh_lines,
     row_starts,
     write_csv,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "position_marginal",
     "momentum_marginal",
     "purity",
-    "write_grid_csv",
     "write_tcs_csv",
     "write_superposition_csv",
 ]
@@ -676,20 +674,6 @@ def purity(grid: PhaseSpaceGrid) -> float:
     return float(np.trapezoid(inner, dx=grid.dx))
 
 
-def write_grid_csv(path, grid: PhaseSpaceGrid) -> None:
-    """Write (x, p, W) rows, position-major, with 17 significant digits.
-
-    Rows iterate x first (outer), p second (inner), matching the
-    row-major ``values`` layout.  Complex grids gain a fourth column
-    with the imaginary part.
-    """
-    header = ("x,p,W_real,W_imag" if np.iscomplexobj(grid.values)
-              else "x,p,W")
-    write_csv(path, header, mesh_lines(format_axis(grid.x_range),
-                                       format_axis(grid.p_range),
-                                       grid.values))
-
-
 def _finite(blocks, t: float):
     """The row blocks of a grid at time ``t``, each checked to be finite.
 
@@ -707,9 +691,12 @@ def _finite(blocks, t: float):
 
 
 def _write_rows(path, grid: PhaseSpaceGrid, blocks, t: float) -> None:
-    """`write_grid_csv` of a real grid whose values arrive as row blocks.
+    """Write (x, p, W) rows, position-major, with 17 significant digits.
 
-    Each block is checked to be finite (`_finite`) before it is written.
+    Rows iterate ``grid``'s x axis first (outer) and its p axis second
+    (inner), matching the row-major ``values`` layout.  The values
+    arrive as row blocks, each checked to be finite (`_finite`) before
+    it is written.
     """
     write_csv(path, "x,p,W", block_lines(format_axis(grid.x_range),
                                          format_axis(grid.p_range),
@@ -717,7 +704,7 @@ def _write_rows(path, grid: PhaseSpaceGrid, blocks, t: float) -> None:
 
 
 def write_tcs_csv(path, s: TCSState, grid: PhaseSpaceGrid, t: float) -> None:
-    """Write ``tcs_grid(s, grid, t)`` as `write_grid_csv` would, same bytes.
+    """Write ``tcs_grid(s, grid, t)`` as (x, p, W) rows (`_write_rows`).
 
     The values are computed, checked to be finite, formatted and
     written one row block at a time, so no array of the whole mesh is
@@ -729,15 +716,15 @@ def write_tcs_csv(path, s: TCSState, grid: PhaseSpaceGrid, t: float) -> None:
 def write_superposition_csv(path, coeffs: Sequence, p0: ErmakovParameters,
                             grid: PhaseSpaceGrid, t: float,
                             rotation_check: bool = False):
-    """Write ``superposition_grid(...)`` as `write_grid_csv` would, same bytes.
+    """Write ``superposition_grid(...)`` as (x, p, W) rows (`_write_rows`).
 
     The values are computed, checked, formatted and written one row
     block at a time, so no array of the whole mesh is ever held.  A
     block that is not finite raises ``FloatingPointError`` before it is
     written.  The imaginary-residual check spans the whole grid, so it
-    raises only after the last block is written; write into a staging
-    directory (`sqstates._csv.staged`) to keep a failed file out of
-    sight.
+    raises only after the last block is written; the command-line
+    front end writes into a staging directory, which keeps a failed
+    file out of sight.
 
     Returns
     -------

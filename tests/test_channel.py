@@ -1,6 +1,7 @@
 """Focusing-channel closed forms: PDE residual, norms, Gaussian readouts."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from sqstates.channel import (
     focus_metrics,
     psi_2d,
     width_squared,
-    write_snapshot_series,
+    write_snapshot_csv,
 )
 from sqstates.ermakov import ErmakovParameters
 from sqstates.states import DynamicState, psi_n
@@ -168,11 +169,10 @@ class TestSnapshots:
 
     def test_series_files_and_naming(self, tmp_path):
         c = ChannelParameters(0.4)
-        times = [0.0, math.pi / 4, math.pi / 2]
-        paths = write_snapshot_series(tmp_path, c, times, points=11)
-        assert [p.rsplit("/", 1)[-1] for p in paths] == [
-            "snapshot_t0.csv", "snapshot_t1.csv", "snapshot_t2.csv"]
-        rows = (tmp_path / "snapshot_t2.csv").read_text().strip().split("\n")
+        path = tmp_path / "snapshot_t2.csv"
+        write_snapshot_csv(path, c, math.pi / 2, points=11)
+        assert sorted(os.listdir(tmp_path)) == ["snapshot_t2.csv"]
+        rows = path.read_text().strip().split("\n")
         assert rows[0] == "depth,x,y,density"
         assert len(rows) == 1 + 11 * 11
         depth = float(rows[1].split(",")[0])

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+import sqstates._csv as _csv
 import sqstates.channel as channel
 import sqstates.cli as cli
 import sqstates.phasespace as phasespace
@@ -67,6 +68,27 @@ class TestConfigValidation:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "line 1" in err
+
+    @pytest.mark.parametrize("route", ["json-loads", "nonfinite-scan"])
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys,
+                                                  monkeypatch, route):
+        depth = 100_000
+        path = tmp_path / "config.json"
+        path.write_text('{"a": ' + "[" * depth + "]" * depth + "}")
+        if route == "nonfinite-scan":
+            # a parsed config as deep, so the scan for non-finite
+            # numbers is the first to exceed the recursion limit
+            deep = []
+            for _ in range(depth):
+                deep = [deep]
+            monkeypatch.setattr(cli.json, "loads", lambda text: {"a": deep})
+        out = tmp_path / "out"
+        assert main(["evolve", "--config", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_unknown_field_is_named(self, tmp_path, capsys):
         cfg = {"params": dict(GROUND, surprise=1.0),
@@ -190,7 +212,7 @@ class TestConfigValidation:
             raise AssertionError("compute reached past the size cap")
 
         for name in ("evolve", "default_grid", "focus_metrics",
-                     "write_snapshot_series"):
+                     "write_snapshot_csv"):
             monkeypatch.setattr(cli, name, reached)
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, cfg),
@@ -653,6 +675,27 @@ class TestDemkov:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_one_staging_directory_per_run(self, tmp_path, monkeypatch):
+        made = []
+        real = _csv.tempfile.mkdtemp
+
+        def mkdtemp(*args, **kwargs):
+            path = real(*args, **kwargs)
+            made.append(os.path.basename(path))
+            return path
+
+        monkeypatch.setattr(_csv.tempfile, "mkdtemp", mkdtemp)
+        cfg = {"channel": {"beta0": 0.5}, "times": [0.0, 0.6, 1.2],
+               "points": 11}
+        out = tmp_path / "out"
+        assert main(["demkov", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        assert len(made) == 1
+        assert made[0].startswith(".sqstates-staging-")
+        assert sorted(os.listdir(out)) == [
+            "metrics.csv", "snapshot_t0.csv", "snapshot_t1.csv",
+            "snapshot_t2.csv"]
+
     def test_nonsquare_grid_rejected(self, tmp_path, capsys):
         cfg = {"channel": {"beta0": 1.0}, "times": [0.0]}
         assert main(["demkov", "--config", write_config(tmp_path, cfg),
@@ -812,6 +855,19 @@ class TestVerify:
                      "--out", str(tmp_path), "--seed", "99"]) == 0
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["seed"] == 99
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys,
+                                          monkeypatch):
+        def reached(seed):
+            raise AssertionError("verification ran with seed %r" % seed)
+
+        monkeypatch.setattr(cli, "run_verification", reached)
+        out = tmp_path / "out"
+        assert main(["verify", "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --seed ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_injected_sign_error_fails_named_check(self, tmp_path,
                                                    monkeypatch, capsys):

@@ -14,7 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from sqstates._csv import mesh_lines
+from sqstates._csv import (
+    BLOCK_ROWS,
+    block_lines,
+    format_axis,
+    row_starts,
+    write_csv,
+)
 from sqstates.channel import ChannelParameters, density_grid, focus_metrics
 from sqstates.cli import _channel_norm, main
 from sqstates.ermakov import ErmakovParameters, classical_trajectory, evolve
@@ -23,7 +29,6 @@ from sqstates.phasespace import (
     PhaseSpaceGrid,
     default_grid,
     superposition_grid,
-    write_grid_csv,
 )
 from sqstates.states import covariance
 
@@ -41,17 +46,20 @@ def text(lines):
 
 
 def ref_grid(grid):
-    complex_vals = bool(np.iscomplexobj(grid.values))
-    lines = ["x,p,W_real,W_imag" if complex_vals else "x,p,W"]
+    lines = ["x,p,W"]
     for i, xv in enumerate(grid.x_range):
         for j, pv in enumerate(grid.p_range):
-            z = grid.values[i, j]
-            if complex_vals:
-                lines.append("%.17g,%.17g,%.17g,%.17g"
-                             % (xv, pv, z.real, z.imag))
-            else:
-                lines.append("%.17g,%.17g,%.17g" % (xv, pv, z))
+            lines.append("%.17g,%.17g,%.17g" % (xv, pv, grid.values[i, j]))
     return text(lines)
+
+
+def write_blocks(path, grid):
+    """Write a grid as the CLI's grid writers do: axes formatted once,
+    values in row blocks through `block_lines`."""
+    x = grid.x_range
+    write_csv(path, "x,p,W", block_lines(
+        format_axis(x), format_axis(grid.p_range),
+        (grid.values[i:i + BLOCK_ROWS] for i in row_starts(len(x)))))
 
 
 def ref_snapshot(t, x, y, vals):
@@ -97,16 +105,7 @@ class TestGrid:
         x = np.array([-0.0, 1.0, 2.0, 3.0])
         p = np.linspace(-1e-17, 1e-17, 3)
         grid = PhaseSpaceGrid(x, p, np.array(SPECIAL).reshape(4, 3))
-        write_grid_csv(tmp_path / "g.csv", grid)
-        assert (tmp_path / "g.csv").read_bytes() == ref_grid(grid)
-
-    def test_complex_layout(self, tmp_path):
-        x = np.linspace(-1.5, 1.5, 3)
-        p = np.linspace(0.0, 4.0, 4)
-        vals = (np.array(SPECIAL).reshape(3, 4)
-                + 1j * np.array(SPECIAL[::-1]).reshape(3, 4))
-        grid = PhaseSpaceGrid(x, p, vals)
-        write_grid_csv(tmp_path / "g.csv", grid)
+        write_blocks(tmp_path / "g.csv", grid)
         assert (tmp_path / "g.csv").read_bytes() == ref_grid(grid)
 
     def test_wigner_nonsquare_grid_flag(self, tmp_path):
@@ -142,7 +141,7 @@ class TestGrid:
 
     def test_mesh_shape_must_match_axes(self):
         with pytest.raises(ValueError):
-            mesh_lines(["0", "1"], ["0", "1", "2"], np.zeros((3, 2)))
+            list(block_lines(["0", "1"], ["0", "1", "2"], [np.zeros((3, 2))]))
 
 
 class TestTables:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sqstates.phasespace as phasespace
+from sqstates._csv import block_lines, format_axis, write_csv
 from sqstates.ermakov import ErmakovParameters, evolve
 from sqstates.phasespace import (
     PhaseSpaceGrid,
@@ -23,7 +24,6 @@ from sqstates.phasespace import (
     wigner_numeric,
     wigner_superposition,
     wigner_tcs,
-    write_grid_csv,
 )
 from sqstates.states import DynamicState, TCSState, psi_n, psi_superposition, psi_tcs
 
@@ -304,7 +304,8 @@ class TestSerialization:
         p = np.linspace(-1.0, 1.0, 2)
         vals = np.arange(6, dtype=float).reshape(3, 2)
         path = tmp_path / "grid.csv"
-        write_grid_csv(path, PhaseSpaceGrid(x, p, vals))
+        write_csv(path, "x,p,W",
+                  block_lines(format_axis(x), format_axis(p), [vals]))
         rows = path.read_text().strip().split("\n")
         assert rows[0] == "x,p,W"
         assert len(rows) == 7
