@@ -10,11 +10,13 @@ single ``%`` against a template built for that row.
 
 Meshes are evaluated, checked, formatted and written in blocks of
 `BLOCK_ROWS` rows, so memory scales with the inner axis, not with the
-mesh.  A check that spans the whole mesh therefore ends only after its
-last block has been written; what keeps a failed run from leaving files
-behind is `staged`: every file of a run is written into a staging
-directory and moved into the output directory only when the whole run
-has succeeded.
+mesh.  `mesh_blocks` is the one row-block evaluator and `block_lines`
+the one place a block is checked to be finite and formatted; no other
+module slices a mesh by `BLOCK_ROWS`.  A check that spans the whole
+mesh therefore ends only after its last block has been written; what
+keeps a failed run from leaving files behind is `staged`: every file of
+a run is written into a staging directory and moved into the output
+directory only when the whole run has succeeded.
 
 A run's files are independent, and formatting holds the interpreter
 lock, so `run_tasks` writes them side by side in forked worker
@@ -55,20 +57,29 @@ def format_axis(values) -> list:
     return [FLOAT % v for v in np.asarray(values, dtype=float).tolist()]
 
 
-def row_starts(count: int) -> range:
-    """The first row of each `BLOCK_ROWS` block of a ``count``-row mesh."""
-    return range(0, count, BLOCK_ROWS)
+def mesh_blocks(evaluate, x, y):
+    """``evaluate`` over the mesh ``x`` by ``y``, one row block at a time.
+
+    Yields ``evaluate(x[i:i + BLOCK_ROWS, None], y[None, :])`` for each
+    block in order: the rows come in as a column and ``y`` as a row, so
+    every elementwise operation sees the same operands, and gives the
+    same bits, as on the whole mesh.
+    """
+    for i in range(0, len(x), BLOCK_ROWS):
+        yield evaluate(x[i:i + BLOCK_ROWS, None], y[None, :])
 
 
-def block_lines(lead, inner, blocks):
+def block_lines(lead, inner, blocks, what: str):
     """The lines of a sampled mesh that arrives as row blocks.
 
     ``blocks`` yields 2-d real arrays whose rows, in order, are the mesh
     rows of ``lead``.  Mesh row ``i``, with values ``v``, becomes one
     line ``lead[i],inner[j],v[j]`` per inner index ``j``.  ``lead`` and
     ``inner`` are preformatted text, e.g. from `format_axis`.  Yields
-    the text of one mesh row at a time; a block of the wrong width or
-    row count raises ``ValueError`` when it arrives.
+    the text of one mesh row at a time.  Each block is checked when it
+    arrives, before any of it is formatted: one of the wrong width or
+    row count raises ``ValueError``, and one that is not finite raises
+    ``FloatingPointError("non-finite <what> in mesh rows a to b")``.
     """
     parts = ["," + text + "," + FLOAT + "\n" for text in inner]
     done = 0
@@ -80,6 +91,9 @@ def block_lines(lead, inner, blocks):
                              "axes at row %d"
                              % (block.shape, len(lead), len(inner), done))
         rows = len(block)
+        if not np.isfinite(block).all():
+            raise FloatingPointError("non-finite %s in mesh rows %d to %d"
+                                     % (what, done, done + rows - 1))
         for head, row in zip(lead[done:done + rows], block.tolist()):
             yield (head + head.join(parts)) % tuple(row)
         done += rows

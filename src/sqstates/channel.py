@@ -32,14 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._csv import (
-    BLOCK_ROWS,
-    FLOAT,
-    block_lines,
-    format_axis,
-    row_starts,
-    write_csv,
-)
+from ._csv import FLOAT, block_lines, format_axis, mesh_blocks, write_csv
 from .ermakov import ErmakovParameters, _continuous_arg
 
 __all__ = [
@@ -184,23 +177,17 @@ def focus_metrics(c: ChannelParameters, t: float) -> FocusMetrics:
 # ----------------------------------------------------------------------
 
 def _snapshot_axes(c: ChannelParameters, points: int, half_width):
+    """The x and y axes of a snapshot grid, checked to be finite."""
     if points < 2:
         raise ValueError("points must be >= 2")
     if half_width is None:
         widest = max(c.beta0, 1.0 / c.beta0)
         half_width = 6.0 * widest + abs(c.delta0)
     x = np.linspace(-half_width, half_width, points)
+    if not np.isfinite(x).all():
+        raise FloatingPointError("non-finite snapshot axis for half-width %r"
+                                 % (half_width,))
     return x, x.copy()
-
-
-def _row_block(c: ChannelParameters, x, y, t: float, i0: int):
-    """The density on the grid rows x[i0:i0 + BLOCK_ROWS] x all of ``y``.
-
-    The one evaluator behind every snapshot grid: the rows come in as a
-    column and ``y`` as a row, so each elementwise operation sees the
-    same operands, and gives the same bits, as on the full grid.
-    """
-    return density(c, x[i0:i0 + BLOCK_ROWS, None], y[None, :], t)
 
 
 def density_grid(c: ChannelParameters, t: float, points: int = 301,
@@ -215,8 +202,9 @@ def density_grid(c: ChannelParameters, t: float, points: int = 301,
     while the waist has an rms width of 0.071, so the focused frame
     holds its packet in about one cell.  The sampled values stay exact
     pointwise; pass a smaller ``half_width`` to resolve the waist.
-    The grid is filled one row block at a time, by the evaluator that
-    `write_snapshot_csv` streams to disk.
+    The grid is assembled from the row blocks of `_csv.mesh_blocks`,
+    the evaluator that `write_snapshot_csv` streams; axes that are not
+    finite raise ``FloatingPointError``.
 
     Returns
     -------
@@ -225,21 +213,8 @@ def density_grid(c: ChannelParameters, t: float, points: int = 301,
         ``(x[i], y[j])``.
     """
     x, y = _snapshot_axes(c, points, half_width)
-    vals = np.empty((len(x), len(y)))
-    for i0 in row_starts(len(x)):
-        vals[i0:i0 + BLOCK_ROWS] = _row_block(c, x, y, t, i0)
-    return x, y, vals
-
-
-def _finite_rows(c: ChannelParameters, x, y, t: float):
-    """The row blocks of one snapshot, each checked to be finite."""
-    for i0 in row_starts(len(x)):
-        vals = _row_block(c, x, y, t, i0)
-        if not (np.isfinite(x[i0:i0 + BLOCK_ROWS]).all()
-                and np.isfinite(vals).all()):
-            raise ArithmeticError("non-finite density snapshot at depth %r"
-                                  % (t,))
-        yield vals
+    blocks = mesh_blocks(lambda xs, ys: density(c, xs, ys, t), x, y)
+    return x, y, np.concatenate(list(blocks))
 
 
 def write_snapshot_csv(path, c: ChannelParameters, t: float,
@@ -248,14 +223,15 @@ def write_snapshot_csv(path, c: ChannelParameters, t: float,
 
     Each row is (depth, x, y, density), x-major, with 17 significant
     digits.  The grid is sampled, checked to be finite, formatted and
-    written one row block at a time, so no whole grid and no whole text
-    is held.  A grid that is not finite raises ``ArithmeticError`` when
-    its first bad block arrives, after the blocks before it are
-    written; the command-line front end writes into a staging
+    written one row block at a time (`_csv.block_lines`), so no whole
+    grid and no whole text is held.  A block that is not finite raises
+    ``FloatingPointError`` when it arrives, after the blocks before it
+    are written; the command-line front end writes into a staging
     directory, which keeps a failed file out of sight.
     """
     x, y = _snapshot_axes(c, points, half_width)
     depth = FLOAT % t + ","
-    write_csv(path, "depth,x,y,density",
-              block_lines([depth + text for text in format_axis(x)],
-                          format_axis(y), _finite_rows(c, x, y, t)))
+    write_csv(path, "depth,x,y,density", block_lines(
+        [depth + text for text in format_axis(x)], format_axis(y),
+        mesh_blocks(lambda xs, ys: density(c, xs, ys, t), x, y),
+        "density at depth %r" % (t,)))

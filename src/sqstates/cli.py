@@ -68,7 +68,7 @@ from . import _schema
 from ._csv import (
     BLOCK_ROWS,
     fields,
-    row_starts,
+    mesh_blocks,
     run_tasks,
     staged,
     write_csv,
@@ -103,6 +103,7 @@ from .fockexp import (
 from .operators import b_operators, energy_levels, heisenberg_residual, interior
 from .phasespace import (
     PhaseSpacePoint,
+    _check_coeffs,
     default_grid,
     grid_normalization,
     moyal,
@@ -135,12 +136,6 @@ EXIT_IO = 3
 
 #: Seed used by ``verify`` when neither the config nor --seed gives one.
 DEFAULT_SEED = 20240817
-
-#: Multipliers folded into selected verification checks.  They exist so a
-#: harness can prove the suite actually detects broken invariants: flip
-#: ``invariant_sign`` to -1 and the flow-invariant check must fail.
-_HOOKS = {"invariant_sign": 1.0}
-
 
 class ConfigError(ValueError):
     """A config file failed validation; the message names the field."""
@@ -598,19 +593,27 @@ def cmd_wigner(config: dict, args) -> int:
     elif kind == "superposition":
         coeffs = [(complex(term["amplitude"][0], term["amplitude"][1]),
                    int(term["level"])) for term in state["terms"]]
+        try:
+            _check_coeffs(coeffs)
+        except ValueError as exc:
+            raise ConfigError("config.state.terms: %s" % exc) from exc
     names = ["wigner_t%d.csv" % i for i in range(len(times))]
     levels = (0,) if kind == "tcs" else tuple(n for _, n in coeffs)
+
+    def grid(t, center=None):
+        # a spread too small for the mesh to resolve collapses its axes
+        try:
+            return default_grid(p0, t, levels, shape, spread, center)
+        except ValueError as exc:
+            raise ConfigError("config.spread: %s" % exc) from exc
 
     def frame(path, t):
         # one worker task per time: size the grid, then compute, check
         # and write it; returns the rotation error (None without check)
         def task():
             if kind == "tcs":
-                g = default_grid(p0, t, levels, shape, spread,
-                                 center=tcs_center(s, t))
-                return write_tcs_csv(path, s, g, t)
-            g = default_grid(p0, t, levels, shape, spread)
-            return write_superposition_csv(path, coeffs, p0, g, t,
+                return write_tcs_csv(path, s, grid(t, tcs_center(s, t)), t)
+            return write_superposition_csv(path, coeffs, p0, grid(t), t,
                                            want_rotation)
         return task
 
@@ -754,9 +757,9 @@ def _channel_norm(c: ChannelParameters, t: float) -> float:
     The metrics column must stay meaningful for strongly focusing
     channels, where a fixed plotting grid can badly under-resolve the
     waist, so the norm is integrated on its own adaptive mesh.  The
-    inner integrals are taken one row block at a time; each row's sum
-    is the same as on the whole mesh, and the outer integral sums them
-    in the same order.
+    inner integrals are taken over the row blocks of
+    `sqstates._csv.mesh_blocks`; each row's sum is the same as on the
+    whole mesh, and the outer integral sums them in the same order.
     """
     w = width_squared(c, t)
     half = 7.0 * math.sqrt(w) + 1.0
@@ -764,9 +767,8 @@ def _channel_norm(c: ChannelParameters, t: float) -> float:
     xs = np.linspace(cx - half, cx + half, 401)
     ys = np.linspace(-half, half, 401)
     inner = np.concatenate([
-        np.trapezoid(density(c, xs[i:i + BLOCK_ROWS, None], ys[None, :], t),
-                     ys, axis=1)
-        for i in row_starts(len(xs))])
+        np.trapezoid(block, ys, axis=1) for block in
+        mesh_blocks(lambda x, y: density(c, x, y, t), xs, ys)])
     return float(np.trapezoid(inner, xs))
 
 
@@ -874,7 +876,6 @@ def _check_variance_extrema(rng) -> float:
 
 def _check_flow_invariants(rng) -> float:
     worst = 0.0
-    sign = _HOOKS["invariant_sign"]
     for _ in range(20):
         p0 = _draw(rng)
         ref = invariants(p0)
@@ -882,7 +883,7 @@ def _check_flow_invariants(rng) -> float:
             cur = invariants(evolve(p0, float(t)))
             worst = max(
                 worst,
-                abs(sign * cur.sum_variances - ref.sum_variances),
+                abs(cur.sum_variances - ref.sum_variances),
                 abs(cur.phase_invariant - ref.phase_invariant),
                 abs(cur.displacement_invariant_1
                     - ref.displacement_invariant_1),

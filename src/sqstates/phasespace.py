@@ -23,7 +23,11 @@ evaluates those portraits three ways and checks them against each other:
 Conventions.  Phase-space grids store ``values[i, j] = W(x_range[i],
 p_range[j])`` -- row index is position, column index is momentum -- and
 `write_tcs_csv` and `write_superposition_csv` write rows in that
-(row-major) order.  The rotated coordinates used throughout are
+(row-major) order.  Every grid is evaluated in the row blocks of
+`_csv.mesh_blocks`; the writers hand those blocks to `_csv.block_lines`,
+which checks each to be finite before it is formatted, and the held
+grids are the same blocks stacked.  The rotated coordinates used
+throughout are
 
     Q = beta x + epsilon,      P = (p - 2 alpha x - delta) / beta,
 
@@ -48,13 +52,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._csv import (
-    BLOCK_ROWS,
-    block_lines,
-    format_axis,
-    row_starts,
-    write_csv,
-)
+from ._csv import block_lines, format_axis, mesh_blocks, write_csv
 from .ermakov import ErmakovParameters, classical_trajectory, evolve
 from .specfun import MAX_DEGREE, laguerre_assoc
 from .states import TCSState, covariance
@@ -393,7 +391,10 @@ def _check_coeffs(coeffs) -> list[tuple[complex, int]]:
                              % (n, MAX_DEGREE))
         c = complex(c)
         pairs.append((c, n))
-        total += abs(c) ** 2
+        try:
+            total += abs(c) ** 2
+        except OverflowError:   # |c| or |c|^2 beyond the float range
+            total = math.inf
     if not pairs:
         raise ValueError("superposition needs at least one term")
     if len({n for _, n in pairs}) != len(pairs):
@@ -481,9 +482,9 @@ def rotate_evolution_check(coeffs: Sequence, p0: ErmakovParameters,
     pairs = _check_coeffs(coeffs)
     now = evolve(p0, t)
     gap = _rotation_gap(pairs, p0, t)
-    return float(_running_max(_row_blocks(
+    return float(_running_max(mesh_blocks(
         lambda x, mom: gap(_superposition_values(pairs, now, x, mom), x, mom),
-        grid)))
+        grid.x_range, grid.p_range)))
 
 
 def _rotation_gap(pairs, p0: ErmakovParameters, t: float):
@@ -543,23 +544,6 @@ def default_grid(p0: ErmakovParameters, t: float = 0.0,
         np.broadcast_to(0.0, (nx, np_)))
 
 
-def _row_block(evaluate, x, mom, i0: int):
-    """``evaluate`` on the mesh rows x[i0:i0 + BLOCK_ROWS] x all of ``mom``.
-
-    The one evaluator behind every grid of this module.  Positions come
-    in as a column and momenta as a row, so every elementwise operation
-    sees the same operands, and gives the same bits, as on a full mesh.
-    """
-    return evaluate(x[i0:i0 + BLOCK_ROWS, None], mom[None, :])
-
-
-def _row_blocks(evaluate, grid: PhaseSpaceGrid):
-    """`_row_block` over the grid's mesh, block after block."""
-    x, mom = grid.x_range, grid.p_range
-    for i0 in row_starts(len(x)):
-        yield _row_block(evaluate, x, mom, i0)
-
-
 def _running_max(blocks):
     """The largest entry over all blocks; a NaN anywhere gives NaN.
 
@@ -574,18 +558,16 @@ def _running_max(blocks):
 
 def _collect(grid: PhaseSpaceGrid, blocks) -> PhaseSpaceGrid:
     """A grid over ``grid``'s mesh holding the real row blocks in order."""
-    x, mom = grid.x_range, grid.p_range
-    values = np.empty((len(x), len(mom)))
     # every block is drawn, so a check that ends the blocks still runs
-    for k, block in enumerate(blocks):
-        values[k * BLOCK_ROWS:(k + 1) * BLOCK_ROWS] = block
-    return PhaseSpaceGrid(x, mom, values)
+    return PhaseSpaceGrid(grid.x_range, grid.p_range,
+                          np.concatenate(list(blocks)))
 
 
 def _tcs_rows(s: TCSState, grid: PhaseSpaceGrid, t: float):
     """Row blocks of the packet Wigner function over the grid's mesh."""
     p = evolve(s.params0, t)
-    return _row_blocks(lambda x, mom: _tcs_values(s, p, x, mom), grid)
+    return mesh_blocks(lambda x, mom: _tcs_values(s, p, x, mom),
+                       grid.x_range, grid.p_range)
 
 
 def _superposition_rows(coeffs, p0: ErmakovParameters,
@@ -606,7 +588,7 @@ def _superposition_rows(coeffs, p0: ErmakovParameters,
             gaps.append(gap(vals, x, mom))
         return vals
 
-    return _real_parts(_row_blocks(evaluate, grid))
+    return _real_parts(mesh_blocks(evaluate, grid.x_range, grid.p_range))
 
 
 def _real_parts(blocks):
@@ -674,57 +656,32 @@ def purity(grid: PhaseSpaceGrid) -> float:
     return float(np.trapezoid(inner, dx=grid.dx))
 
 
-def _finite(blocks, t: float):
-    """The row blocks of a grid at time ``t``, each checked to be finite.
-
-    A non-finite block raises ``FloatingPointError`` before it is
-    written: at high basis levels an underflowed Gaussian factor meets
-    an overflowed Laguerre value in `_moyal_values`, and the grid would
-    otherwise carry NaN.
-    """
-    for k, vals in enumerate(blocks):
-        if not np.isfinite(vals).all():
-            raise FloatingPointError(
-                "non-finite Wigner value at t = %r in mesh rows %d to %d"
-                % (t, k * BLOCK_ROWS, k * BLOCK_ROWS + len(vals) - 1))
-        yield vals
-
-
-def _write_rows(path, grid: PhaseSpaceGrid, blocks, t: float) -> None:
-    """Write (x, p, W) rows, position-major, with 17 significant digits.
-
-    Rows iterate ``grid``'s x axis first (outer) and its p axis second
-    (inner), matching the row-major ``values`` layout.  The values
-    arrive as row blocks, each checked to be finite (`_finite`) before
-    it is written.
-    """
-    write_csv(path, "x,p,W", block_lines(format_axis(grid.x_range),
-                                         format_axis(grid.p_range),
-                                         _finite(blocks, t)))
-
-
 def write_tcs_csv(path, s: TCSState, grid: PhaseSpaceGrid, t: float) -> None:
-    """Write ``tcs_grid(s, grid, t)`` as (x, p, W) rows (`_write_rows`).
+    """Write ``tcs_grid(s, grid, t)`` as (x, p, W) rows, position-major.
 
     The values are computed, checked to be finite, formatted and
-    written one row block at a time, so no array of the whole mesh is
-    ever held.
+    written one row block at a time (`_csv.block_lines`), so no array
+    of the whole mesh is ever held.
     """
-    _write_rows(path, grid, _tcs_rows(s, grid, t), t)
+    write_csv(path, "x,p,W", block_lines(
+        format_axis(grid.x_range), format_axis(grid.p_range),
+        _tcs_rows(s, grid, t), "Wigner value at t = %r" % (t,)))
 
 
 def write_superposition_csv(path, coeffs: Sequence, p0: ErmakovParameters,
                             grid: PhaseSpaceGrid, t: float,
                             rotation_check: bool = False):
-    """Write ``superposition_grid(...)`` as (x, p, W) rows (`_write_rows`).
+    """Write ``superposition_grid(...)`` as (x, p, W) rows, position-major.
 
     The values are computed, checked, formatted and written one row
-    block at a time, so no array of the whole mesh is ever held.  A
-    block that is not finite raises ``FloatingPointError`` before it is
-    written.  The imaginary-residual check spans the whole grid, so it
-    raises only after the last block is written; the command-line
-    front end writes into a staging directory, which keeps a failed
-    file out of sight.
+    block at a time (`_csv.block_lines`), so no array of the whole mesh
+    is ever held.  A block that is not finite raises
+    ``FloatingPointError`` before it is written: at high basis levels
+    an underflowed Gaussian factor meets an overflowed Laguerre value
+    in `_moyal_values`.  The imaginary-residual check spans the whole
+    grid, so it raises only after the last block is written; the
+    command-line front end writes into a staging directory, which keeps
+    a failed file out of sight.
 
     Returns
     -------
@@ -733,6 +690,8 @@ def write_superposition_csv(path, coeffs: Sequence, p0: ErmakovParameters,
         on the same mesh, taken from the same evolved values; else None.
     """
     gaps = [] if rotation_check else None
-    rows = _superposition_rows(coeffs, p0, grid, t, gaps)
-    _write_rows(path, grid, rows, t)
+    write_csv(path, "x,p,W", block_lines(
+        format_axis(grid.x_range), format_axis(grid.p_range),
+        _superposition_rows(coeffs, p0, grid, t, gaps),
+        "Wigner value at t = %r" % (t,)))
     return float(_running_max(gaps)) if rotation_check else None

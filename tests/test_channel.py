@@ -177,3 +177,17 @@ class TestSnapshots:
         assert len(rows) == 1 + 11 * 11
         depth = float(rows[1].split(",")[0])
         assert depth == pytest.approx(math.pi / 2)
+
+    def test_overflowing_half_width_raises(self):
+        # linspace over [-1.7e308, 1.7e308] overflows its step: the axes
+        # would hold inf and NaN
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match="snapshot axis"):
+            density_grid(ChannelParameters(1.0), 0.5, 5, half_width=1.7e308)
+
+    def test_grid_is_the_whole_mesh_density(self):
+        # 70 rows are three row blocks, the last one short
+        c = ChannelParameters(0.6, -0.4)
+        x, y, vals = density_grid(c, 0.9, points=70)
+        whole = density(c, x[:, None], y[None, :], 0.9)
+        assert vals.tobytes() == whole.tobytes()

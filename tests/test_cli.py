@@ -6,6 +6,7 @@ documented contract (0 ok, 1 verification failure, 2 config error,
 3 I/O error).
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -543,6 +544,45 @@ class TestWigner:
                      "--out", str(tmp_path)]) == 2
         assert "normalized" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("terms, message", [
+        ([(0, [0.6, 0.0]), (0, [0.8, 0.0])],
+         "duplicate basis labels in superposition"),
+        ([(0, [0.6, 0.0]), (1, [0.7, 0.0])],
+         "coefficients are not normalized: sum |c|^2 = 0.84999999999999987"),
+        ([(2, [0.0, 0.0])],
+         "coefficients are not normalized: sum |c|^2 = 0"),
+        # |c|^2 overflows: this was a bare OverflowError
+        ([(0, [0.0, 1.3407807929942597e+154])],
+         "coefficients are not normalized: sum |c|^2 = inf"),
+    ], ids=["duplicate-level", "unnormalized", "all-zero", "overflowing"])
+    def test_bad_terms_name_their_field(self, tmp_path, capsys, monkeypatch,
+                                        terms, message):
+        def forked(tasks):
+            raise AssertionError("workers started for %s" % list(tasks))
+
+        monkeypatch.setattr(cli, "run_tasks", forked)
+        cfg = {"params": GROUND, "times": [0.0, 0.5], "points": 5,
+               "state": {"kind": "superposition", "terms": [
+                   {"level": n, "amplitude": a} for n, a in terms]}}
+        out = tmp_path / "out"
+        assert main(["wigner", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: config.state.terms: %s\n" % message
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_degenerate_spread_names_its_field(self, tmp_path, capsys):
+        # the half-widths underflow to 0, so both axes collapse
+        cfg = {"params": GROUND, "state": {"kind": "tcs", "zeta": [0.3, 0.1]},
+               "times": [0.0], "points": 5, "spread": 1e-320}
+        out = tmp_path / "out"
+        assert main(["wigner", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("config error: config.spread: x_range must be "
+                       "strictly increasing\n")
+        assert os.listdir(tmp_path) == ["config.json"]
+
 
 class TestStatistics:
     def test_poisson_summary_mean(self, tmp_path):
@@ -871,7 +911,21 @@ class TestVerify:
 
     def test_injected_sign_error_fails_named_check(self, tmp_path,
                                                    monkeypatch, capsys):
-        monkeypatch.setitem(cli._HOOKS, "invariant_sign", -1.0)
+        # a sign error in the evolved beta, put in for this check alone
+        real_evolve = cli.evolve
+
+        def flipped(p0, t):
+            p = real_evolve(p0, t)
+            return dataclasses.replace(p, beta=-p.beta)
+
+        def check(rng):
+            with monkeypatch.context() as m:
+                m.setattr(cli, "evolve", flipped)
+                return cli._check_flow_invariants(rng)
+
+        monkeypatch.setattr(cli, "_CHECKS", tuple(
+            (name, tol, check if name == "flow-invariants" else fn, text)
+            for name, tol, fn, text in cli._CHECKS))
         assert main(["verify", "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "verify_report.json").read_text())
         failed = [e["name"] for e in report["checks"] if not e["passed"]]

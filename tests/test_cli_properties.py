@@ -1,0 +1,160 @@
+"""Property tests of `wigner` and `demkov` over their schema boxes.
+
+Configs are drawn near the box each schema admits and filtered by the
+package's own validator (`sqstates._schema.best_match`), so every run
+below is of a config the schema accepts.  Each run of `cli.main`, in
+process, must either exit 0 with every CSV cell finite, or exit 2 or 3
+with one stderr line that names a config field (or reports an I/O
+error) and with nothing written.  Grids are at most 9 x 9 and runs at
+most two times long, so each example takes milliseconds.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from sqstates import _schema
+from sqstates.cli import (
+    _DEMKOV_SCHEMA,
+    _STATE_SCHEMAS,
+    _WIGNER_SCHEMA,
+    main,
+)
+from sqstates.ermakov import MAX_TIME
+from sqstates.specfun import MAX_DEGREE
+
+#: Any double the config reader accepts.
+NUMBER = st.floats(allow_nan=False, allow_infinity=False)
+#: Doubles from 0 up; the schemas' exclusive minimum turns 0 away.
+POSITIVE = st.floats(min_value=0.0, allow_infinity=False)
+POINTS = st.integers(min_value=2, max_value=9)
+
+
+class Scale:
+    """Where one config draws all its free numbers from."""
+
+    def __init__(self, number, positive, level, time):
+        self.number, self.positive = number, positive
+        self.level, self.time = level, time
+
+    def pair(self):
+        return st.lists(self.number, min_size=2, max_size=2)
+
+
+#: Moderate values, which mostly run to the end, or the whole box.
+SCALES = st.sampled_from([
+    Scale(st.floats(-4.0, 4.0), st.floats(0.0, 4.0),
+          st.integers(0, 8), st.floats(-10.0, 10.0)),
+    Scale(NUMBER, POSITIVE, st.integers(0, MAX_DEGREE),
+          st.floats(-MAX_TIME, MAX_TIME)),
+])
+
+PROPERTY = settings(max_examples=60, derandomize=True, database=None,
+                    deadline=None)
+
+
+def optional(draw, config, key, strategy):
+    if draw(st.booleans()):
+        config[key] = draw(strategy)
+
+
+@st.composite
+def superposition(draw, scale):
+    """1 to 3 terms; half the draws are scaled to unit norm."""
+    levels = draw(st.lists(scale.level, min_size=1, max_size=3))
+    amps = [draw(scale.pair()) for _ in levels]
+    norm = math.sqrt(sum(a * a + b * b for a, b in amps))
+    if draw(st.booleans()) and 0.0 < norm < math.inf:
+        amps = [[a / norm, b / norm] for a, b in amps]
+    return {"kind": "superposition",
+            "terms": [{"level": n, "amplitude": a}
+                      for n, a in zip(levels, amps)]}
+
+
+@st.composite
+def wigner_configs(draw):
+    scale = draw(SCALES)
+    params = {name: draw(scale.number)
+              for name in ("alpha", "gamma", "delta", "epsilon", "kappa")}
+    params["beta"] = draw(scale.positive)
+    state = draw(st.one_of(
+        st.fixed_dictionaries({"kind": st.just("fock"),
+                               "level": scale.level}),
+        st.fixed_dictionaries({"kind": st.just("tcs"),
+                               "zeta": scale.pair()}),
+        superposition(scale)))
+    config = {"params": params, "state": state,
+              "times": draw(st.lists(scale.time, min_size=1, max_size=2)),
+              "points": draw(POINTS)}
+    optional(draw, config, "spread", scale.positive)
+    if state["kind"] != "tcs":
+        optional(draw, config, "rotation_check", st.booleans())
+    assume(_schema.best_match(config, _WIGNER_SCHEMA) is None)
+    assume(_schema.best_match(state, _STATE_SCHEMAS[state["kind"]]) is None)
+    return config
+
+
+@st.composite
+def demkov_configs(draw):
+    scale = draw(SCALES)
+    channel = {"beta0": draw(scale.positive)}
+    optional(draw, channel, "delta0", scale.number)
+    config = {"channel": channel,
+              "times": draw(st.lists(scale.number, min_size=1, max_size=2)),
+              "points": draw(POINTS)}
+    optional(draw, config, "half_width", scale.positive)
+    assume(_schema.best_match(config, _DEMKOV_SCHEMA) is None)
+    return config
+
+
+def run(command, config):
+    """Exit code, stderr, the files written and what is left beside them."""
+    with tempfile.TemporaryDirectory() as top:
+        path = os.path.join(top, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        out = os.path.join(top, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out", out])
+        files = {}
+        if os.path.isdir(out):
+            for name in sorted(os.listdir(out)):
+                with open(os.path.join(out, name)) as fh:
+                    files[name] = fh.read()
+        return code, err.getvalue(), files, sorted(os.listdir(top))
+
+
+def check_outcome(command, config):
+    code, err, files, left = run(command, config)
+    if code == 0:
+        assert files
+        for name, text in files.items():
+            if name.endswith(".csv"):
+                cells = np.loadtxt(io.StringIO(text), delimiter=",",
+                                   skiprows=1, ndmin=2)
+                assert np.isfinite(cells).all(), name
+    else:
+        assert code in (2, 3), (code, err)
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert err.startswith(("config error: config.", "i/o error:")), err
+        assert left == ["config.json"], left
+
+
+@PROPERTY
+@given(config=wigner_configs())
+def test_wigner_exits_cleanly_over_the_schema_box(config):
+    check_outcome("wigner", config)
+
+
+@PROPERTY
+@given(config=demkov_configs())
+def test_demkov_exits_cleanly_over_the_schema_box(config):
+    check_outcome("demkov", config)

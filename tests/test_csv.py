@@ -18,7 +18,7 @@ from sqstates._csv import (
     BLOCK_ROWS,
     block_lines,
     format_axis,
-    row_starts,
+    mesh_blocks,
     write_csv,
 )
 from sqstates.channel import ChannelParameters, density_grid, focus_metrics
@@ -55,11 +55,12 @@ def ref_grid(grid):
 
 def write_blocks(path, grid):
     """Write a grid as the CLI's grid writers do: axes formatted once,
-    values in row blocks through `block_lines`."""
-    x = grid.x_range
+    values in the row blocks of `mesh_blocks` through `block_lines`."""
+    rows, cols = grid.values.shape
     write_csv(path, "x,p,W", block_lines(
-        format_axis(x), format_axis(grid.p_range),
-        (grid.values[i:i + BLOCK_ROWS] for i in row_starts(len(x)))))
+        format_axis(grid.x_range), format_axis(grid.p_range),
+        mesh_blocks(lambda i, j: grid.values[i, j],
+                    np.arange(rows), np.arange(cols)), "test value"))
 
 
 def ref_snapshot(t, x, y, vals):
@@ -141,7 +142,34 @@ class TestGrid:
 
     def test_mesh_shape_must_match_axes(self):
         with pytest.raises(ValueError):
-            list(block_lines(["0", "1"], ["0", "1", "2"], [np.zeros((3, 2))]))
+            list(block_lines(["0", "1"], ["0", "1", "2"], [np.zeros((3, 2))],
+                             "test value"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_block_names_its_rows(self, bad):
+        # 70 rows: blocks of 32, 32 and 6; the bad cell is in the second
+        values = np.zeros((70, 3))
+        values[40, 1] = bad
+        blocks = mesh_blocks(lambda i, j: values[i, j], np.arange(70),
+                             np.arange(3))
+        lines = block_lines(format_axis(np.arange(70)), ["0", "1", "2"],
+                            blocks, "test value at t = 0.5")
+        done = []
+        with pytest.raises(FloatingPointError,
+                           match="^non-finite test value at t = 0.5 in "
+                                 "mesh rows 32 to 63$"):
+            for line in lines:
+                done.append(line)
+        # the first block's rows came out before the bad block arrived
+        assert len(done) == BLOCK_ROWS
+
+    def test_mesh_blocks_are_row_blocks_of_the_mesh(self):
+        x = np.linspace(-1.0, 2.0, 70)
+        y = np.linspace(0.5, 3.0, 5)
+        blocks = list(mesh_blocks(lambda a, b: a * b + b, x, y))
+        assert [len(b) for b in blocks] == [32, 32, 6]
+        whole = x[:, None] * y[None, :] + y[None, :]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
 class TestTables:

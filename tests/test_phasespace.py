@@ -305,7 +305,8 @@ class TestSerialization:
         vals = np.arange(6, dtype=float).reshape(3, 2)
         path = tmp_path / "grid.csv"
         write_csv(path, "x,p,W",
-                  block_lines(format_axis(x), format_axis(p), [vals]))
+                  block_lines(format_axis(x), format_axis(p), [vals],
+                              "Wigner value"))
         rows = path.read_text().strip().split("\n")
         assert rows[0] == "x,p,W"
         assert len(rows) == 7
