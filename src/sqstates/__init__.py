@@ -3,7 +3,28 @@
 Exact parameter evolution, wavefunctions, phase-space (Wigner) pictures,
 number-basis expansions, photon statistics, ladder-operator matrices, and
 a two-dimensional focusing channel built from the same closed forms.
+
+Importing the package loads numpy with a one-thread OpenBLAS pool unless
+numpy is already loaded or one of OpenBLAS's own thread-count variables
+(``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``, ``OMP_NUM_THREADS``) is
+set: the largest matrix product here is 512 x 512, and an idle OpenBLAS
+worker busy-waits on a CPU after each call.  Set ``OPENBLAS_NUM_THREADS``
+before the import to choose another pool size.
 """
+
+import os as _os
+import sys as _sys
+
+# OpenBLAS reads its thread count once, when numpy loads it, so the pin
+# is removed again at once and reaches neither os.environ nor children.
+if "numpy" not in _sys.modules and not any(
+        name in _os.environ for name in
+        ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .channel import (
     ChannelParameters,

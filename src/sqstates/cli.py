@@ -601,11 +601,29 @@ def cmd_wigner(config: dict, args) -> int:
     levels = (0,) if kind == "tcs" else tuple(n for _, n in coeffs)
 
     def grid(t, center=None):
-        # a spread too small for the mesh to resolve collapses its axes
         try:
             return default_grid(p0, t, levels, shape, spread, center)
         except ValueError as exc:
-            raise ConfigError("config.spread: %s" % exc) from exc
+            raise ConfigError("%s: %s" % (collapsed_by(t, center), exc)) \
+                from exc
+
+    def collapsed_by(t, center):
+        # an axis collapses where its spacing is lost against its centre:
+        # a spread too small for the mesh shows even at the origin; else
+        # the centre is too far out, put there by a packet's displacement
+        # zeta or by the classical orbit of the params
+        def builds(at):
+            try:
+                default_grid(p0, t, levels, shape, spread, at)
+            except ValueError:
+                return False
+            return True
+
+        if not builds((0.0, 0.0)):
+            return "config.spread"
+        if center is not None and builds(None):
+            return "config.state.zeta"
+        return "config.params"
 
     def frame(path, t):
         # one worker task per time: size the grid, then compute, check
@@ -726,6 +744,10 @@ def cmd_expand(config: dict, args) -> int:
         raise ConfigError("config.columns: labels must be distinct")
     truncation = _truncation(args, int(config.get("truncation", 128)),
                              2, MAX_DEGREE)
+    for n in columns:
+        if n >= truncation:
+            raise ConfigError("config.columns: column %d is not below the "
+                              "truncation %d" % (n, truncation))
     p0 = _params_of(config["params"])
     with _blame("config.params"):
         table = expansion_table(p0, tuple(columns), size=truncation)

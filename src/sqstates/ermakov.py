@@ -248,7 +248,11 @@ def evolve(p0: ErmakovParameters, t) -> ErmakovParameters:
     t, m = _times(t)
     if m is _EACH:
         return _evolve_each(p0, t)
-    den, values = _closed_form(p0, t, m)
+    try:
+        den, values = _closed_form(p0, t, m)
+    except OverflowError as exc:  # the float ``**`` square in the denominator
+        raise ArithmeticError(f"the flow overflows at t={t!r}: its "
+                              f"denominator leaves the float range") from exc
     if not den > 0.0:  # mathematically impossible; guards NaN propagation
         raise ArithmeticError(f"degenerate denominator {den!r} at t={t!r}")
     try:

@@ -1,0 +1,79 @@
+"""Importing ``sqstates`` loads numpy with a one-thread OpenBLAS pool.
+
+Each case runs in a fresh interpreter, because OpenBLAS sizes its pool
+once, when numpy loads it.  The in-process tests of this suite import
+numpy in ``conftest.py`` before ``sqstates``, so the pin does not reach
+them: there numpy keeps whatever pool the environment gave it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from conftest import subprocess_env
+
+#: The variables OpenBLAS reads its thread count from.
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def _blas_name() -> str:
+    config = getattr(np.__config__, "CONFIG", {})
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
+
+
+pytestmark = [
+    pytest.mark.skipif(not sys.platform.startswith("linux"),
+                       reason="counts threads in /proc/self/task"),
+    pytest.mark.skipif("openblas" not in _blas_name().lower(),
+                       reason="numpy is not built against OpenBLAS"),
+]
+
+PROBE = r"""
+import json, os
+
+def threads():
+    return len(os.listdir("/proc/self/task"))
+
+import sqstates.cli
+import numpy as np
+
+after_import = threads()
+a = np.arange(512 * 512, dtype=float).reshape(512, 512) / 512.0
+a @ a
+print(json.dumps({"after_import": after_import, "after_matmul": threads(),
+                  "variable": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+def probe(before="", **variables) -> dict:
+    env = subprocess_env()
+    for name in THREAD_VARIABLES:
+        env.pop(name, None)
+    env.update(variables)
+    done = subprocess.run([sys.executable, "-c", before + PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_import_pins_one_thread_and_leaves_no_variable():
+    seen = probe()
+    assert seen == {"after_import": 1, "after_matmul": 1, "variable": None}
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_a_user_set_pool_size_wins():
+    seen = probe(OPENBLAS_NUM_THREADS="2")
+    assert seen == {"after_import": 2, "after_matmul": 2, "variable": "2"}
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_numpy_loaded_first_keeps_its_pool():
+    seen = probe(before="import numpy\n")
+    assert seen["after_import"] > 1
+    assert seen["variable"] is None

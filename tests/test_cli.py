@@ -583,6 +583,41 @@ class TestWigner:
                        "strictly increasing\n")
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("params, state, field", [
+        (GROUND, {"kind": "tcs", "zeta": [1e308, 0.0]}, "config.state.zeta"),
+        (dict(GROUND, epsilon=1e100), {"kind": "tcs", "zeta": [0.5, 0.0]},
+         "config.params"),
+        (dict(GROUND, epsilon=1e100), {"kind": "fock", "level": 0},
+         "config.params"),
+    ], ids=["tcs-zeta", "tcs-orbit", "fock-orbit"])
+    def test_far_centre_names_its_cause(self, tmp_path, capsys, params, state,
+                                        field):
+        # the centre is so far out that a 5-point axis of half-width
+        # about 5 loses its spacing, while the spread resolves it
+        cfg = {"params": params, "state": state, "times": [0.0],
+               "points": 5}
+        out = tmp_path / "out"
+        assert main(["wigner", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: %s: x_range must be strictly increasing\n" % field)
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_overflowing_square_is_the_flow_overflow(self, tmp_path, capsys):
+        # the scalar flow squares with float ** 2, which raises
+        # OverflowError where an array square would give inf
+        params = dict(GROUND, alpha=-2.3e302, beta=2.4e16)
+        cfg = {"params": params, "state": {"kind": "fock", "level": 0},
+               "times": [6.1e14], "points": 5}
+        out = tmp_path / "out"
+        assert main(["wigner", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config.params: arithmetic failure "
+            "(ArithmeticError: the flow overflows at t=610000000000000.0: "
+            "its denominator leaves the float range)\n")
+        assert not out.exists()
+
 
 class TestStatistics:
     def test_poisson_summary_mean(self, tmp_path):
@@ -664,6 +699,20 @@ class TestExpand:
         assert main(["expand", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path)]) == 2
         assert "distinct" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("truncation, flags", [
+        (2, []), (128, ["--truncation", "6"])], ids=["config", "flag"])
+    def test_column_beyond_truncation_names_its_field(
+            self, tmp_path, capsys, truncation, flags):
+        cfg = {"params": GROUND, "columns": [0, 6], "truncation": truncation}
+        out = tmp_path / "out"
+        assert main(["expand", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)] + flags) == 2
+        limit = int(flags[1]) if flags else truncation
+        assert capsys.readouterr().err == (
+            "config error: config.columns: column 6 is not below the "
+            "truncation %d\n" % limit)
+        assert not out.exists()
 
 
 class TestDemkov:

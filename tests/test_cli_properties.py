@@ -1,12 +1,14 @@
-"""Property tests of `wigner` and `demkov` over their schema boxes.
+"""Property tests of `wigner`, `demkov`, `expand` and `statistics`.
 
 Configs are drawn near the box each schema admits and filtered by the
 package's own validator (`sqstates._schema.best_match`), so every run
 below is of a config the schema accepts.  Each run of `cli.main`, in
 process, must either exit 0 with every CSV cell finite, or exit 2 or 3
 with one stderr line that names a config field (or reports an I/O
-error) and with nothing written.  Grids are at most 9 x 9 and runs at
-most two times long, so each example takes milliseconds.
+error) and with nothing written; a JSON output holds no ``NaN`` or
+infinity either.  Grids are at most 9 x 9, runs at most two times long
+and tables at most 512 rows by three columns, so each example takes
+milliseconds.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -22,11 +25,14 @@ from hypothesis import assume, given, settings, strategies as st
 from sqstates import _schema
 from sqstates.cli import (
     _DEMKOV_SCHEMA,
+    _EXPAND_SCHEMA,
     _STATE_SCHEMAS,
+    _STATISTICS_SCHEMAS,
     _WIGNER_SCHEMA,
     main,
 )
 from sqstates.ermakov import MAX_TIME
+from sqstates.fockexp import TruncationWarning
 from sqstates.specfun import MAX_DEGREE
 
 #: Any double the config reader accepts.
@@ -34,6 +40,10 @@ NUMBER = st.floats(allow_nan=False, allow_infinity=False)
 #: Doubles from 0 up; the schemas' exclusive minimum turns 0 away.
 POSITIVE = st.floats(min_value=0.0, allow_infinity=False)
 POINTS = st.integers(min_value=2, max_value=9)
+#: Table sizes: small ones, which the moderate levels often reach, or any.
+TRUNCATION = st.one_of(st.integers(2, 12), st.integers(2, MAX_DEGREE))
+#: Statistics table lengths, filtered by each mode's own cap.
+LEVELS = st.one_of(st.integers(0, 12), st.integers(0, 2 * MAX_DEGREE))
 
 
 class Scale:
@@ -64,6 +74,13 @@ def optional(draw, config, key, strategy):
         config[key] = draw(strategy)
 
 
+def draw_params(draw, scale):
+    params = {name: draw(scale.number)
+              for name in ("alpha", "gamma", "delta", "epsilon", "kappa")}
+    params["beta"] = draw(scale.positive)
+    return params
+
+
 @st.composite
 def superposition(draw, scale):
     """1 to 3 terms; half the draws are scaled to unit norm."""
@@ -80,9 +97,7 @@ def superposition(draw, scale):
 @st.composite
 def wigner_configs(draw):
     scale = draw(SCALES)
-    params = {name: draw(scale.number)
-              for name in ("alpha", "gamma", "delta", "epsilon", "kappa")}
-    params["beta"] = draw(scale.positive)
+    params = draw_params(draw, scale)
     state = draw(st.one_of(
         st.fixed_dictionaries({"kind": st.just("fock"),
                                "level": scale.level}),
@@ -113,6 +128,36 @@ def demkov_configs(draw):
     return config
 
 
+@st.composite
+def expand_configs(draw):
+    scale = draw(SCALES)
+    config = {"params": draw_params(draw, scale),
+              "columns": draw(st.lists(scale.level, min_size=1, max_size=3,
+                                       unique=True))}
+    optional(draw, config, "truncation", TRUNCATION)
+    assume(_schema.best_match(config, _EXPAND_SCHEMA) is None)
+    return config
+
+
+@st.composite
+def statistics_configs(draw):
+    scale = draw(SCALES)
+    mode = draw(st.sampled_from(sorted(_STATISTICS_SCHEMAS)))
+    config = {"mode": mode}
+    if mode == "poisson":
+        config["delta0"] = draw(scale.number)
+        config["epsilon0"] = draw(scale.number)
+    elif mode == "full-expansion":
+        config["params"] = draw_params(draw, scale)
+        optional(draw, config, "truncation", TRUNCATION)
+    else:
+        config["sigma_sum"] = draw(scale.positive)
+    if mode != "full-expansion":
+        optional(draw, config, "levels", LEVELS)
+    assume(_schema.best_match(config, _STATISTICS_SCHEMAS[mode]) is None)
+    return config
+
+
 def run(command, config):
     """Exit code, stderr, the files written and what is left beside them."""
     with tempfile.TemporaryDirectory() as top:
@@ -121,8 +166,10 @@ def run(command, config):
             json.dump(config, fh)
         out = os.path.join(top, "out")
         err = io.StringIO()
+        # a short table's warning is part of a clean run
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
+                contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
             code = main([command, "--config", path, "--out", out])
         files = {}
         if os.path.isdir(out):
@@ -130,6 +177,10 @@ def run(command, config):
                 with open(os.path.join(out, name)) as fh:
                     files[name] = fh.read()
         return code, err.getvalue(), files, sorted(os.listdir(top))
+
+
+def reject(constant):
+    raise AssertionError("non-finite %s in a JSON output" % constant)
 
 
 def check_outcome(command, config):
@@ -141,6 +192,8 @@ def check_outcome(command, config):
                 cells = np.loadtxt(io.StringIO(text), delimiter=",",
                                    skiprows=1, ndmin=2)
                 assert np.isfinite(cells).all(), name
+            else:
+                json.loads(text, parse_constant=reject)
     else:
         assert code in (2, 3), (code, err)
         assert err.count("\n") == 1 and err.endswith("\n"), err
@@ -158,3 +211,15 @@ def test_wigner_exits_cleanly_over_the_schema_box(config):
 @given(config=demkov_configs())
 def test_demkov_exits_cleanly_over_the_schema_box(config):
     check_outcome("demkov", config)
+
+
+@PROPERTY
+@given(config=expand_configs())
+def test_expand_exits_cleanly_over_the_schema_box(config):
+    check_outcome("expand", config)
+
+
+@PROPERTY
+@given(config=statistics_configs())
+def test_statistics_exits_cleanly_over_the_schema_box(config):
+    check_outcome("statistics", config)

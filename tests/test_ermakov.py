@@ -70,6 +70,15 @@ class TestEvolveFrozen:
         with pytest.raises(ValueError):
             evolve(GROUND, math.nan)
 
+    @pytest.mark.parametrize("t", [6.1e14, np.array([6.1e14])],
+                             ids=["scalar", "array"])
+    def test_overflowing_square_is_the_flow_overflow(self, t):
+        # float ** 2 raises OverflowError where it leaves the float range
+        p0 = ErmakovParameters(-2.3e302, 2.4e16, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ArithmeticError,
+                           match=r"^the flow overflows at t=610000000000000\.0:"):
+            evolve(p0, t)
+
 
 class TestGammaBranch:
     def test_gamma_continuous_and_periodic(self, rng):
