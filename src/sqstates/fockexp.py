@@ -633,7 +633,7 @@ def _phase_identity_check(p0: ErmakovParameters, t: float, block: int = 8,
     t0 = t_matrix(p0.epsilon, p0.delta / p0.beta, p0.kappa, block)
     t1 = t_matrix(pt.epsilon, pt.delta / pt.beta, pt.kappa, block)
     scale = np.max(np.abs(t0)) + 1e-300
-    if np.max(np.abs(t1 - np.exp(2j * (m - n) * dg) * t0)) > tol * scale:
+    if not np.max(np.abs(t1 - np.exp(2j * (m - n) * dg) * t0)) <= tol * scale:
         raise ArithmeticError("displacement-phase identity failed")
 
     t0b = t_matrix(p0.epsilon / p0.beta,
@@ -642,7 +642,7 @@ def _phase_identity_check(p0: ErmakovParameters, t: float, block: int = 8,
     t1b = t_matrix(pt.epsilon / pt.beta,
                    pt.delta - 2.0 * pt.alpha * pt.epsilon / pt.beta,
                    pt.kappa - pt.alpha * pt.epsilon**2 / pt.beta**2, block)
-    if np.max(np.abs(t1b - np.exp(1j * (n - m) * t) * t0b)) > tol * scale:
+    if not np.max(np.abs(t1b - np.exp(1j * (n - m) * t) * t0b)) <= tol * scale:
         raise ArithmeticError("rotated displacement-phase identity failed")
 
     m0 = m_matrix(p0.alpha, p0.beta, block)
@@ -650,7 +650,7 @@ def _phase_identity_check(p0: ErmakovParameters, t: float, block: int = 8,
     dress = (np.exp(-1j * (m + 0.5) * t) * np.exp(-1j * (2 * n + 1) * dg)
              * math.sqrt(p0.beta / pt.beta))
     scale = np.max(np.abs(m0)) + 1e-300
-    if np.max(np.abs(m1 - dress * m0)) > tol * scale:
+    if not np.max(np.abs(m1 - dress * m0)) <= tol * scale:
         raise ArithmeticError("squeeze-phase identity failed")
 
 

@@ -403,14 +403,14 @@ def ladder_action_check(p: ErmakovParameters, n_dim: int,
         if abs(overlap) < 1e-8:
             raise ArithmeticError("ladder overlap vanished at level %d" % k)
         phased.append(vecs[:, k] * (abs(overlap) / overlap))
-    worst = float(np.linalg.norm(low @ phased[0]))
+    gaps = [np.linalg.norm(low @ phased[0])]
     for k in range(1, levels + 1):
-        down = low @ phased[k] - math.sqrt(k) * phased[k - 1]
-        worst = max(worst, float(np.linalg.norm(down)))
+        gaps.append(np.linalg.norm(low @ phased[k]
+                                   - math.sqrt(k) * phased[k - 1]))
         if k < levels:
-            up = high @ phased[k] - math.sqrt(k + 1.0) * phased[k + 1]
-            worst = max(worst, float(np.linalg.norm(up)))
-    return worst
+            gaps.append(np.linalg.norm(high @ phased[k]
+                                       - math.sqrt(k + 1.0) * phased[k + 1]))
+    return float(np.max(gaps))  # a NaN gap gives NaN
 
 
 def field_expectation(e_mode: float, h_mode: float, state_n: int,

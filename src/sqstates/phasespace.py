@@ -236,8 +236,9 @@ def wigner_tcs(s: TCSState, pt: PhaseSpacePoint, t: float) -> float:
                    + cov.sigma_p * du * du)
     w3 = math.exp(-expo3) / math.pi
 
-    spread = max(abs(w1 - w2), abs(w1 - w3))
-    if spread > 1e-10 * (1.0 + abs(w1)):
+    # np.maximum keeps a NaN of either form, where max would drop it
+    spread = np.maximum(abs(w1 - w2), abs(w1 - w3))
+    if not spread <= 1e-10 * (1.0 + abs(w1)):
         raise ArithmeticError(
             "equivalent Wigner forms disagree by %.3e at (x=%g, p=%g, t=%g)"
             % (spread, pt.x, pt.p, t))
@@ -288,7 +289,8 @@ def wigner_numeric(psi: Callable, pt: PhaseSpacePoint,
     ------
     ArithmeticError
         When the combined discretisation + window-truncation estimate
-        exceeds 1e-8, i.e. the quadrature cannot vouch for the value.
+        exceeds 1e-8 or is NaN, i.e. the quadrature cannot vouch for the
+        value.
     """
     if nodes < 1024:
         raise ValueError("nodes must be >= 1024, got %d" % nodes)
@@ -308,7 +310,7 @@ def wigner_numeric(psi: Callable, pt: PhaseSpacePoint,
     discretisation = abs(total - coarse) / 3.0
     truncation = (abs(integrand[0]) + abs(integrand[-1])) * extent / (2.0 * math.pi)
     estimate = discretisation + truncation
-    if estimate > QUADRATURE_TOL:
+    if not estimate <= QUADRATURE_TOL:
         raise ArithmeticError(
             "Wigner quadrature did not converge: error estimate %.3e "
             "(discretisation %.3e, window truncation %.3e); increase "
@@ -457,7 +459,7 @@ def wigner_superposition(coeffs: Sequence, p0: ErmakovParameters,
     pairs = _check_coeffs(coeffs)
     p = evolve(p0, t)
     w = complex(_superposition_values(pairs, p, pt.x, pt.p))
-    if abs(w.imag) > 1e-10 * (1.0 + abs(w)):
+    if not abs(w.imag) <= 1e-10 * (1.0 + abs(w)):
         raise ArithmeticError(
             "superposition Wigner value has imaginary residual %.3e" % w.imag)
     return w.real
@@ -472,19 +474,18 @@ def rotate_evolution_check(coeffs: Sequence, p0: ErmakovParameters,
     This evaluates both sides of that identity for a superposition state
     over the grid's mesh (the grid's stored values are ignored; it only
     supplies the sampling domain) and returns the maximum absolute
-    difference.  The mesh is visited one row block at a time.
+    difference.  The mesh is visited in the row blocks of
+    `superposition_grid`, whose imaginary-residual check applies too.
 
     Returns
     -------
     float
         max |W(x, p; t) - W(rotated; 0)| over the mesh.
     """
-    pairs = _check_coeffs(coeffs)
-    now = evolve(p0, t)
-    gap = _rotation_gap(pairs, p0, t)
-    return float(_running_max(mesh_blocks(
-        lambda x, mom: gap(_superposition_values(pairs, now, x, mom), x, mom),
-        grid.x_range, grid.p_range)))
+    gaps = []
+    for _ in _superposition_rows(coeffs, p0, grid, t, gaps):
+        pass
+    return float(_running_max(gaps))
 
 
 def _rotation_gap(pairs, p0: ErmakovParameters, t: float):
@@ -598,14 +599,14 @@ def _real_parts(blocks):
     largest |value| of the whole grid.  Both are running maxima over
     the blocks, so the check is exact; it raises after the last block.
     """
-    top = worst = 0.0
+    top = residual = 0.0
     for vals in blocks:
         top = np.maximum(top, np.max(np.abs(vals)))
-        worst = np.maximum(worst, np.max(np.abs(vals.imag)))
+        residual = np.maximum(residual, np.max(np.abs(vals.imag)))
         yield vals.real
-    if worst > 1e-10 * (1.0 + top):
+    if not residual <= 1e-10 * (1.0 + top):
         raise ArithmeticError(
-            "superposition Wigner grid has imaginary residual %.3e" % worst)
+            "superposition Wigner grid has imaginary residual %.3e" % residual)
 
 
 def tcs_grid(s: TCSState, grid: PhaseSpaceGrid, t: float) -> PhaseSpaceGrid:

@@ -312,7 +312,7 @@ def var_h(s: DynamicState) -> float:
            + 2.0 * (cov.sigma_p * p_mean**2
                     + 2.0 * cov.sigma_px * p_mean * x_mean
                     + cov.sigma_x * x_mean**2) * n_half)
-    if abs(value - alt) > 1e-10 * max(1.0, abs(value)):
+    if not abs(value - alt) <= 1e-10 * max(1.0, abs(value)):
         raise ArithmeticError(
             f"energy-variance forms disagree: {value!r} vs {alt!r}")
     return value

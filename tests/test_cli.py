@@ -20,6 +20,7 @@ import sqstates._csv as _csv
 import sqstates.channel as channel
 import sqstates.cli as cli
 import sqstates.phasespace as phasespace
+import sqstates.verify as verify
 from conftest import subprocess_env
 from sqstates.cli import main
 from sqstates.ermakov import (
@@ -932,7 +933,7 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["all_passed"] is True
         assert report["seed"] == cli.DEFAULT_SEED
-        assert len(report["checks"]) == len(cli._CHECKS)
+        assert len(report["checks"]) == len(verify._CHECKS)
         for entry in report["checks"]:
             assert entry["passed"] is True
             assert entry["max_error"] <= entry["tolerance"]
@@ -950,7 +951,7 @@ class TestVerify:
         def reached(seed):
             raise AssertionError("verification ran with seed %r" % seed)
 
-        monkeypatch.setattr(cli, "run_verification", reached)
+        monkeypatch.setattr(verify, "run_verification", reached)
         out = tmp_path / "out"
         assert main(["verify", "--seed", "-1", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -961,25 +962,46 @@ class TestVerify:
     def test_injected_sign_error_fails_named_check(self, tmp_path,
                                                    monkeypatch, capsys):
         # a sign error in the evolved beta, put in for this check alone
-        real_evolve = cli.evolve
+        real_evolve = verify.evolve
 
         def flipped(p0, t):
             p = real_evolve(p0, t)
             return dataclasses.replace(p, beta=-p.beta)
 
         def check(rng):
+            # drained inside the context: a generator runs when read
             with monkeypatch.context() as m:
-                m.setattr(cli, "evolve", flipped)
-                return cli._check_flow_invariants(rng)
+                m.setattr(verify, "evolve", flipped)
+                return list(verify._check_flow_invariants(rng))
 
-        monkeypatch.setattr(cli, "_CHECKS", tuple(
+        monkeypatch.setattr(verify, "_CHECKS", tuple(
             (name, tol, check if name == "flow-invariants" else fn, text)
-            for name, tol, fn, text in cli._CHECKS))
+            for name, tol, fn, text in verify._CHECKS))
         assert main(["verify", "--out", str(tmp_path)]) == 1
         report = json.loads((tmp_path / "verify_report.json").read_text())
         failed = [e["name"] for e in report["checks"] if not e["passed"]]
         assert failed == ["flow-invariants"]
         assert "flow-invariants" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("errors, shown", [
+        ([0.5, math.nan, 0.1], "max_error=nan"),
+        ([math.inf], "max_error=inf"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_error_fails_its_check(self, tmp_path, monkeypatch,
+                                              capsys, errors, shown):
+        # a NaN after a number once folded to the number and passed; an
+        # infinity stopped the JSON writer and left no report
+        monkeypatch.setattr(verify, "_CHECKS", (
+            ("broken", 1.0, lambda rng: iter(errors), "yields its errors"),))
+        assert main(["verify", "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["all_passed"] is False
+        [entry] = report["checks"]
+        assert entry["max_error"] is None
+        assert entry["passed"] is False
+        out = capsys.readouterr().out
+        assert shown in out
+        assert "FAILED checks: broken (seed %d)" % cli.DEFAULT_SEED in out
 
     def test_console_module_invocation(self, tmp_path):
         proc = subprocess.run(

@@ -1,4 +1,4 @@
-"""Property tests of `wigner`, `demkov`, `expand` and `statistics`.
+"""Property tests of `evolve`, `wigner`, `demkov`, `expand` and `statistics`.
 
 Configs are drawn near the box each schema admits and filtered by the
 package's own validator (`sqstates._schema.best_match`), so every run
@@ -6,9 +6,9 @@ below is of a config the schema accepts.  Each run of `cli.main`, in
 process, must either exit 0 with every CSV cell finite, or exit 2 or 3
 with one stderr line that names a config field (or reports an I/O
 error) and with nothing written; a JSON output holds no ``NaN`` or
-infinity either.  Grids are at most 9 x 9, runs at most two times long
-and tables at most 512 rows by three columns, so each example takes
-milliseconds.
+infinity either.  Grids are at most 9 x 9, runs at most two times long,
+tables at most 512 rows by three columns and flow tables at most 64
+rows, so each example takes milliseconds.
 """
 
 import contextlib
@@ -25,6 +25,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sqstates import _schema
 from sqstates.cli import (
     _DEMKOV_SCHEMA,
+    _EVOLVE_SCHEMA,
     _EXPAND_SCHEMA,
     _STATE_SCHEMAS,
     _STATISTICS_SCHEMAS,
@@ -92,6 +93,16 @@ def superposition(draw, scale):
     return {"kind": "superposition",
             "terms": [{"level": n, "amplitude": a}
                       for n, a in zip(levels, amps)]}
+
+
+@st.composite
+def evolve_configs(draw):
+    scale = draw(SCALES)
+    config = {"params": draw_params(draw, scale),
+              "times": {"start": draw(scale.time), "stop": draw(scale.time),
+                        "count": draw(st.integers(1, 64))}}
+    assume(_schema.best_match(config, _EVOLVE_SCHEMA) is None)
+    return config
 
 
 @st.composite
@@ -199,6 +210,12 @@ def check_outcome(command, config):
         assert err.count("\n") == 1 and err.endswith("\n"), err
         assert err.startswith(("config error: config.", "i/o error:")), err
         assert left == ["config.json"], left
+
+
+@PROPERTY
+@given(config=evolve_configs())
+def test_evolve_exits_cleanly_over_the_schema_box(config):
+    check_outcome("evolve", config)
 
 
 @PROPERTY

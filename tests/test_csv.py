@@ -21,8 +21,13 @@ from sqstates._csv import (
     mesh_blocks,
     write_csv,
 )
-from sqstates.channel import ChannelParameters, density_grid, focus_metrics
-from sqstates.cli import _channel_norm, main
+from sqstates.channel import (
+    ChannelParameters,
+    _channel_norm,
+    density_grid,
+    focus_metrics,
+)
+from sqstates.cli import main
 from sqstates.ermakov import ErmakovParameters, classical_trajectory, evolve
 from sqstates.fockexp import expansion_table, pascal_odd, write_statistics_csv
 from sqstates.phasespace import (
