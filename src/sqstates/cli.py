@@ -107,6 +107,20 @@ class ConfigError(ValueError):
 # ----------------------------------------------------------------------
 
 _NUMBER = {"type": "number"}
+#: A scale, a spread or a width.
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+
+def _closed(properties: dict, *required: str) -> dict:
+    """An object schema that takes only ``properties`` and needs ``required``.
+
+    The keyword order is part of the messages: `_schema.best_match`
+    breaks a tie between failures at one path in keyword order, so a
+    missing key is reported before an unknown one.
+    """
+    return {"type": "object", "properties": properties,
+            "required": list(required), "additionalProperties": False}
+
 
 # Size caps; larger requests are config errors, not allocation failures
 # or runs of unbounded length.  Grids and tables are written in row
@@ -120,20 +134,17 @@ MAX_TIMES = 16
 MAX_TERMS = 16
 
 _POINTS = {"type": "integer", "minimum": 2, "maximum": MAX_POINTS}
+_LEVEL = {"type": "integer", "minimum": 0, "maximum": MAX_DEGREE}
+_TRUNCATION = {"type": "integer", "minimum": 2, "maximum": MAX_DEGREE}
 
-_PARAM_BLOCK = {
-    "type": "object",
-    "properties": {
-        "alpha": _NUMBER,
-        "beta": {"type": "number", "exclusiveMinimum": 0},
-        "gamma": _NUMBER,
-        "delta": _NUMBER,
-        "epsilon": _NUMBER,
-        "kappa": _NUMBER,
-    },
-    "required": ["alpha", "beta", "gamma", "delta", "epsilon", "kappa"],
-    "additionalProperties": False,
-}
+_PARAM_BLOCK = _closed({
+    "alpha": _NUMBER,
+    "beta": _POSITIVE,
+    "gamma": _NUMBER,
+    "delta": _NUMBER,
+    "epsilon": _NUMBER,
+    "kappa": _NUMBER,
+}, "alpha", "beta", "gamma", "delta", "epsilon", "kappa")
 
 _TIME_LIST = {"type": "array", "items": _NUMBER, "minItems": 1,
               "maxItems": MAX_TIMES}
@@ -143,82 +154,38 @@ _FLOW_TIME = {"type": "number", "minimum": -MAX_TIME, "maximum": MAX_TIME}
 
 _PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
 
-_EVOLVE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "params": _PARAM_BLOCK,
-        "times": {
-            "type": "object",
-            "properties": {
-                "start": _FLOW_TIME,
-                "stop": _FLOW_TIME,
-                "count": {"type": "integer", "minimum": 1,
-                          "maximum": MAX_ROWS},
-            },
-            "required": ["start", "stop", "count"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["params", "times"],
-    "additionalProperties": False,
-}
+_EVOLVE_SCHEMA = _closed({
+    "params": _PARAM_BLOCK,
+    "times": _closed({
+        "start": _FLOW_TIME,
+        "stop": _FLOW_TIME,
+        "count": {"type": "integer", "minimum": 1, "maximum": MAX_ROWS},
+    }, "start", "stop", "count"),
+}, "params", "times")
 
-_WIGNER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "params": _PARAM_BLOCK,
-        "state": {"type": "object"},
-        "times": _TIME_LIST | {"items": _FLOW_TIME},
-        "points": _POINTS,
-        "spread": {"type": "number", "exclusiveMinimum": 0},
-        "rotation_check": {"type": "boolean"},
-    },
-    "required": ["params", "state", "times"],
-    "additionalProperties": False,
-}
+_WIGNER_SCHEMA = _closed({
+    "params": _PARAM_BLOCK,
+    "state": {"type": "object"},
+    "times": _TIME_LIST | {"items": _FLOW_TIME},
+    "points": _POINTS,
+    "spread": _POSITIVE,
+    "rotation_check": {"type": "boolean"},
+}, "params", "state", "times")
 
 _STATE_SCHEMAS = {
-    "fock": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "fock"},
-            "level": {"type": "integer", "minimum": 0, "maximum": MAX_DEGREE},
+    "fock": _closed({"kind": {"const": "fock"}, "level": _LEVEL},
+                    "kind", "level"),
+    "tcs": _closed({"kind": {"const": "tcs"}, "zeta": _PAIR}, "kind", "zeta"),
+    "superposition": _closed({
+        "kind": {"const": "superposition"},
+        "terms": {
+            "type": "array",
+            "minItems": 1,
+            "maxItems": MAX_TERMS,
+            "items": _closed({"level": _LEVEL, "amplitude": _PAIR},
+                             "level", "amplitude"),
         },
-        "required": ["kind", "level"],
-        "additionalProperties": False,
-    },
-    "tcs": {
-        "type": "object",
-        "properties": {"kind": {"const": "tcs"}, "zeta": _PAIR},
-        "required": ["kind", "zeta"],
-        "additionalProperties": False,
-    },
-    "superposition": {
-        "type": "object",
-        "properties": {
-            "kind": {"const": "superposition"},
-            "terms": {
-                "type": "array",
-                "minItems": 1,
-                "maxItems": MAX_TERMS,
-                "items": {
-                    "type": "object",
-                    "properties": {
-                        "level": {
-                            "type": "integer",
-                            "minimum": 0,
-                            "maximum": MAX_DEGREE,
-                        },
-                        "amplitude": _PAIR,
-                    },
-                    "required": ["level", "amplitude"],
-                    "additionalProperties": False,
-                },
-            },
-        },
-        "required": ["kind", "terms"],
-        "additionalProperties": False,
-    },
+    }, "kind", "terms"),
 }
 
 # The parity tables hold one amplitude per level *pair*, so they reach
@@ -235,92 +202,49 @@ def _levels_schema(mode: str) -> dict:
     return {"type": "integer", "minimum": 1, "maximum": _LEVEL_CAPS[mode]}
 
 
+def _pascal_schema(mode: str) -> dict:
+    return _closed({
+        "mode": {"const": mode},
+        "sigma_sum": {"type": "number", "minimum": 1},
+        "levels": _levels_schema(mode),
+    }, "mode", "sigma_sum")
+
+
 _STATISTICS_SCHEMAS = {
-    "poisson": {
-        "type": "object",
-        "properties": {
-            "mode": {"const": "poisson"},
-            "delta0": _NUMBER,
-            "epsilon0": _NUMBER,
-            "levels": _levels_schema("poisson"),
-        },
-        "required": ["mode", "delta0", "epsilon0"],
-        "additionalProperties": False,
-    },
-    "pascal-even": {
-        "type": "object",
-        "properties": {
-            "mode": {"const": "pascal-even"},
-            "sigma_sum": {"type": "number", "minimum": 1},
-            "levels": _levels_schema("pascal-even"),
-        },
-        "required": ["mode", "sigma_sum"],
-        "additionalProperties": False,
-    },
-    "pascal-odd": {
-        "type": "object",
-        "properties": {
-            "mode": {"const": "pascal-odd"},
-            "sigma_sum": {"type": "number", "minimum": 1},
-            "levels": _levels_schema("pascal-odd"),
-        },
-        "required": ["mode", "sigma_sum"],
-        "additionalProperties": False,
-    },
-    "full-expansion": {
-        "type": "object",
-        "properties": {
-            "mode": {"const": "full-expansion"},
-            "params": _PARAM_BLOCK,
-            "truncation": {"type": "integer", "minimum": 2,
-                           "maximum": MAX_DEGREE},
-        },
-        "required": ["mode", "params"],
-        "additionalProperties": False,
-    },
-}
-
-_EXPAND_SCHEMA = {
-    "type": "object",
-    "properties": {
+    "poisson": _closed({
+        "mode": {"const": "poisson"},
+        "delta0": _NUMBER,
+        "epsilon0": _NUMBER,
+        "levels": _levels_schema("poisson"),
+    }, "mode", "delta0", "epsilon0"),
+    "pascal-even": _pascal_schema("pascal-even"),
+    "pascal-odd": _pascal_schema("pascal-odd"),
+    "full-expansion": _closed({
+        "mode": {"const": "full-expansion"},
         "params": _PARAM_BLOCK,
-        "columns": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "integer", "minimum": 0,
-                      "maximum": MAX_DEGREE - 1},
-        },
-        "truncation": {"type": "integer", "minimum": 2, "maximum": MAX_DEGREE},
-    },
-    "required": ["params", "columns"],
-    "additionalProperties": False,
+        "truncation": _TRUNCATION,
+    }, "mode", "params"),
 }
 
-_DEMKOV_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "channel": {
-            "type": "object",
-            "properties": {
-                "beta0": {"type": "number", "exclusiveMinimum": 0},
-                "delta0": _NUMBER,
-            },
-            "required": ["beta0"],
-            "additionalProperties": False,
-        },
-        "times": _TIME_LIST,
-        "points": _POINTS,
-        "half_width": {"type": "number", "exclusiveMinimum": 0},
+_EXPAND_SCHEMA = _closed({
+    "params": _PARAM_BLOCK,
+    "columns": {
+        "type": "array",
+        "minItems": 1,
+        "items": {"type": "integer", "minimum": 0,
+                  "maximum": MAX_DEGREE - 1},
     },
-    "required": ["channel", "times"],
-    "additionalProperties": False,
-}
+    "truncation": _TRUNCATION,
+}, "params", "columns")
 
-_VERIFY_SCHEMA = {
-    "type": "object",
-    "properties": {"seed": {"type": "integer", "minimum": 0}},
-    "additionalProperties": False,
-}
+_DEMKOV_SCHEMA = _closed({
+    "channel": _closed({"beta0": _POSITIVE, "delta0": _NUMBER}, "beta0"),
+    "times": _TIME_LIST,
+    "points": _POINTS,
+    "half_width": _POSITIVE,
+}, "channel", "times")
+
+_VERIFY_SCHEMA = _closed({"seed": {"type": "integer", "minimum": 0}})
 
 
 # ----------------------------------------------------------------------
@@ -381,6 +305,20 @@ def _validate(instance, schema, where: str = "config") -> None:
         raise ConfigError("%s: %s" % (_schema.json_path(where, path), message))
 
 
+def _validate_variant(block: dict, key: str, schemas: dict, where: str) -> str:
+    """Schema-check a block against the variant its ``key`` names.
+
+    Returns the variant's name; a ``key`` that names none of ``schemas``
+    is a config error.
+    """
+    variant = block.get(key)
+    if not isinstance(variant, str) or variant not in schemas:
+        raise ConfigError("%s.%s must be one of %s, got %r"
+                          % (where, key, sorted(schemas), variant))
+    _validate(block, schemas[variant], where)
+    return variant
+
+
 def _params_of(block: dict) -> ErmakovParameters:
     return ErmakovParameters(**{k: float(v) for k, v in block.items()})
 
@@ -393,16 +331,22 @@ def _parse_grid(text: str) -> tuple[int, int]:
         nx, np_ = (int(s) for s in parts)
     except ValueError as exc:
         raise ConfigError("--grid counts must be integers: %s" % text) from exc
-    if not (2 <= nx <= MAX_POINTS and 2 <= np_ <= MAX_POINTS):
-        raise ConfigError("--grid counts must be in [2, %d], got %s"
-                          % (MAX_POINTS, text))
+    low, high = _POINTS["minimum"], _POINTS["maximum"]
+    if not (low <= nx <= high and low <= np_ <= high):
+        raise ConfigError("--grid counts must be in [%d, %d], got %s"
+                          % (low, high, text))
     return nx, np_
 
 
-def _truncation(args, default: int, low: int, high: int) -> int:
-    """``--truncation`` if given, checked against [low, high]; else ``default``."""
+def _truncation(args, default: int, field: dict) -> int:
+    """``--truncation`` if given, else ``default``.
+
+    The flag is checked against the bounds of ``field``, the schema of
+    the config field it overrides.
+    """
     if args.truncation is None:
         return default
+    low, high = field["minimum"], field["maximum"]
     if not low <= args.truncation <= high:
         raise ConfigError("--truncation must be in [%d, %d], got %d"
                           % (low, high, args.truncation))
@@ -532,12 +476,7 @@ def cmd_wigner(config: dict, args) -> int:
     """
     _validate(config, _WIGNER_SCHEMA)
     state = config["state"]
-    kind = state.get("kind")
-    if kind not in _STATE_SCHEMAS:
-        raise ConfigError(
-            "config.state.kind must be one of %s, got %r"
-            % (sorted(_STATE_SCHEMAS), kind))
-    _validate(state, _STATE_SCHEMAS[kind], where="config.state")
+    kind = _validate_variant(state, "kind", _STATE_SCHEMAS, "config.state")
 
     p0 = _params_of(config["params"])
     points = int(config.get("points", 201))
@@ -640,15 +579,12 @@ def cmd_statistics(config: dict, args) -> int:
     pipeline instead and reports the moments of the *stored* rows, with
     the weighted mass beyond the truncation in ``tail_mass``.
     """
-    mode = config.get("mode")
-    if mode not in _STATISTICS_SCHEMAS:
-        raise ConfigError("config.mode must be one of %s, got %r"
-                          % (sorted(_STATISTICS_SCHEMAS), mode))
-    _validate(config, _STATISTICS_SCHEMAS[mode])
+    mode = _validate_variant(config, "mode", _STATISTICS_SCHEMAS, "config")
+    props = _STATISTICS_SCHEMAS[mode]["properties"]
 
     if mode == "full-expansion":
         truncation = _truncation(args, int(config.get("truncation", 128)),
-                                 2, MAX_DEGREE)
+                                 props["truncation"])
         p0 = _params_of(config["params"])
         with _blame("config.params"):
             table = expansion_table(p0, (0,), size=truncation)
@@ -660,7 +596,7 @@ def cmd_statistics(config: dict, args) -> int:
             stats = PhotonStatistics(probs, "full", mean, variance)
     else:
         levels = _truncation(args, int(config.get("levels", 64)),
-                             1, _LEVEL_CAPS[mode])
+                             props["levels"])
         if mode == "poisson":
             delta0 = float(config["delta0"])
             epsilon0 = float(config["epsilon0"])
@@ -704,7 +640,7 @@ def cmd_expand(config: dict, args) -> int:
     if len(set(columns)) != len(columns):
         raise ConfigError("config.columns: labels must be distinct")
     truncation = _truncation(args, int(config.get("truncation", 128)),
-                             2, MAX_DEGREE)
+                             _TRUNCATION)
     for n in columns:
         if n >= truncation:
             raise ConfigError("config.columns: column %d is not below the "
@@ -883,11 +819,8 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config) if args.config else {}
         return _HANDLERS[args.command](config, args)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
-        # domain rejections raised by the modules while computing
+        # a ConfigError, or a domain rejection raised while computing
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as exc:

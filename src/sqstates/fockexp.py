@@ -84,6 +84,7 @@ from ._csv import FLOAT, write_csv
 from .ermakov import ErmakovParameters, evolve
 from .specfun import (
     MAX_DEGREE,
+    _check_degree,
     gauss_hermite_rule,
     hermite_function_table,
     laguerre_ratio_table,
@@ -544,7 +545,7 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
         disagree beyond the truncation budget.
     """
     size = _check_size(size)
-    cols = tuple(int(n) for n in columns)
+    cols = tuple(_check_degree(n, "column") for n in columns)
     if not cols:
         raise ValueError("columns must be nonempty")
     for n in cols:
@@ -609,12 +610,11 @@ def c_coeffs(p0: ErmakovParameters, n: int, size: int = 128) -> ExpansionTable:
     return expansion_table(p0, (n,), size)
 
 
-def _phase_identity_check(p0: ErmakovParameters, t: float, block: int = 8,
-                          tol: float = 1e-9) -> None:
+def _phase_identity_check(p0: ErmakovParameters, t: float) -> None:
     """Verify that evolving the matrix arguments only dresses phases.
 
-    Recomputes small T and M blocks at the evolved parameters and
-    compares with the phase-dressed initial blocks:
+    Recomputes 8 x 8 T and M blocks at the evolved parameters and
+    compares with the phase-dressed initial blocks, to a relative 1e-9:
 
         T(eps, delta/beta, kappa)        = e^{2i(m-n)(g-g0)} T(initial)
         T(eps/beta, delta - 2 a e/b, ..) = e^{i(n-m)t}       T(initial)
@@ -625,6 +625,7 @@ def _phase_identity_check(p0: ErmakovParameters, t: float, block: int = 8,
     gamma-phase on the column index; the commonly quoted transposed
     placement fails numerically and is rejected here.
     """
+    block, tol = 8, 1e-9
     pt = evolve(p0, t)
     dg = pt.gamma - p0.gamma
     m = np.arange(block)[:, None]
@@ -655,19 +656,17 @@ def _phase_identity_check(p0: ErmakovParameters, t: float, block: int = 8,
 
 
 def time_dependent_expansion(p0: ErmakovParameters, n: int, t: float,
-                             size: int = 128,
-                             check_identities: bool = True) -> np.ndarray:
+                             size: int = 128) -> np.ndarray:
     """Expansion coefficients of psi_n at time t over the static basis.
 
     Returns the bare vector c_mn exp(-i(m+1/2)t); multiplying by
     sqrt(beta0) and summing against the static basis functions
-    reproduces the evolved wavefunction.  With `check_identities` the
-    phase-dressing identities relating evolved-argument matrices to the
-    initial ones are verified on a small block (ArithmeticError on
-    failure).
+    reproduces the evolved wavefunction.  The phase-dressing identities
+    relating evolved-argument matrices to the initial ones are verified
+    on a small block (ArithmeticError on failure).
     """
     table = c_coeffs(p0, n, size)
-    if check_identities and p0.beta > 0:
+    if p0.beta > 0:
         _phase_identity_check(p0, t)
     phases = np.exp(-1j * (np.arange(size) + 0.5) * t)
     return _readonly(table.coeffs[:, 0] * phases)

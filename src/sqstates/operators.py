@@ -237,14 +237,14 @@ def b_evolved(p0: ErmakovParameters, t: float, n_dim: int,
 
 
 def heisenberg_residual(p0: ErmakovParameters, t: float, n_dim: int,
-                        step: float = 1e-5,
                         time_reversed: bool = False) -> float:
     """Interior-block residual of the ladder Heisenberg equation.
 
-    Differentiates the rebuilt b(t) by central differences and measures
-    max |db/dt - i[b, H]| on the (N-1) block (or db/dt + i[b, H] under
-    the time-reversed convention).
+    Differentiates the rebuilt b(t) by central differences of step 1e-5
+    and measures max |db/dt - i[b, H]| on the (N-1) block (or
+    db/dt + i[b, H] under the time-reversed convention).
     """
+    step = 1e-5
     ops = fock_operators(n_dim)
     ham = ops["H"].entries
     ahead = b_operators(evolve(p0, t + step), n_dim)["b"].entries

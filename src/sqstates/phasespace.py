@@ -54,7 +54,7 @@ import numpy as np
 
 from ._csv import block_lines, format_axis, mesh_blocks, write_csv
 from .ermakov import ErmakovParameters, classical_trajectory, evolve
-from .specfun import MAX_DEGREE, laguerre_assoc
+from .specfun import _check_degree, laguerre_assoc
 from .states import TCSState, covariance
 
 __all__ = [
@@ -358,7 +358,7 @@ def moyal(m: int, n: int, p0: ErmakovParameters, pt: PhaseSpacePoint,
     Parameters
     ----------
     m, n : int
-        Basis labels, each between 0 and 512.
+        Integer basis labels, each in [0, MAX_DEGREE].
     p0 : ErmakovParameters
         Initial parameters of the evolving basis.
     pt : PhaseSpacePoint
@@ -371,14 +371,11 @@ def moyal(m: int, n: int, p0: ErmakovParameters, pt: PhaseSpacePoint,
     complex
         W_mn(x, p; t); real when m == n.
     """
-    for label, k in (("m", m), ("n", n)):
-        if not isinstance(k, (int, np.integer)) or k < 0 or k > MAX_DEGREE:
-            raise ValueError("%s must be an integer in [0, %d], got %r"
-                             % (label, MAX_DEGREE, k))
+    m, n = _check_degree(m, "m"), _check_degree(n, "n")
     if m > n:
         return complex(np.conj(moyal(n, m, p0, pt, t)))
     p = evolve(p0, t)
-    return complex(_moyal_values(int(m), int(n), p, pt.x, pt.p))
+    return complex(_moyal_values(m, n, p, pt.x, pt.p))
 
 
 def _check_coeffs(coeffs) -> list[tuple[complex, int]]:
@@ -387,10 +384,7 @@ def _check_coeffs(coeffs) -> list[tuple[complex, int]]:
     total = 0.0
     for item in coeffs:
         c, n = item
-        n = int(n)
-        if n < 0 or n > MAX_DEGREE:
-            raise ValueError("basis label %d out of range [0, %d]"
-                             % (n, MAX_DEGREE))
+        n = _check_degree(n, "basis label")
         c = complex(c)
         pairs.append((c, n))
         try:

@@ -126,6 +126,23 @@ class TestConfigValidation:
                      "--out", str(tmp_path)]) == 2
         assert "object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["nope", 5, [], {}],
+                             ids=["string", "number", "list", "object"])
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("statistics", lambda v: {"mode": v}, "config.mode"),
+        ("wigner", lambda v: dict(WIGNER_FOCK, state={"kind": v}),
+         "config.state.kind"),
+    ], ids=["statistics", "wigner"])
+    def test_unknown_variant_is_named(self, tmp_path, capsys, command, cfg,
+                                      field, variant):
+        # a list or an object cannot key a dict: it used to raise TypeError
+        assert main([command, "--config", write_config(tmp_path, cfg(variant)),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s must be one of [" % field)
+        assert err.endswith(", got %r\n" % (variant,))
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["evolve", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path)]) == 3

@@ -1,4 +1,4 @@
-"""Property tests of `evolve`, `wigner`, `demkov`, `expand` and `statistics`.
+"""Property tests of the six subcommands over their schema boxes.
 
 Configs are drawn near the box each schema admits and filtered by the
 package's own validator (`sqstates._schema.best_match`), so every run
@@ -8,7 +8,9 @@ with one stderr line that names a config field (or reports an I/O
 error) and with nothing written; a JSON output holds no ``NaN`` or
 infinity either.  Grids are at most 9 x 9, runs at most two times long,
 tables at most 512 rows by three columns and flow tables at most 64
-rows, so each example takes milliseconds.
+rows, so each example takes milliseconds.  `verify` runs one seeded
+check of its suite on configs and ``--seed`` values drawn on both sides
+of its schema's edges.
 """
 
 import contextlib
@@ -18,12 +20,14 @@ import math
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from sqstates import _schema
+from sqstates import _schema, verify
 from sqstates.cli import (
+    DEFAULT_SEED,
     _DEMKOV_SCHEMA,
     _EVOLVE_SCHEMA,
     _EXPAND_SCHEMA,
@@ -169,7 +173,29 @@ def statistics_configs(draw):
     return config
 
 
-def run(command, config):
+#: Seeds of every kind: in range, negative, beyond 64 bits or the double
+#: range, integer-valued floats such as 1e300, and values of other types.
+SEED_VALUES = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.integers(2**1023, 2**1100),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e300, 2.0**64, -0.0, -1.0, 0.5]),
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.lists(st.integers(0, 9), max_size=2),
+)
+
+
+@st.composite
+def verify_configs(draw):
+    """A seed or none, and sometimes a key the schema does not know."""
+    config = {}
+    optional(draw, config, "seed", SEED_VALUES)
+    if draw(st.integers(0, 5)) == 0:
+        config[draw(st.text(min_size=1, max_size=4))] = draw(SEED_VALUES)
+    return config
+
+
+def run(command, config, *flags):
     """Exit code, stderr, the files written and what is left beside them."""
     with tempfile.TemporaryDirectory() as top:
         path = os.path.join(top, "config.json")
@@ -181,7 +207,7 @@ def run(command, config):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            code = main([command, "--config", path, "--out", out])
+            code = main([command, "--config", path, "--out", out, *flags])
         files = {}
         if os.path.isdir(out):
             for name in sorted(os.listdir(out)):
@@ -240,3 +266,27 @@ def test_expand_exits_cleanly_over_the_schema_box(config):
 @given(config=statistics_configs())
 def test_statistics_exits_cleanly_over_the_schema_box(config):
     check_outcome("statistics", config)
+
+
+@PROPERTY
+@given(config=verify_configs(),
+       seed=st.one_of(st.none(), st.integers(-2**70, 2**400)))
+def test_verify_exits_cleanly_over_the_schema_box(config, seed):
+    # one cheap seeded check stands in for the suite
+    cheap = [c for c in verify._CHECKS if c[0] == "variance-extrema"]
+    flags = () if seed is None else ("--seed=%d" % seed,)
+    with mock.patch.object(verify, "_CHECKS", cheap):
+        code, err, files, left = run("verify", config, *flags)
+    if code == 0:
+        assert list(files) == ["verify_report.json"]
+        report = json.loads(files["verify_report.json"], parse_constant=reject)
+        expected = config.get("seed", DEFAULT_SEED) if seed is None else seed
+        assert report["seed"] == expected
+        assert [e["name"] for e in report["checks"]] == ["variance-extrema"]
+    else:
+        assert code == 2, (code, err)
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        # an unknown key at the root is reported at ``config`` itself
+        assert err.startswith(("config error: config.", "config error: config:",
+                               "config error: --seed")), err
+        assert left == ["config.json"], left

@@ -496,7 +496,7 @@ class TestTimeDependentExpansion:
             p0 = draw_params(rng, squeeze=(0.6, 1.8), alpha_max=1.0,
                              disp_max=1.0)
             t = rng.uniform(0.0, 9.0)
-            time_dependent_expansion(p0, 1, t, size=48, check_identities=True)
+            time_dependent_expansion(p0, 1, t, size=48)
 
 
 class TestPhotonStatistics:
