@@ -3,6 +3,8 @@
 Exact parameter evolution, wavefunctions, phase-space (Wigner) pictures,
 number-basis expansions, photon statistics, ladder-operator matrices, and
 a two-dimensional focusing channel built from the same closed forms.
+The package re-exports the ``__all__`` of `channel`, `ermakov`,
+`fockexp`, `operators`, `phasespace` and `states`, in that order.
 
 Importing the package loads numpy with a one-thread OpenBLAS pool unless
 numpy is already loaded or one of OpenBLAS's own thread-count variables
@@ -26,143 +28,18 @@ if "numpy" not in _sys.modules and not any(
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .channel import (
-    ChannelParameters,
-    FocusMetrics,
-    density,
-    focus_metrics,
-    psi_2d,
-)
-from .ermakov import (
-    ComplexGroupParameters,
-    ErmakovParameters,
-    InvariantSet,
-    classical_trajectory,
-    evolve,
-    evolve_complex,
-    from_complex,
-    invariants,
-    to_complex,
-)
-from .fockexp import (
-    ExpansionTable,
-    PhotonStatistics,
-    TruncationWarning,
-    c_coeffs,
-    expansion_table,
-    m_matrix,
-    pascal_even,
-    pascal_odd,
-    poisson_statistics,
-    squeezed_vacuum_coeffs,
-    t_matrix,
-    time_dependent_expansion,
-)
-from .operators import (
-    ModeState,
-    OperatorMatrix,
-    b_evolved,
-    b_operators,
-    energy_levels,
-    field_expectation,
-    fock_operators,
-    hamiltonian_in_ladder,
-    heisenberg_residual,
-    invariant_E,
-    ladder_action_check,
-    var_h_operator,
-)
-from .phasespace import (
-    PhaseSpaceGrid,
-    PhaseSpacePoint,
-    default_grid,
-    moyal,
-    rotate_evolution_check,
-    superposition_grid,
-    tcs_grid,
-    wigner_numeric,
-    wigner_superposition,
-    wigner_tcs,
-)
-from .states import (
-    CovarianceTriple,
-    DynamicState,
-    ScaleRangeError,
-    TCSState,
-    UncertaintyExtrema,
-    covariance,
-    energy,
-    psi_n,
-    psi_superposition,
-    psi_tcs,
-    uncertainty_extrema,
-    var_h,
-    variance_series,
-)
+from . import channel, ermakov, fockexp, operators, phasespace, states
+from .channel import *  # noqa: F401,F403
+from .ermakov import *  # noqa: F401,F403
+from .fockexp import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .phasespace import *  # noqa: F401,F403
+from .states import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelParameters",
-    "ComplexGroupParameters",
-    "CovarianceTriple",
-    "DynamicState",
-    "ErmakovParameters",
-    "FocusMetrics",
-    "ExpansionTable",
-    "InvariantSet",
-    "ModeState",
-    "OperatorMatrix",
-    "PhaseSpaceGrid",
-    "PhaseSpacePoint",
-    "PhotonStatistics",
-    "ScaleRangeError",
-    "TCSState",
-    "TruncationWarning",
-    "UncertaintyExtrema",
-    "b_evolved",
-    "b_operators",
-    "c_coeffs",
-    "classical_trajectory",
-    "covariance",
-    "default_grid",
-    "density",
-    "energy",
-    "energy_levels",
-    "evolve",
-    "evolve_complex",
-    "expansion_table",
-    "field_expectation",
-    "fock_operators",
-    "focus_metrics",
-    "from_complex",
-    "hamiltonian_in_ladder",
-    "heisenberg_residual",
-    "invariant_E",
-    "invariants",
-    "ladder_action_check",
-    "m_matrix",
-    "moyal",
-    "pascal_even",
-    "pascal_odd",
-    "poisson_statistics",
-    "psi_2d",
-    "psi_n",
-    "psi_superposition",
-    "psi_tcs",
-    "rotate_evolution_check",
-    "squeezed_vacuum_coeffs",
-    "superposition_grid",
-    "t_matrix",
-    "tcs_grid",
-    "time_dependent_expansion",
-    "to_complex",
-    "uncertainty_extrema",
-    "var_h",
-    "var_h_operator",
-    "variance_series",
-    "wigner_numeric",
-    "wigner_superposition",
-    "wigner_tcs",
+    *channel.__all__, *ermakov.__all__, *fockexp.__all__,
+    *operators.__all__, *phasespace.__all__, *states.__all__,
     "__version__",
 ]

@@ -34,6 +34,7 @@ import numpy as np
 
 from ._csv import FLOAT, block_lines, format_axis, mesh_blocks, write_csv
 from .ermakov import ErmakovParameters, _continuous_arg
+from .specfun import _check_int
 
 __all__ = [
     "ChannelParameters",
@@ -199,8 +200,7 @@ def focus_metrics(c: ChannelParameters, t: float) -> FocusMetrics:
 
 def _snapshot_axes(c: ChannelParameters, points: int, half_width):
     """The x and y axes of a snapshot grid, checked to be finite."""
-    if points < 2:
-        raise ValueError("points must be >= 2")
+    points = _check_int(points, "points", 2)
     if half_width is None:
         widest = max(c.beta0, 1.0 / c.beta0)
         half_width = 6.0 * widest + abs(c.delta0)

@@ -309,12 +309,15 @@ def to_complex(p0: ErmakovParameters) -> ComplexGroupParameters:
     argument of `from_complex` to recover a negative-beta representative.
     gamma0 and kappa0 ride along separately.
     """
-    a0, b0 = p0.alpha, p0.beta
-    b0sq = b0 * b0
-    c1 = complex(0.5 * (1.0 + b0sq), -a0)
-    c2 = complex(0.5 * (1.0 - b0sq), a0)
-    c3 = complex(p0.delta / b0, -p0.epsilon)
+    c1, c2 = _c_pair(p0.alpha, p0.beta)
+    c3 = complex(p0.delta / p0.beta, -p0.epsilon)
     return ComplexGroupParameters(c1, c2, c3)
+
+
+def _c_pair(alpha: float, beta: float) -> tuple[complex, complex]:
+    """The squeeze-sector constants (c1, c2) of (alpha, beta)."""
+    bsq = beta * beta
+    return complex(0.5 * (1.0 + bsq), -alpha), complex(0.5 * (1.0 - bsq), alpha)
 
 
 def from_complex(

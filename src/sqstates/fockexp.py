@@ -81,10 +81,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csv import FLOAT, write_csv
-from .ermakov import ErmakovParameters, evolve
+from .ermakov import ErmakovParameters, _c_pair, evolve
 from .specfun import (
     MAX_DEGREE,
     _check_degree,
+    _check_int,
     gauss_hermite_rule,
     hermite_function_table,
     laguerre_ratio_table,
@@ -116,14 +117,6 @@ TAIL_WARN_LIMIT = 1e-6
 
 class TruncationWarning(UserWarning):
     """Noticeable probability mass beyond the truncation (never fatal)."""
-
-
-def _check_size(size) -> int:
-    if not isinstance(size, (int, np.integer)) or isinstance(size, bool):
-        raise ValueError(f"size must be an integer, got {size!r}")
-    if not 1 <= size <= MAX_DEGREE:
-        raise ValueError(f"size must be in [1, {MAX_DEGREE}], got {size}")
-    return int(size)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -280,13 +273,20 @@ def t_matrix(a: float, b: float, gamma: float, size: int) -> np.ndarray:
         a = b = 0 this is exactly exp(i gamma) times the identity, and
         |T_m0|^2 = exp(-nu) nu^m / m! with nu = (a^2 + b^2)/2.
     """
-    size = _check_size(size)
+    size = _check_int(size, "size", 1, MAX_DEGREE)
     return _readonly(_t_columns(a, b, gamma, size, range(size)))
 
 
-def _c_pair(alpha: float, beta: float) -> tuple[complex, complex]:
-    return (complex(0.5 * (1.0 + beta * beta), -alpha),
-            complex(0.5 * (1.0 - beta * beta), alpha))
+def _t_arguments(p: ErmakovParameters) -> tuple[tuple, tuple]:
+    """The (a, b, gamma) arguments of T in the two factorization orders.
+
+        c = M(alpha, beta) T(eps, delta/beta, kappa)
+          = T(eps/beta, delta - 2 alpha eps/beta,
+              kappa - alpha eps^2/beta^2) M(alpha, beta)
+    """
+    a, b, e = p.alpha, p.beta, p.epsilon
+    return ((e, p.delta / b, p.kappa),
+            (e / b, p.delta - 2.0 * a * e / b, p.kappa - a * e**2 / b**2))
 
 
 def _scale_factors(b: float, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -447,7 +447,7 @@ def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
         beta * sum_m |M_mn|^2 = 1 up to truncation tail; the entrywise
         accuracy is uniform in size (~1e-13 absolute at MAX_DEGREE).
     """
-    size = _check_size(size)
+    size = _check_int(size, "size", 1, MAX_DEGREE)
     if beta == 0.0:
         raise ValueError("beta must be nonzero")
     alpha = float(alpha)
@@ -544,7 +544,7 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
         matrices left the floating-point range), or if the two orderings
         disagree beyond the truncation budget.
     """
-    size = _check_size(size)
+    size = _check_int(size, "size", 1, MAX_DEGREE)
     cols = tuple(_check_degree(n, "column") for n in columns)
     if not cols:
         raise ValueError("columns must be nonempty")
@@ -554,7 +554,8 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
 
     a0, b0 = p0.alpha, p0.beta
     picked = np.array(cols)
-    tcols = _t_columns(p0.epsilon, p0.delta / b0, p0.kappa, size, cols)
+    first_order, second_order = _t_arguments(p0)
+    tcols = _t_columns(*first_order, size, cols)
     if a0 == 0.0 and abs(b0) == 1.0:
         # the exact identity point of `m_matrix`: M = diag(1, b0, 1, b0, ...)
         diag = np.where(np.arange(size) % 2, b0, 1.0)
@@ -568,10 +569,7 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
         mcols = (row[:, None] * _real_scale_matrix(factors, picked)
                  * col[None, picked])
 
-    second = _t_product(p0.epsilon / b0,
-                        p0.delta - 2.0 * a0 * p0.epsilon / b0,
-                        p0.kappa - a0 * p0.epsilon**2 / b0**2,
-                        mcols)
+    second = _t_product(*second_order, mcols)
     if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
         raise ArithmeticError(
             "non-finite expansion coefficients: the overlap matrices "
@@ -631,18 +629,12 @@ def _phase_identity_check(p0: ErmakovParameters, t: float) -> None:
     m = np.arange(block)[:, None]
     n = np.arange(block)[None, :]
 
-    t0 = t_matrix(p0.epsilon, p0.delta / p0.beta, p0.kappa, block)
-    t1 = t_matrix(pt.epsilon, pt.delta / pt.beta, pt.kappa, block)
+    t0, t0b = (t_matrix(*args, block) for args in _t_arguments(p0))
+    t1, t1b = (t_matrix(*args, block) for args in _t_arguments(pt))
     scale = np.max(np.abs(t0)) + 1e-300
     if not np.max(np.abs(t1 - np.exp(2j * (m - n) * dg) * t0)) <= tol * scale:
         raise ArithmeticError("displacement-phase identity failed")
 
-    t0b = t_matrix(p0.epsilon / p0.beta,
-                   p0.delta - 2.0 * p0.alpha * p0.epsilon / p0.beta,
-                   p0.kappa - p0.alpha * p0.epsilon**2 / p0.beta**2, block)
-    t1b = t_matrix(pt.epsilon / pt.beta,
-                   pt.delta - 2.0 * pt.alpha * pt.epsilon / pt.beta,
-                   pt.kappa - pt.alpha * pt.epsilon**2 / pt.beta**2, block)
     if not np.max(np.abs(t1b - np.exp(1j * (n - m) * t) * t0b)) <= tol * scale:
         raise ArithmeticError("rotated displacement-phase identity failed")
 
@@ -725,7 +717,7 @@ def pascal_even(sigma_sum: float, p_max: int) -> PhotonStatistics:
     """
     if not sigma_sum >= 1.0:
         raise ValueError(f"variance sum must be >= 1, got {sigma_sum}")
-    p_max = _check_size(p_max + 1) - 1
+    p_max = _check_int(p_max, "p_max", 0, MAX_DEGREE - 1)
     probs = np.zeros(2 * p_max + 1)
     q = (sigma_sum - 1.0) / (sigma_sum + 1.0)
     term = math.sqrt(2.0 / (sigma_sum + 1.0))
@@ -747,7 +739,7 @@ def pascal_odd(sigma_sum: float, p_max: int) -> PhotonStatistics:
     """
     if not sigma_sum >= 1.0:
         raise ValueError(f"variance sum must be >= 1, got {sigma_sum}")
-    p_max = _check_size(p_max + 1) - 1
+    p_max = _check_int(p_max, "p_max", 0, MAX_DEGREE - 1)
     probs = np.zeros(2 * p_max + 2)
     q = (sigma_sum - 1.0) / (sigma_sum + 1.0)
     term = (2.0 / (sigma_sum + 1.0)) ** 1.5
@@ -765,7 +757,7 @@ def poisson_statistics(delta0: float, epsilon0: float, m_max: int) -> PhotonStat
     The mean level is nbar = (delta0^2 + epsilon0^2)/2 and
     P_m = exp(-nbar) nbar^m / m!; mean and variance both equal nbar.
     """
-    m_max = _check_size(m_max + 1) - 1
+    m_max = _check_int(m_max, "m_max", 0, MAX_DEGREE - 1)
     nbar = 0.5 * (delta0 * delta0 + epsilon0 * epsilon0)
     probs = np.zeros(m_max + 1)
     term = math.exp(-nbar)
@@ -789,7 +781,7 @@ def squeezed_vacuum_coeffs(alpha0: float, beta0: float, p_max: int) -> np.ndarra
     """
     if beta0 == 0.0:
         raise ValueError("beta0 must be nonzero")
-    p_max = _check_size(p_max + 1) - 1
+    p_max = _check_int(p_max, "p_max", 0, MAX_DEGREE - 1)
     c1, c2 = _c_pair(alpha0, beta0)
     out = np.zeros(p_max + 1, dtype=complex)
     val = 1.0 / np.sqrt(c1)

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ermakov import ErmakovParameters, classical_trajectory, evolve
+from .specfun import _check_int
 
 __all__ = [
     "OperatorMatrix",
@@ -133,8 +134,7 @@ def interior(matrix: np.ndarray, pad: int = 1) -> np.ndarray:
     (N-1) block, nested products on the (N-2) block; identities are
     asserted there and nowhere closer to the edge.
     """
-    if pad < 1:
-        raise ValueError("pad must be >= 1")
+    pad = _check_int(pad, "pad", 1)
     return np.asarray(matrix)[:-pad, :-pad]
 
 
@@ -155,8 +155,7 @@ def fock_operators(n_dim: int) -> dict:
         H = (a a+ + a+ a)/2 is diagonal with k + 1/2 on the first N - 1
         levels (the last diagonal entry is a truncation artifact).
     """
-    if n_dim < 2:
-        raise ValueError("need dimension >= 2, got %d" % n_dim)
+    n_dim = _check_int(n_dim, "n_dim", 2)
     lower = np.zeros((n_dim, n_dim), dtype=complex)
     roots = np.sqrt(np.arange(1.0, n_dim))
     lower[np.arange(n_dim - 1), np.arange(1, n_dim)] = roots
@@ -367,8 +366,7 @@ def var_h_operator(n: int, p: ErmakovParameters, n_dim: int = 256) -> float:
     n_dim : int, optional
         Fock dimension (default 256).
     """
-    if n < 0:
-        raise ValueError("level must be non-negative")
+    n = _check_int(n, "n", 0)
     if n > n_dim // 8:
         raise ValueError("level %d too close to the truncation %d; "
                          "raise n_dim" % (n, n_dim))
@@ -391,8 +389,7 @@ def ladder_action_check(p: ErmakovParameters, n_dim: int,
     recursively by the b overlaps).  Includes |b psi_0| -- the ground
     vector must be annihilated.
     """
-    if levels < 1 or levels > n_dim // 8:
-        raise ValueError("levels must sit well inside the truncation")
+    levels = _check_int(levels, "levels", 1, n_dim // 8)
     _, vecs = energy_levels(p, n_dim)
     ladder = b_operators(p, n_dim)
     low = ladder["b"].entries
@@ -428,8 +425,7 @@ def field_expectation(e_mode: float, h_mode: float, state_n: int,
     space (displacement is carried by the parameters, not the level),
     so ``state_n`` only participates through validation.
     """
-    if state_n < 0:
-        raise ValueError("level must be non-negative")
+    _check_int(state_n, "state_n", 0)
     x_mean, p_mean = classical_trajectory(p0, t)
     root = math.sqrt(4.0 * math.pi)
     return -root * e_mode * p_mean, root * h_mode * x_mean

@@ -54,7 +54,7 @@ import numpy as np
 
 from ._csv import block_lines, format_axis, mesh_blocks, write_csv
 from .ermakov import ErmakovParameters, classical_trajectory, evolve
-from .specfun import _check_degree, laguerre_assoc
+from .specfun import _check_degree, _check_int, laguerre_assoc
 from .states import TCSState, covariance
 
 __all__ = [
@@ -292,8 +292,7 @@ def wigner_numeric(psi: Callable, pt: PhaseSpacePoint,
         exceeds 1e-8 or is NaN, i.e. the quadrature cannot vouch for the
         value.
     """
-    if nodes < 1024:
-        raise ValueError("nodes must be >= 1024, got %d" % nodes)
+    nodes = _check_int(nodes, "nodes", 1024)
     if nodes % 2 == 0:
         nodes += 1
     if not (extent > 0.0 and math.isfinite(extent)):
@@ -522,11 +521,8 @@ def default_grid(p0: ErmakovParameters, t: float = 0.0,
     it.
     """
     nx, np_ = (points, points) if np.ndim(points) == 0 else points
-    if min(nx, np_) < 2:
-        raise ValueError("points must be >= 2")
-    nmax = max(int(n) for n in levels)
-    if nmax < 0:
-        raise ValueError("levels must be non-negative")
+    nx, np_ = _check_int(nx, "points", 2), _check_int(np_, "points", 2)
+    nmax = max(_check_degree(n, "levels") for n in levels)
     x_mean, p_mean = (classical_trajectory(p0, t) if center is None
                       else (float(center[0]), float(center[1])))
     cov = covariance(evolve(p0, t))

@@ -46,14 +46,23 @@ class ParameterDegeneracyError(ValueError):
     """A lower Pochhammer factor vanished before the series terminated."""
 
 
+def _check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int, if it is an integer in [low, high].
+
+    An integer is an ``int`` or a numpy integer, never a ``bool`` or a
+    float; ``high=None`` leaves the range open above.  Anything else
+    raises ValueError naming the argument ``name``.
+    """
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return int(value)
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 def _check_degree(n, name="degree"):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"{name} must be nonnegative, got {n}")
-    if n > MAX_DEGREE:
-        raise ValueError(f"{name} {n} exceeds MAX_DEGREE = {MAX_DEGREE}")
-    return int(n)
+    """``n`` as an int, if it is a degree or basis level in [0, MAX_DEGREE]."""
+    return _check_int(n, name, 0, MAX_DEGREE)
 
 
 def hermite(n: int, x):
@@ -132,12 +141,7 @@ def hermite_zeros(n: int) -> np.ndarray:
     ArithmeticError
         If the Newton polish does not converge.
     """
-    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
-            or not 1 <= n <= MAX_DEGREE + 1):
-        raise ValueError(
-            f"number of zeros must be an integer in [1, {MAX_DEGREE + 1}], "
-            f"got {n!r}")
-    n = int(n)
+    n = _check_int(n, "n", 1, MAX_DEGREE + 1)
     t = math.pi * (4.0 * np.arange(1, n // 2 + 1) - 1.0) / (4.0 * n + 2.0)
     phi = np.cbrt(1.5 * t)
     for _ in range(6):
@@ -312,6 +316,18 @@ def hyp2f1_terminating(m: int, n: int, c: Scalar, z: Scalar) -> Scalar:
     return total
 
 
+def _even_odd_split(m: int, n: int) -> tuple[int, int, float, float]:
+    """The reduced degrees, lower parameter and log ratio, m + n even.
+
+    m = 2r, n = 2s gives c = 1/2 and m = 2r + 1, n = 2s + 1 gives
+    c = 3/2; the ratio is (c)_r (c)_s / (c)_{r+s}, returned as its log.
+    """
+    r, s, c = m // 2, n // 2, 1.5 if m % 2 else 0.5
+    log_ratio = (math.lgamma(c + r) + math.lgamma(c + s)
+                 - math.lgamma(c + r + s) - math.lgamma(c))
+    return r, s, c, log_ratio
+
+
 def hyp2f1_even_odd(k: int, n: int, zeta: Scalar) -> complex:
     """2F1(-k, -n; (1-k-n)/2; (1 + i zeta)/2) via the even/odd reduction.
 
@@ -327,15 +343,10 @@ def hyp2f1_even_odd(k: int, n: int, zeta: Scalar) -> complex:
     n = _check_degree(n, "n")
     if (k + n) % 2:
         raise ValueError(f"k + n must be even, got k={k}, n={n}")
-    if k % 2 == 0:
-        r, s, c = k // 2, n // 2, 0.5
-        front = 1.0 + 0j
-    else:
-        r, s, c = (k - 1) // 2, (n - 1) // 2, 1.5
-        front = -1j * zeta
-    ratio = math.exp(math.lgamma(c + r) + math.lgamma(c + s)
-                     - math.lgamma(c + r + s) - math.lgamma(c))
-    return front * ratio * hyp2f1_terminating(r, s, c, -(zeta * zeta))
+    r, s, c, log_ratio = _even_odd_split(k, n)
+    front = -1j * zeta if k % 2 else 1.0 + 0j
+    return (front * math.exp(log_ratio)
+            * hyp2f1_terminating(r, s, c, -(zeta * zeta)))
 
 
 def _bailey_core(m: int, n: int, a: Scalar, b: Scalar, lam2: Scalar) -> complex:
@@ -350,12 +361,8 @@ def _bailey_core(m: int, n: int, a: Scalar, b: Scalar, lam2: Scalar) -> complex:
     sa2 = a * a - lam2
     sb2 = b * b - lam2
     ab2 = (a * b) * (a * b)
-    if m % 2 == 0:
-        r, s, c = m // 2, n // 2, 0.5
-        front = 1.0 + 0j
-    else:
-        r, s, c = (m - 1) // 2, (n - 1) // 2, 1.5
-        front = complex(a * b)
+    r, s, c, log_ratio = _even_odd_split(m, n)
+    front = complex(a * b) if m % 2 else 1.0 + 0j
     # sum_k [(-r)_k (-s)_k / ((c)_k k!)] (ab)^(2k) sa2^(r-k) sb2^(s-k)
     kmax = min(r, s)
     terms = []
@@ -364,8 +371,6 @@ def _bailey_core(m: int, n: int, a: Scalar, b: Scalar, lam2: Scalar) -> complex:
         terms.append(coeff * ab2**k * sa2 ** (r - k) * sb2 ** (s - k))
         coeff = coeff * ((k - r) * (k - s)) / ((c + k) * (k + 1))
     poly = sum(terms)
-    log_ratio = (math.lgamma(c + r) + math.lgamma(c + s)
-                 - math.lgamma(c + r + s) - math.lgamma(c))
     log_front = ((m + n) * math.log(2.0)
                  + math.lgamma(0.5 * (m + n + 1))
                  - 0.5 * (m + n + 1) * np.log(complex(lam2)))

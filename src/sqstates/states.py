@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .ermakov import ErmakovParameters, classical_trajectory, evolve
-from .specfun import MAX_DEGREE, hermite_function_table
+from .specfun import _check_degree, hermite_function_table
 
 __all__ = [
     "DynamicState",
@@ -48,10 +48,7 @@ class DynamicState:
     params0: ErmakovParameters
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if not 0 <= self.n <= MAX_DEGREE:
-            raise ValueError(f"n must be in [0, {MAX_DEGREE}], got {self.n}")
+        _check_degree(self.n, "n")
 
 
 @dataclass(frozen=True)

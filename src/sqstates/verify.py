@@ -132,8 +132,13 @@ def _check_variance_consistency(rng):
         yield np.max(abs(product - cov.sigma_p * cov.sigma_x))
 
 
+#: fourth-order central stencils (offset, weight): 12 h f' and 12 h^2 f''
+_FIRST = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
+_SECOND = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))
+
+
 def _check_wave_equation(rng):
-    h = 1e-4
+    ht, hx = 1e-4, 1e-3
     for _ in range(2):
         p0 = _draw(rng)
         for n, t in ((0, 1.1), (3, 0.35)):
@@ -143,10 +148,11 @@ def _check_wave_equation(rng):
             sig = math.sqrt((2.0 * n + 1.0) / (2.0 * pe.beta**2))
             xs = np.linspace(x_mean - 6.0 * sig - 1.5,
                              x_mean + 6.0 * sig + 1.5, 401)
-            psi_t = (psi_n(state, xs, t + h) - psi_n(state, xs, t - h)) / (2 * h)
+            psi_t = sum(w * psi_n(state, xs, t + k * ht)
+                        for k, w in _FIRST) / (12 * ht)
+            psi_xx = sum(w * psi_n(state, xs + k * hx, t)
+                         for k, w in _SECOND) / (12 * hx * hx)
             mid = psi_n(state, xs, t)
-            psi_xx = (psi_n(state, xs + h, t) - 2.0 * mid
-                      + psi_n(state, xs - h, t)) / (h * h)
             potential = xs * xs * mid
             residual = 2j * psi_t + psi_xx - potential
             scale = np.max(2.0 * np.abs(psi_t) + np.abs(psi_xx)
@@ -228,10 +234,26 @@ def _check_heisenberg_motion(rng):
             yield heisenberg_residual(p0, t, 48)
 
 
+def _ladder_truncation(p0: ErmakovParameters) -> int:
+    """A truncation that resolves the lowest six invariant levels of p0.
+
+    Level k of the invariant is the image of |k> under the Gaussian
+    unitary of p0, so its mean photon number is (2k + 1)(sigma_x +
+    sigma_p)/2 - 1/2 + (xbar^2 + pbar^2)/2 in closed form.  Nine times
+    that mean at k = 6, rounded up to a multiple of 16, with 64 at the
+    least, keeps the spectrum error near roundoff over the drawn box.
+    """
+    cov = covariance(p0)
+    x_mean, p_mean = classical_trajectory(p0, 0.0)
+    mean_level = (6.5 * (cov.sigma_x + cov.sigma_p) - 0.5
+                  + 0.5 * (x_mean * x_mean + p_mean * p_mean))
+    return max(64, 16 * math.ceil(9.0 * mean_level / 16.0))
+
+
 def _check_ladder_spectrum(rng):
     for _ in range(2):
         p0 = _draw_resolvable(rng)
-        values, _ = energy_levels(evolve(p0, 0.0), 192)
+        values, _ = energy_levels(evolve(p0, 0.0), _ladder_truncation(p0))
         for k in range(6):
             yield abs(float(values[k]) - (k + 0.5))
 

@@ -803,6 +803,21 @@ class TestDemkov:
             "metrics.csv", "snapshot_t0.csv", "snapshot_t1.csv",
             "snapshot_t2.csv"]
 
+    def test_square_grid_flag_matches_points(self, tmp_path):
+        by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+        assert main(["demkov", "--config",
+                     write_config(tmp_path, DEMKOV_UNIT, "flag.json"),
+                     "--out", str(by_flag), "--grid", "21,21"]) == 0
+        cfg = dict(DEMKOV_UNIT, points=21)
+        assert main(["demkov", "--config",
+                     write_config(tmp_path, cfg, "points.json"),
+                     "--out", str(by_config)]) == 0
+        names = sorted(os.listdir(by_config))
+        assert sorted(os.listdir(by_flag)) == names
+        for name in names:
+            assert ((by_flag / name).read_bytes()
+                    == (by_config / name).read_bytes())
+
     def test_nonsquare_grid_rejected(self, tmp_path, capsys):
         cfg = {"channel": {"beta0": 1.0}, "times": [0.0]}
         assert main(["demkov", "--config", write_config(tmp_path, cfg),
@@ -955,6 +970,13 @@ class TestVerify:
             assert entry["passed"] is True
             assert entry["max_error"] <= entry["tolerance"]
             assert entry["runtime_seconds"] >= 0.0
+
+    @pytest.mark.parametrize("seed", [61, 103, 108, 239])
+    def test_steep_draws_pass(self, seed):
+        # the draws of these seeds are steep enough that a fixed
+        # ladder-spectrum truncation of 192 or second-order differences
+        # in wave-equation missed their tolerances
+        assert verify.run_verification(seed)["all_passed"] is True
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = {"seed": 11}

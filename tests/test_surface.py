@@ -15,6 +15,14 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(sqstates.__path__))
 NAMES = ["sqstates"] + ["sqstates." + name for name in MODULES]
 
 
+def test_package_reexports_each_module_surface():
+    reexported = [name for module in ("channel", "ermakov", "fockexp",
+                                      "operators", "phasespace", "states")
+                  for name in importlib.import_module(
+                      "sqstates." + module).__all__]
+    assert sqstates.__all__ == reexported + ["__version__"]
+
+
 def test_every_module_is_listed():
     assert {"cli", "ermakov", "fockexp", "specfun"} <= set(MODULES)
 
