@@ -56,6 +56,10 @@ at O(size^2 k) cost, and T[:, cols] needs the Laguerre recurrence only up
 to index max(cols).  Its cross-check applies the T of the other
 factorization order to M[:, cols] as two real triangle products
 (`_t_product`), so no complex size x size matrix is ever formed.
+Every kernel writes its products into its result or into one work table
+of that size, so it holds at most one size x size temporary beside what
+it returns; each in-place product keeps the elementwise operations and
+operand order of the whole-table expression it replaces, bit for bit.
 
 NORMALIZATION: stored coefficients are the bare c_mn above -- the
 sqrt(beta0) weight is applied at reconstruction, NOT stored.  A single
@@ -80,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._csv import FLOAT, write_csv
+from ._csv import BLOCK_ROWS, FLOAT, write_csv
 from .ermakov import ErmakovParameters, _c_pair, evolve
 from .specfun import (
     MAX_DEGREE,
@@ -140,20 +144,23 @@ def _displacement_upper(nu: float, rows: int, size: int) -> np.ndarray:
     and zeros below the diagonal.  The Laguerre ratio comes from the
     shrinking-slice recurrence of `laguerre_ratio_table`; the amplitude
     is a running product of sqrt(m nu)/(m - n) along each row, started
-    at the diagonal.  Left of the diagonal only exact ones and zeros are
-    formed, so nothing there can overflow.  Rows n < rows are the same
-    bits for every rows.  Raises ArithmeticError if an entry is not
-    finite.
+    at the diagonal, taken BLOCK_ROWS rows at a time so that only one
+    (BLOCK_ROWS, size) step table is ever held beside U.  Left of the
+    diagonal only exact ones and zeros are formed, so nothing there can
+    overflow.  Rows n < rows are the same bits for every rows.  Raises
+    ArithmeticError if an entry is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         upper = laguerre_ratio_table(rows, size, nu)
         # step[n, m] = sqrt(m nu)/(m - n) right of the diagonal, 1 on and
         # left of it; dist[n, m] = m - n is a strided view, not a table
         dist = sliding_window_view(np.arange(1.0 - rows, size), size)[::-1]
-        step = np.ones((rows, size))
-        np.divide(np.sqrt(np.arange(size) * nu), dist, out=step,
-                  where=dist > 0)
-        upper *= np.cumprod(step, axis=1, out=step)
+        amp = np.sqrt(np.arange(size) * nu)
+        for r0 in range(0, rows, BLOCK_ROWS):
+            block = slice(r0, r0 + BLOCK_ROWS)
+            step = np.ones(upper[block].shape)
+            np.divide(amp, dist[block], out=step, where=dist[block] > 0)
+            upper[block] *= np.cumprod(step, axis=1, out=step)
     if not np.all(np.isfinite(upper)):
         raise ArithmeticError(
             f"displacement overlaps overflow at nu = {nu:.3e} with size "
@@ -195,12 +202,23 @@ def _t_columns(a: float, b: float, gamma: float, size: int,
     rows = int(cols.max()) + 1
     upper = _displacement_upper(nu, rows, size)
     sign = np.where(np.arange(size) % 2, -1.0, 1.0)
-    s = upper[cols].T * (sign[:, None] * sign[cols])
+    s = upper[cols].T
+    s *= sign[:, None] * sign[cols]
     np.copyto(s[:rows], upper[:, cols], where=m[:rows] <= cols)
+    del upper
+    # s is a transposed row gather, in Fortran order; the result is in C
+    out = np.multiply(np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu), s,
+                      order="C")
+    del s
     lag = cols - m                      # zeta^{n-m} = conj(zeta)^m zeta^n
-    zeta = _zeta_powers(a, b, size)[np.abs(lag)]
-    phase = np.where(lag >= 0, zeta, zeta.conj())
-    return np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu) * s * phase
+    below = lag < 0
+    phase = _zeta_powers(a, b, size)[np.abs(lag, out=lag)]
+    del lag
+    np.conjugate(phase, out=phase, where=below)
+    # numpy's complex multiply is not bitwise commutative (b *= a can
+    # round otherwise than a * b), so every in-place product keeps the
+    # operand order of the one-shot expression it replaces
+    return np.multiply(out, phase, out=out)
 
 
 def _t_product(a: float, b: float, gamma: float, x: np.ndarray) -> np.ndarray:
@@ -226,9 +244,17 @@ def _t_product(a: float, b: float, gamma: float, x: np.ndarray) -> np.ndarray:
     zeta = _zeta_powers(a, b, size)
     sign = np.where(np.arange(size) % 2, -1.0, 1.0)[:, None]
     y = (zeta[:, None] * x).view(float)
-    sy = upper @ y + diag[:, None] * y + sign * (upper.T @ (sign * y))
+    # sy = upper @ y + diag y + sign (upper^T (sign y)), summed in that order
+    sy = upper @ y
+    work = np.multiply(diag[:, None], y)
+    sy += work
+    np.multiply(sign, y, out=work)
+    np.matmul(upper.T, work, out=y)
+    del upper, work
+    sy += np.multiply(sign, y, out=y)
     left = np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu) * zeta.conj()
-    return left[:, None] * sy.view(complex)
+    out = sy.view(complex)
+    return np.multiply(left[:, None], out, out=out)
 
 
 def t_matrix(a: float, b: float, gamma: float, size: int) -> np.ndarray:
@@ -312,7 +338,9 @@ def _scale_factors(b: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     points = np.concatenate((s * u, (b * s) * u))
     table = hermite_function_table(size - 1, points)
     half = len(u)
-    return table[:, :half] * ((2.0 * s) * weights), table[:, half:]
+    hxw = table[:, :half]
+    hxw *= (2.0 * s) * weights
+    return hxw, table[:, half:]
 
 
 def _real_scale_matrix(factors, cols) -> np.ndarray:
@@ -337,6 +365,10 @@ def _real_scale_product(factors, x: np.ndarray) -> np.ndarray:
 
     Applied as hxw (hy^T x) on each parity block, which costs
     O(size J k) for k columns instead of the O(size^2 J) of M itself.
+    The products stay complex although the factors are real.  Run on the
+    real (size, 2k) view of x, the same sums can round otherwise; that
+    changed the returned bits in 10 of 20 random tables of sizes 17 to
+    300, although none of 126 `fock-sweep` benchmark tables moved.
     """
     hxw, hy = factors
     out = np.empty(x.shape, dtype=complex)
@@ -457,7 +489,10 @@ def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
         return _readonly(np.diag(diag))
     row, factors, col = _squeeze_factors(alpha, beta, size)
     core = _real_scale_matrix(factors, range(size))
-    return _readonly(row[:, None] * core * col[None, :])
+    del factors
+    out = np.multiply(row[:, None], core)
+    del core
+    return _readonly(np.multiply(out, col[None, :], out=out))
 
 
 # ----------------------------------------------------------------------
@@ -559,15 +594,18 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
     if a0 == 0.0 and abs(b0) == 1.0:
         # the exact identity point of `m_matrix`: M = diag(1, b0, 1, b0, ...)
         diag = np.where(np.arange(size) % 2, b0, 1.0)
-        first = diag[:, None] * tcols
+        first = np.multiply(diag[:, None], tcols, out=tcols)
         mcols = np.zeros((size, len(cols)), dtype=complex)
         mcols[picked, np.arange(len(cols))] = diag[picked]
     else:
         row, factors, col = _squeeze_factors(a0, b0, size)
-        first = row[:, None] * _real_scale_product(factors,
-                                                   col[:, None] * tcols)
-        mcols = (row[:, None] * _real_scale_matrix(factors, picked)
-                 * col[None, picked])
+        first = _real_scale_product(
+            factors, np.multiply(col[:, None], tcols, out=tcols))
+        np.multiply(row[:, None], first, out=first)
+        mcols = np.multiply(row[:, None], _real_scale_matrix(factors, picked))
+        np.multiply(mcols, col[None, picked], out=mcols)
+        del factors
+    del tcols
 
     second = _t_product(*second_order, mcols)
     if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
@@ -580,10 +618,13 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
     tail_second = 1.0 - weight * np.sum(np.abs(second) ** 2, axis=0)
     diff = weight * np.sum(np.abs(first - second) ** 2, axis=0)
     budget = 10.0 * (np.abs(tail_first) + np.abs(tail_second)) + 1e-18
-    if not np.all(diff <= budget):
+    failing = np.flatnonzero(~(diff <= budget))
+    if failing.size:
+        j = failing[0]
         raise ArithmeticError(
             "factorization orders disagree beyond the truncation budget: "
-            f"max weighted difference {float(np.max(diff)):.3e}")
+            f"column {cols[j]} has weighted difference {diff[j]:.3e} "
+            f"against a budget of {budget[j]:.3e}")
 
     worst = float(np.max(tail_first))
     if not worst <= TAIL_HARD_LIMIT:
@@ -598,7 +639,8 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
     if p0.gamma != 0.0:
         # initial-phase gauge: the matrix product is gamma0-blind, but the
         # wavefunction carries e^{i(2n+1)gamma0}, so reconstruction needs it
-        first = first * np.exp(1j * (2.0 * picked + 1.0) * p0.gamma)
+        np.multiply(first, np.exp(1j * (2.0 * picked + 1.0) * p0.gamma),
+                    out=first)
     return ExpansionTable(np.ascontiguousarray(first), cols, size,
                           tail_first, b0)
 

@@ -6,6 +6,12 @@ term-by-term hypergeometric sums, and operator exponentials on a large
 truncated number basis.  The one package function used is
 `sqstates.specfun.hyp2f1_even_odd`, which its own tests pin against
 exact arithmetic.
+
+The `oneshot_*` functions are of another kind: they are the whole-table
+numpy expressions that `sqstates.fockexp`'s kernels evaluated before
+those kernels wrote their products in place, kept verbatim so that the
+tests can pin the in-place kernels to the same bits.  They reuse only
+the library pieces that the in-place rewrite left alone.
 """
 
 import math
@@ -13,7 +19,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from sqstates.specfun import hyp2f1_even_odd
+from numpy.lib.stride_tricks import sliding_window_view
+
+from sqstates import fockexp
+from sqstates.specfun import (
+    gauss_hermite_rule,
+    hermite_function_table,
+    hyp2f1_even_odd,
+    laguerre_ratio_table,
+)
 
 #: number levels of the operator-algebra basis behind `fock_tail`
 FOCK_DIM = 1024
@@ -167,3 +181,98 @@ def fock_tail(alpha, beta, ncols, cut):
         f"oracle basis of {FOCK_DIM} levels too small at alpha={alpha}, "
         f"beta={beta}: edge mass {float(np.max(edge)):.3e}")
     return np.sum(np.abs(cols[cut:]) ** 2, axis=0)
+
+
+def oneshot_displacement_upper(nu, rows, size):
+    """`fockexp._displacement_upper` with one (rows, size) step table."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = laguerre_ratio_table(rows, size, nu)
+        dist = sliding_window_view(np.arange(1.0 - rows, size), size)[::-1]
+        step = np.ones((rows, size))
+        np.divide(np.sqrt(np.arange(size) * nu), dist, out=step,
+                  where=dist > 0)
+        upper *= np.cumprod(step, axis=1, out=step)
+    return upper
+
+
+def oneshot_t_columns(a, b, gamma, size, cols):
+    """`fockexp._t_columns` as one product of whole (size, k) tables."""
+    cols = np.asarray(cols)
+    m = np.arange(size)[:, None]
+    nu = 0.5 * (a * a + b * b)
+    if nu == 0.0:
+        return np.where(m == cols, complex(math.cos(gamma), math.sin(gamma)),
+                        0j)
+    rows = int(cols.max()) + 1
+    upper = oneshot_displacement_upper(nu, rows, size)
+    sign = np.where(np.arange(size) % 2, -1.0, 1.0)
+    s = upper[cols].T * (sign[:, None] * sign[cols])
+    np.copyto(s[:rows], upper[:, cols], where=m[:rows] <= cols)
+    lag = cols - m
+    zeta = fockexp._zeta_powers(a, b, size)[np.abs(lag)]
+    phase = np.where(lag >= 0, zeta, zeta.conj())
+    return np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu) * s * phase
+
+
+def oneshot_t_product(a, b, gamma, x):
+    """`fockexp._t_product` with every term of S y a fresh table."""
+    size = x.shape[0]
+    nu = 0.5 * (a * a + b * b)
+    if nu == 0.0:
+        return complex(math.cos(gamma), math.sin(gamma)) * x
+    upper = oneshot_displacement_upper(nu, size, size)
+    diag = upper.diagonal().copy()
+    np.fill_diagonal(upper, 0.0)
+    zeta = fockexp._zeta_powers(a, b, size)
+    sign = np.where(np.arange(size) % 2, -1.0, 1.0)[:, None]
+    y = (zeta[:, None] * x).view(float)
+    sy = upper @ y + diag[:, None] * y + sign * (upper.T @ (sign * y))
+    left = np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu) * zeta.conj()
+    return left[:, None] * sy.view(complex)
+
+
+def oneshot_squeeze_factors(alpha, beta, size):
+    """`fockexp._squeeze_factors` with a separate weighted table hxw."""
+    b0, t, dgamma = fockexp._orbit_phases(alpha, abs(beta))
+    m_idx = np.arange(size)
+    row = math.sqrt(b0 / abs(beta)) * np.exp(-1j * (m_idx + 0.5) * t)
+    col = np.exp(-1j * (2.0 * m_idx + 1.0) * dgamma)
+    if beta < 0.0:
+        col = col * np.where(m_idx % 2, -1.0, 1.0)
+    u, weights = gauss_hermite_rule(size + 1)
+    s = math.sqrt(2.0 / (1.0 + b0 * b0))
+    table = hermite_function_table(size - 1, np.concatenate((s * u,
+                                                             (b0 * s) * u)))
+    half = len(u)
+    factors = table[:, :half] * ((2.0 * s) * weights), table[:, half:]
+    return row, factors, col
+
+
+def oneshot_scale_product(factors, x):
+    """`fockexp._real_scale_product`: complex products on each parity block."""
+    hxw, hy = factors
+    out = np.empty(x.shape, dtype=complex)
+    for parity in (0, 1):
+        out[parity::2] = hxw[parity::2] @ (hy[parity::2].T @ x[parity::2])
+    return out
+
+
+def oneshot_m_matrix(alpha, beta, size):
+    """`fockexp.m_matrix` off its identity points, as row * core * col."""
+    row, factors, col = oneshot_squeeze_factors(alpha, beta, size)
+    core = fockexp._real_scale_matrix(factors, range(size))
+    return row[:, None] * core * col[None, :]
+
+
+def oneshot_expansion(p0, cols, size):
+    """(coeffs, tail_mass) of `fockexp.expansion_table`, off the identity
+    point of M, from the first factorization order only."""
+    picked = np.array(cols)
+    first_order, _ = fockexp._t_arguments(p0)
+    tcols = oneshot_t_columns(*first_order, size, cols)
+    row, factors, col = oneshot_squeeze_factors(p0.alpha, p0.beta, size)
+    first = row[:, None] * oneshot_scale_product(factors, col[:, None] * tcols)
+    tail = 1.0 - abs(p0.beta) * np.sum(np.abs(first) ** 2, axis=0)
+    if p0.gamma != 0.0:
+        first = first * np.exp(1j * (2.0 * picked + 1.0) * p0.gamma)
+    return np.ascontiguousarray(first), tail

@@ -1,6 +1,7 @@
 """Overlap-matrix and expansion tests against quadrature and mpmath oracles."""
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -33,7 +34,16 @@ from sqstates.specfun import (
 from sqstates.states import DynamicState, psi_n
 
 from conftest import draw_params
-from oracles import gauss_grid, hyp2f0_terminating, m_entry
+from oracles import (
+    gauss_grid,
+    hyp2f0_terminating,
+    m_entry,
+    oneshot_displacement_upper,
+    oneshot_expansion,
+    oneshot_m_matrix,
+    oneshot_t_columns,
+    oneshot_t_product,
+)
 
 GROUND = ErmakovParameters(0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -408,6 +418,21 @@ class TestFactoredExpansion:
         with pytest.raises(ArithmeticError, match="disagree"):
             expansion_table(FACTORED_CASES[0], (0, 1, 2), 128)
 
+    def test_cross_check_names_the_failing_column(self, monkeypatch):
+        # the same error on the middle column only: the message quotes
+        # that column's label, not the largest difference of the table
+        inner = fockexp._real_scale_product
+
+        def patched(factors, x):
+            out = inner(factors, x)
+            out[:, 1] *= np.exp(1e-6j)
+            return out
+        monkeypatch.setattr(fockexp, "_real_scale_product", patched)
+        with pytest.raises(ArithmeticError,
+                           match=r"disagree.*: column 5 has weighted "
+                                 r"difference \S+ against a budget of"):
+            expansion_table(FACTORED_CASES[0], (2, 5, 7), 128)
+
     def test_cross_check_is_live_on_the_second_order(self, monkeypatch):
         # the same norm-preserving error in the T2 application
         inner = fockexp._t_product
@@ -458,6 +483,76 @@ class TestTriangleKernel:
             laguerre_ratio_table(0, 4, 0.1)
         with pytest.raises(ValueError):
             laguerre_ratio_table(5, 4, 0.1)
+
+
+def uint64(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestInPlaceKernels:
+    """The kernels keep the bits of their one-shot table expressions
+    (`oracles.oneshot_*`) and hold one size x size work table at most."""
+
+    # one row, a block less a row, one block, a block and a row, all rows
+    @pytest.mark.parametrize("rows, size", [
+        (rows, size) for size in (7, 100, 512)
+        for rows in (1, 31, 32, 33, size) if rows <= size])
+    @pytest.mark.parametrize("nu", [2.5e-4, 0.37, 20.5])
+    def test_blocked_running_product_is_bit_identical(self, rows, size, nu):
+        got = fockexp._displacement_upper(nu, rows, size)
+        assert np.array_equal(uint64(got),
+                              uint64(oneshot_displacement_upper(nu, rows,
+                                                                size)))
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_random_tables_are_bit_identical(self, case):
+        rng = np.random.default_rng(case)
+        size = (17, 64, 128, 300)[case % 4]
+        p0 = draw_params(rng)
+        if case % 2:
+            p0 = ErmakovParameters(p0.alpha, -p0.beta, p0.gamma, p0.delta,
+                                   p0.epsilon, p0.kappa)
+        count = int(rng.integers(1, size + 1))
+        cols = tuple(sorted(rng.choice(size, count, replace=False).tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            tab = expansion_table(p0, cols, size)
+        coeffs, tail = oneshot_expansion(p0, cols, size)
+        assert np.array_equal(uint64(tab.coeffs), uint64(coeffs))
+        assert np.array_equal(uint64(tab.tail_mass), uint64(tail))
+        first, second = fockexp._t_arguments(p0)
+        assert np.array_equal(uint64(t_matrix(*first, size)),
+                              uint64(oneshot_t_columns(*first, size,
+                                                       range(size))))
+        assert np.array_equal(uint64(m_matrix(p0.alpha, p0.beta, size)),
+                              uint64(oneshot_m_matrix(p0.alpha, p0.beta,
+                                                      size)))
+        x = tab.coeffs
+        assert np.array_equal(uint64(fockexp._t_product(*second, x)),
+                              uint64(oneshot_t_product(*second, x)))
+
+    # tracemalloc peaks at size 512 (MiB): whole-table expressions first,
+    # in-place kernels second; each bound lies between the two
+    @pytest.mark.parametrize("call, bound", [
+        (lambda: expansion_table(FACTORED_CASES[0], range(8), 512), 4.0),
+        (lambda: expansion_table(FACTORED_CASES[0], range(512), 512), 26.0),
+        (lambda: t_matrix(0.4, -0.5, 0.2, 512), 12.0),
+        (lambda: m_matrix(0.3, 1.2, 512), 8.0),
+    ], ids=["expansion-8-columns",   # 7.61 -> 3.22
+            "expansion-all-columns",  # 33.1 -> 22.1
+            "t-matrix",               # 18.3 -> 10.3
+            "m-matrix"])              # 13.2 -> 6.3
+    def test_peak_memory_at_size_512(self, call, bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            call()                  # fills the Gauss-Hermite rule cache
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak / 2**20 <= bound
 
 
 class TestTimeDependentExpansion:
