@@ -74,16 +74,6 @@ class ChannelParameters:
         if not math.isfinite(self.delta0):
             raise ValueError("delta0 must be finite")
 
-    @property
-    def waist(self) -> float:
-        """The focused radius scale."""
-        return self.beta0
-
-    @property
-    def entry_radius(self) -> float:
-        """The defocused radius scale, 1/beta0."""
-        return 1.0 / self.beta0
-
 
 @dataclass(frozen=True)
 class FocusMetrics:

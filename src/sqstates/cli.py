@@ -567,7 +567,7 @@ def _padded_statistics(stats: PhotonStatistics,
         return stats
     out = np.zeros(levels + 1)
     out[:len(probs)] = probs
-    return PhotonStatistics(out, stats.parity, stats.mean, stats.variance)
+    return PhotonStatistics(out, stats.mean, stats.variance)
 
 
 def cmd_statistics(config: dict, args) -> int:
@@ -593,7 +593,7 @@ def cmd_statistics(config: dict, args) -> int:
             m = np.arange(truncation, dtype=float)
             mean = float(probs @ m)
             variance = float(probs @ (m * m)) - mean * mean
-            stats = PhotonStatistics(probs, "full", mean, variance)
+            stats = PhotonStatistics(probs, mean, variance)
     else:
         levels = _truncation(args, int(config.get("levels", 64)),
                              props["levels"])

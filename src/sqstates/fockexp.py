@@ -101,7 +101,6 @@ __all__ = [
     "PhotonStatistics",
     "t_matrix",
     "m_matrix",
-    "c_coeffs",
     "expansion_table",
     "time_dependent_expansion",
     "squeezed_vacuum_coeffs",
@@ -514,8 +513,6 @@ class ExpansionTable:
         Complex matrix, shape (truncation, len(columns)), read-only.
     columns : tuple of int
         Basis label n of each column.
-    truncation : int
-        Number of retained rows.
     tail_mass : ndarray
         Weighted probability beyond the truncation, one entry per
         column; always reported, never silently dropped.
@@ -525,13 +522,12 @@ class ExpansionTable:
 
     coeffs: np.ndarray
     columns: tuple
-    truncation: int
     tail_mass: np.ndarray
     beta0: float
 
     def __post_init__(self):
-        if self.coeffs.shape != (self.truncation, len(self.columns)):
-            raise ValueError("coeffs shape does not match truncation/columns")
+        if self.coeffs.ndim != 2 or self.coeffs.shape[1] != len(self.columns):
+            raise ValueError("coeffs shape does not match columns")
         if np.any(np.isnan(self.tail_mass)):
             raise ValueError("tail_mass must not be NaN")
         if np.any(self.tail_mass < -1e-12):
@@ -539,9 +535,10 @@ class ExpansionTable:
         _readonly(self.coeffs)
         _readonly(self.tail_mass)
 
-    def column(self, n: int) -> np.ndarray:
-        """Return the coefficient column for basis label n."""
-        return self.coeffs[:, self.columns.index(n)]
+    @property
+    def truncation(self) -> int:
+        """Number of retained rows."""
+        return self.coeffs.shape[0]
 
 
 def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> ExpansionTable:
@@ -641,13 +638,7 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
         # wavefunction carries e^{i(2n+1)gamma0}, so reconstruction needs it
         np.multiply(first, np.exp(1j * (2.0 * picked + 1.0) * p0.gamma),
                     out=first)
-    return ExpansionTable(np.ascontiguousarray(first), cols, size,
-                          tail_first, b0)
-
-
-def c_coeffs(p0: ErmakovParameters, n: int, size: int = 128) -> ExpansionTable:
-    """Single-column expansion table for the n-th dynamic state."""
-    return expansion_table(p0, (n,), size)
+    return ExpansionTable(np.ascontiguousarray(first), cols, tail_first, b0)
 
 
 def _phase_identity_check(p0: ErmakovParameters, t: float) -> None:
@@ -699,7 +690,7 @@ def time_dependent_expansion(p0: ErmakovParameters, n: int, t: float,
     relating evolved-argument matrices to the initial ones are verified
     on a small block (ArithmeticError on failure).
     """
-    table = c_coeffs(p0, n, size)
+    table = expansion_table(p0, (n,), size)
     if p0.beta > 0:
         _phase_identity_check(p0, t)
     phases = np.exp(-1j * (np.arange(size) + 0.5) * t)
@@ -722,13 +713,10 @@ class PhotonStatistics:
     """
 
     probabilities: np.ndarray
-    parity: str
     mean: float
     variance: float
 
     def __post_init__(self):
-        if self.parity not in ("even", "odd", "full"):
-            raise ValueError(f"unknown parity {self.parity!r}")
         if not (np.isfinite(self.probabilities).all()
                 and math.isfinite(self.mean)
                 and math.isfinite(self.variance)):
@@ -767,7 +755,7 @@ def pascal_even(sigma_sum: float, p_max: int) -> PhotonStatistics:
     for p in range(1, p_max + 1):
         term *= q * (2.0 * p - 1.0) / (2.0 * p)
         probs[2 * p] = term
-    return PhotonStatistics(probs, "even", 0.5 * (sigma_sum - 1.0),
+    return PhotonStatistics(probs, 0.5 * (sigma_sum - 1.0),
                             0.5 * (sigma_sum**2 - 1.0))
 
 
@@ -789,7 +777,7 @@ def pascal_odd(sigma_sum: float, p_max: int) -> PhotonStatistics:
     for p in range(1, p_max + 1):
         term *= q * (p + 0.5) / p
         probs[2 * p + 1] = term
-    return PhotonStatistics(probs, "odd", 0.5 * (3.0 * sigma_sum - 1.0),
+    return PhotonStatistics(probs, 0.5 * (3.0 * sigma_sum - 1.0),
                             1.5 * (sigma_sum**2 - 1.0))
 
 
@@ -807,7 +795,7 @@ def poisson_statistics(delta0: float, epsilon0: float, m_max: int) -> PhotonStat
     for m in range(1, m_max + 1):
         term *= nbar / m
         probs[m] = term
-    return PhotonStatistics(probs, "full", nbar, nbar)
+    return PhotonStatistics(probs, nbar, nbar)
 
 
 def squeezed_vacuum_coeffs(alpha0: float, beta0: float, p_max: int) -> np.ndarray:

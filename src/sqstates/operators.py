@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .specfun import _check_int
 
 __all__ = [
     "OperatorMatrix",
-    "ModeState",
     "fock_operators",
     "b_operators",
     "b_evolved",
@@ -71,8 +70,6 @@ class OperatorMatrix:
 
     Attributes
     ----------
-    dim : int
-        Matrix dimension N.
     entries : ndarray
         Complex N x N matrix, read-only.
     hermitian : bool
@@ -80,15 +77,14 @@ class OperatorMatrix:
         (max |A - A^dagger| <= 1e-12) rather than trusted.
     """
 
-    dim: int
     entries: np.ndarray
     hermitian: bool = False
 
     def __post_init__(self):
         mat = np.asarray(self.entries, dtype=complex)
-        if mat.shape != (self.dim, self.dim):
-            raise ValueError("entries shape %r does not match dim %d"
-                             % (mat.shape, self.dim))
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError("entries of shape %r are not a square matrix"
+                             % (mat.shape,))
         if not np.all(np.isfinite(mat)):
             raise ValueError("operator entries must be finite")
         if self.hermitian:
@@ -98,33 +94,6 @@ class OperatorMatrix:
                     "matrix claimed Hermitian but |A - A^dagger| = %.3e" % gap)
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
-
-
-@dataclass(frozen=True)
-class ModeState:
-    """A normalized state vector of the single retained cavity mode.
-
-    Attributes
-    ----------
-    amplitudes : ndarray
-        Complex N-vector of unit norm (1e-12).
-    """
-
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        vec = np.asarray(self.amplitudes, dtype=complex)
-        if vec.ndim != 1 or vec.size < 2:
-            raise ValueError("amplitudes must be a vector of length >= 2")
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("mode state norm %.17g is not 1" % norm)
-        vec.setflags(write=False)
-        object.__setattr__(self, "amplitudes", vec)
-
-    @property
-    def dim(self) -> int:
-        return int(self.amplitudes.size)
 
 
 def interior(matrix: np.ndarray, pad: int = 1) -> np.ndarray:
@@ -164,11 +133,11 @@ def fock_operators(n_dim: int) -> dict:
     p = (lower - raise_) / (1j * math.sqrt(2.0))
     ham = 0.5 * (lower @ raise_ + raise_ @ lower)
     return {
-        "a": OperatorMatrix(n_dim, lower),
-        "a_dag": OperatorMatrix(n_dim, raise_),
-        "x": OperatorMatrix(n_dim, x, hermitian=True),
-        "p": OperatorMatrix(n_dim, p, hermitian=True),
-        "H": OperatorMatrix(n_dim, ham, hermitian=True),
+        "a": OperatorMatrix(lower),
+        "a_dag": OperatorMatrix(raise_),
+        "x": OperatorMatrix(x, hermitian=True),
+        "p": OperatorMatrix(p, hermitian=True),
+        "H": OperatorMatrix(ham, hermitian=True),
     }
 
 
@@ -205,8 +174,8 @@ def b_operators(p: ErmakovParameters, n_dim: int) -> dict:
     if np.max(np.abs(b_dag - b.conj().T)) > 1e-14:
         raise ArithmeticError("ladder adjoint relation lost to roundoff")
     return {
-        "b": OperatorMatrix(n_dim, b),
-        "b_dag": OperatorMatrix(n_dim, b_dag),
+        "b": OperatorMatrix(b),
+        "b_dag": OperatorMatrix(b_dag),
     }
 
 
@@ -232,7 +201,7 @@ def b_evolved(p0: ErmakovParameters, t: float, n_dim: int,
     mat = (u * rot * ops["a"].entries
            + v * np.conj(rot) * ops["a_dag"].entries
            + w * np.eye(n_dim))
-    return OperatorMatrix(n_dim, mat)
+    return OperatorMatrix(mat)
 
 
 def heisenberg_residual(p0: ErmakovParameters, t: float, n_dim: int,
@@ -264,7 +233,7 @@ def invariant_E(p: ErmakovParameters, n_dim: int) -> OperatorMatrix:
     """
     q_op, p_op = _quadratures(p, n_dim)
     mat = 0.5 * (p_op @ p_op + q_op @ q_op)
-    return OperatorMatrix(n_dim, mat, hermitian=True)
+    return OperatorMatrix(mat, hermitian=True)
 
 
 def ladder_coefficients(p: ErmakovParameters) -> dict:
@@ -314,7 +283,7 @@ def hamiltonian_in_ladder(p: ErmakovParameters, n_dim: int) -> OperatorMatrix:
            + cf["lower"] * low
            + cf["raise"] * high
            + cf["scalar"] * np.eye(n_dim))
-    return OperatorMatrix(n_dim, mat)
+    return OperatorMatrix(mat)
 
 
 def energy_levels(p: ErmakovParameters, n_dim: int):

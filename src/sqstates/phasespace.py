@@ -381,8 +381,12 @@ def _check_coeffs(coeffs) -> list[tuple[complex, int]]:
     """Validate a (coefficient, level) list and its normalisation."""
     pairs = []
     total = 0.0
-    for item in coeffs:
-        c, n = item
+    for i, item in enumerate(coeffs):
+        try:
+            c, n = item
+        except (TypeError, ValueError):
+            raise ValueError("superposition term %d is not a (coefficient, "
+                             "level) pair: %r" % (i, item)) from None
         n = _check_degree(n, "basis label")
         c = complex(c)
         pairs.append((c, n))
@@ -522,7 +526,10 @@ def default_grid(p0: ErmakovParameters, t: float = 0.0,
     """
     nx, np_ = (points, points) if np.ndim(points) == 0 else points
     nx, np_ = _check_int(nx, "points", 2), _check_int(np_, "points", 2)
-    nmax = max(_check_degree(n, "levels") for n in levels)
+    levels = [_check_degree(n, "levels") for n in levels]
+    if not levels:
+        raise ValueError("levels must name at least one level")
+    nmax = max(levels)
     x_mean, p_mean = (classical_trajectory(p0, t) if center is None
                       else (float(center[0]), float(center[1])))
     cov = covariance(evolve(p0, t))

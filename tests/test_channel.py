@@ -34,10 +34,6 @@ class TestParameters:
         with pytest.raises(ValueError):
             ChannelParameters(0.5, math.inf)
 
-    def test_scale_pair_product(self):
-        c = ChannelParameters(0.37)
-        assert c.waist * c.entry_radius == pytest.approx(1.0, abs=0)
-
 
 class TestWavefunction:
     def test_isotropic_ground_state(self):

@@ -14,7 +14,6 @@ from sqstates.fockexp import (
     ExpansionTable,
     PhotonStatistics,
     TruncationWarning,
-    c_coeffs,
     expansion_table,
     m_matrix,
     pascal_even,
@@ -310,16 +309,18 @@ class TestExpansionTable:
 
     def test_column_accessor_and_validation(self):
         tab = expansion_table(GROUND, (2, 4), size=8)
-        assert tab.column(4)[4] == 1.0
-        with pytest.raises(ValueError):
-            tab.column(3)
+        assert tab.coeffs[4, 1] == 1.0
+        assert tab.truncation == len(tab.coeffs) == 8
         with pytest.raises(ValueError):
             expansion_table(GROUND, (), size=8)
         with pytest.raises(ValueError):
             expansion_table(GROUND, (9,), size=8)
         with pytest.raises(ValueError, match="NaN"):
-            ExpansionTable(np.zeros((2, 1), dtype=complex), (0,), 2,
+            ExpansionTable(np.zeros((2, 1), dtype=complex), (0,),
                            np.array([np.nan]), 1.0)
+        with pytest.raises(ValueError, match="columns"):
+            ExpansionTable(np.zeros((2, 2), dtype=complex), (0,),
+                           np.zeros(1), 1.0)
 
     def test_out_of_range_parameters_raise_instead_of_nan(self):
         # delta0/beta0 = 3e7: the displacement overlaps leave float range
@@ -328,7 +329,7 @@ class TestExpansionTable:
             expansion_table(p0, (0, 1), 128)
 
     def test_single_column_helper(self):
-        one = c_coeffs(GROUND, 5, size=12)
+        one = expansion_table(GROUND, (5,), size=12)
         assert one.columns == (5,)
         assert one.coeffs[5, 0] == 1.0
 
@@ -559,7 +560,7 @@ class TestTimeDependentExpansion:
     def test_zero_time_reduces_to_static_coefficients(self, rng):
         p0 = draw_params(rng, squeeze=(0.7, 1.5), alpha_max=0.8)
         vec = time_dependent_expansion(p0, 2, 0.0, size=64)
-        ref = c_coeffs(p0, 2, size=64).coeffs[:, 0]
+        ref = expansion_table(p0, (2,), size=64).coeffs[:, 0]
         assert np.array_equal(vec, ref)
 
     def test_reconstructs_evolved_wavefunction(self, rng):

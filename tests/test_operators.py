@@ -7,7 +7,6 @@ import pytest
 
 from sqstates.ermakov import ErmakovParameters, classical_trajectory, evolve
 from sqstates.operators import (
-    ModeState,
     OperatorMatrix,
     b_evolved,
     b_operators,
@@ -46,31 +45,24 @@ def draw_resolvable(rng, sigma_cap=4.5):
 
 class TestOperatorMatrix:
     def test_shape_and_finite_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            OperatorMatrix(3, np.zeros((2, 2)))
+        for shape in ((4,), (2, 3), (2, 2, 2)):
+            with pytest.raises(ValueError, match="square matrix"):
+                OperatorMatrix(np.zeros(shape))
         bad = np.zeros((2, 2), dtype=complex)
         bad[0, 1] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            OperatorMatrix(2, bad)
+            OperatorMatrix(bad)
 
     def test_hermitian_claim_is_verified(self):
         skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
-            OperatorMatrix(2, skew, hermitian=True)
-        OperatorMatrix(2, skew + skew.conj().T, hermitian=True)
+            OperatorMatrix(skew, hermitian=True)
+        OperatorMatrix(skew + skew.conj().T, hermitian=True)
 
     def test_entries_read_only(self):
         op = fock_operators(4)["x"]
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
-
-
-class TestModeState:
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError, match="norm"):
-            ModeState(np.array([1.0, 1.0]))
-        s = ModeState(np.array([0.6, 0.8j]))
-        assert s.dim == 2
 
 
 class TestFockOperators:
@@ -182,11 +174,10 @@ class TestInvariant:
         raw = rng.normal(size=12) + 1j * rng.normal(size=12)
         vec = np.zeros(n_dim, dtype=complex)
         vec[:12] = raw / np.linalg.norm(raw)
-        state0 = ModeState(vec)
         levels = np.arange(n_dim) + 0.5
         base = None
         for t in np.linspace(0.0, 4.0 * math.pi, 17):
-            amps = state0.amplitudes * np.exp(-1j * levels * t)
+            amps = vec * np.exp(-1j * levels * t)
             e_op = invariant_E(evolve(p0, t), n_dim).entries
             val = float(np.real(np.vdot(amps, e_op @ amps)))
             base = val if base is None else base

@@ -66,6 +66,10 @@ class TestPoints:
         assert g.dx == pytest.approx(g.x_range[1] - g.x_range[0])
         assert g.values.shape == (51, 51)
 
+    def test_default_grid_needs_a_level(self):
+        with pytest.raises(ValueError, match="levels"):
+            default_grid(ErmakovParameters(0, 1, 0, 0, 0, 0), 0.0, (), 5)
+
 
 class TestClosedGaussian:
     def test_ground_state_form(self):
@@ -267,6 +271,13 @@ class TestSuperposition:
         p0 = ErmakovParameters(0, 1, 0, 0, 0, 0)
         bad = [(1 / math.sqrt(2), 1), (1 / math.sqrt(2), 1)]
         with pytest.raises(ValueError, match="duplicate"):
+            wigner_superposition(bad, p0, PhaseSpacePoint(0, 0), 0.0)
+
+    @pytest.mark.parametrize("bad", [[1.0], [(1.0,)], [(1.0, 0, 3)]])
+    def test_rejects_malformed_term(self, bad):
+        p0 = ErmakovParameters(0, 1, 0, 0, 0, 0)
+        with pytest.raises(ValueError,
+                           match=r"term 0 is not a \(coefficient, level\) pair"):
             wigner_superposition(bad, p0, PhaseSpacePoint(0, 0), 0.0)
 
     def test_purity_of_pure_states(self, rng):
