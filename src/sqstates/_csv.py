@@ -30,6 +30,7 @@ the path it is given.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import pickle
 import shutil
@@ -124,13 +125,16 @@ def staged(out):
     directory on the path to ``out``: beside ``out`` when only ``out``
     is missing, inside it when it exists.  So it is always on the
     filesystem the files end up on, and needs write access only where
-    they land.  An ``out`` that is an existing file fails on entry, when
-    the staging directory is made inside it.
+    they land.  An ``out`` that is, or lies under, an existing file
+    raises ``NotADirectoryError`` naming ``out`` on entry.
     """
     out = os.fspath(out)
     base = os.path.abspath(out)
     while not os.path.lexists(base):
         base = os.path.dirname(base)
+    if not os.path.isdir(base):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                 out)
     stage = tempfile.mkdtemp(prefix=".sqstates-staging-", dir=base)
     try:
         yield stage

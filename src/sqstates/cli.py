@@ -39,10 +39,16 @@ also exits 2, with a one-line message that
 names the config field or block behind it, and no traceback.  Grids
 and flow tables are computed, checked and written one block of rows at
 a time, so a check that spans a whole grid ends after its file is
-written.  Every command therefore writes into one staging directory
-(`sqstates._csv.staged`) whose files move into ``--out`` only when the
-whole run has succeeded: a failure leaves no output behind, and files
-already in ``--out`` stay.  ``wigner`` and ``demkov`` write their grid
+written.  So `main`, the one owner of a run, validates the subcommand's
+top-level schema, opens one staging directory (`sqstates._csv.staged`),
+and calls the subcommand's handler, which writes only there and returns
+its file names.  Only when the whole run has succeeded does `main` move
+the files into ``--out`` and print a ``wrote`` line for each, in the
+handler's order (``verify`` prints its summary first): a failure leaves
+no output behind, and files already in ``--out`` stay.  Staging starts
+before the handler runs, so an ``--out`` that is, or lies under, a file
+exits 3 before any config check made in a handler, and before anything
+is computed.  ``wigner`` and ``demkov`` write their grid
 files side by side, one forked worker per file
 (`sqstates._csv.run_tasks`); the error reported is the one a
 file-by-file loop would raise first, and a worker that dies without a
@@ -401,49 +407,41 @@ _EVOLVE_HEADER = ("t,alpha,beta,gamma,delta,epsilon,kappa,"
 FLOW_ROWS = 32 * BLOCK_ROWS
 
 
-def _flow_row(p0: ErmakovParameters, t: float) -> tuple:
-    """One row of ``evolve.csv`` through the scalar route."""
-    p = evolve(p0, t)
+def _flow_columns(p0: ErmakovParameters, ts: np.ndarray) -> tuple:
+    """The columns of ``evolve.csv`` at ``ts``; a non-finite row raises."""
+    p = evolve(p0, ts)
     cov = covariance(p)
-    x_mean, p_mean = classical_trajectory(p0, t)
-    row = (t, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.kappa,
-           cov.sigma_p, cov.sigma_x, cov.sigma_px, cov.sigma_p * cov.sigma_x,
-           x_mean, p_mean)
-    if not all(map(math.isfinite, row)):
-        raise FloatingPointError("non-finite flow value at t = %r" % t)
-    return row
+    x_mean, p_mean = classical_trajectory(p0, ts)
+    columns = (ts, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.kappa,
+               cov.sigma_p, cov.sigma_x, cov.sigma_px,
+               cov.sigma_p * cov.sigma_x, x_mean, p_mean)
+    finite = np.logical_and.reduce([np.isfinite(c) for c in columns])
+    if not finite.all():
+        raise FloatingPointError("non-finite flow value at t = %r"
+                                 % ts[np.argmin(finite)].item())
+    return columns
 
 
 def _flow_rows(p0: ErmakovParameters, ts: np.ndarray):
-    """The rows of ``evolve.csv`` at the times ``ts``, as `_flow_row` gives.
+    """The rows of ``evolve.csv`` at the times ``ts``, as row tuples.
 
-    The block goes through the array route of the flow and is checked
-    whole; if any row fails a check, the block is evaluated again
-    through the scalar route, which raises at the first bad time.
-    Returns an iterable of row tuples.
+    The block is checked whole; if it fails, it is evaluated again one
+    time at a time: a block of one raises the scalar error of its time.
     """
     try:
-        p = evolve(p0, ts)
-        cov = covariance(p)
-        x_mean, p_mean = classical_trajectory(p0, ts)
+        columns = _flow_columns(p0, ts)
     except (ArithmeticError, ValueError):
-        pass
-    else:
-        columns = (ts, p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
-                   p.kappa, cov.sigma_p, cov.sigma_x, cov.sigma_px,
-                   cov.sigma_p * cov.sigma_x, x_mean, p_mean)
-        if all(np.isfinite(c).all() for c in columns):
-            # as Python floats a few rows at a time: a whole block of
-            # them raised the process's peak by about 0.4 MB
-            return (row for i in range(0, len(ts), BLOCK_ROWS)
-                    for row in zip(*[c[i:i + BLOCK_ROWS].tolist()
-                                     for c in columns]))
-    return [_flow_row(p0, t) for t in ts.tolist()]
+        for i in range(len(ts)):
+            _flow_columns(p0, ts[i:i + 1])
+        raise
+    # as Python floats a few rows at a time: a whole block of them
+    # raised the process's peak by about 0.4 MB
+    return (row for i in range(0, len(ts), BLOCK_ROWS)
+            for row in zip(*[c[i:i + BLOCK_ROWS].tolist() for c in columns]))
 
 
-def cmd_evolve(config: dict, args) -> int:
+def cmd_evolve(config: dict, args, stage: str) -> tuple[list, int]:
     """Tabulate the parameter flow and its second moments over a range."""
-    _validate(config, _EVOLVE_SCHEMA)
     p0 = _params_of(config["params"])
     block = config["times"]
     ts = np.linspace(float(block["start"]), float(block["stop"]),
@@ -457,15 +455,13 @@ def cmd_evolve(config: dict, args) -> int:
     # covariance divides by beta(t)^2, which underflows for a tiny beta;
     # the rows are computed as they are written, and numpy's overflow
     # warnings are silenced because every block is checked to be finite
-    with staged(args.out) as stage, \
-            _blame("config.params", scale="config.params.beta"), \
+    with _blame("config.params", scale="config.params.beta"), \
             np.errstate(all="ignore"):
         write_csv(os.path.join(stage, "evolve.csv"), _EVOLVE_HEADER, lines())
-    print("wrote %s" % os.path.join(args.out, "evolve.csv"))
-    return EXIT_OK
+    return ["evolve.csv"], EXIT_OK
 
 
-def cmd_wigner(config: dict, args) -> int:
+def cmd_wigner(config: dict, args, stage: str) -> tuple[list, int]:
     """Write one phase-space grid per requested time.
 
     The state block selects a packet (``tcs``), a single basis state
@@ -474,7 +470,6 @@ def cmd_wigner(config: dict, args) -> int:
     portrait is also compared against the rigidly rotated initial one
     and the largest deviation per time goes into a JSON report.
     """
-    _validate(config, _WIGNER_SCHEMA)
     state = config["state"]
     kind = _validate_variant(state, "kind", _STATE_SCHEMAS, "config.state")
 
@@ -538,9 +533,8 @@ def cmd_wigner(config: dict, args) -> int:
     # the grid sizing divides by beta(t)^2, which underflows for a tiny
     # beta; numpy's overflow warnings are silenced because every grid
     # block is checked to be finite before it is written
-    with staged(args.out) as stage, \
-            _blame("config.params", scale="config.params.beta",
-                   nonfinite="config.state"), \
+    with _blame("config.params", scale="config.params.beta",
+                nonfinite="config.state"), \
             np.errstate(all="ignore"):
         if kind == "tcs":
             s = TCSState(complex(state["zeta"][0], state["zeta"][1]), p0)
@@ -554,23 +548,10 @@ def cmd_wigner(config: dict, args) -> int:
                 "max_error_per_time": rotation_errors,
                 "max_error": max(rotation_errors),
             }))
-    for name in names:
-        print("wrote %s" % os.path.join(args.out, name))
-    return EXIT_OK
+    return names, EXIT_OK
 
 
-def _padded_statistics(stats: PhotonStatistics,
-                       levels: int) -> PhotonStatistics:
-    """Extend a parity table with exact zeros to exactly levels+1 rows."""
-    probs = stats.probabilities
-    if len(probs) == levels + 1:
-        return stats
-    out = np.zeros(levels + 1)
-    out[:len(probs)] = probs
-    return PhotonStatistics(out, stats.mean, stats.variance)
-
-
-def cmd_statistics(config: dict, args) -> int:
+def cmd_statistics(config: dict, args, stage: str) -> tuple[list, int]:
     """Write a (level, probability) table and its JSON moment summary.
 
     The closed-form modes (``poisson``, ``pascal-even``, ``pascal-odd``)
@@ -606,36 +587,26 @@ def cmd_statistics(config: dict, args) -> int:
             with _blame(field):
                 stats = poisson_statistics(delta0, epsilon0, levels)
         else:
-            sigma_sum = float(config["sigma_sum"])
+            law = pascal_even if mode == "pascal-even" else pascal_odd
             with _blame("config.sigma_sum"):
-                if mode == "pascal-even":
-                    stats = pascal_even(sigma_sum, levels // 2)
-                else:
-                    stats = pascal_odd(sigma_sum, (levels - 1) // 2)
-            stats = _padded_statistics(stats, levels)
-    summary = _json_dumps({
+                stats = law(float(config["sigma_sum"]), levels)
+    write_statistics_csv(os.path.join(stage, "statistics.csv"), stats)
+    _write_text(os.path.join(stage, "statistics.json"), _json_dumps({
         "mode": mode,
         "mean": stats.mean,
         "variance": stats.variance,
         "tail_mass": stats.tail,
-    })
-
-    with staged(args.out) as stage:
-        write_statistics_csv(os.path.join(stage, "statistics.csv"), stats)
-        _write_text(os.path.join(stage, "statistics.json"), summary)
-    print("wrote %s" % os.path.join(args.out, "statistics.csv"))
-    print("wrote %s" % os.path.join(args.out, "statistics.json"))
-    return EXIT_OK
+    }))
+    return ["statistics.csv", "statistics.json"], EXIT_OK
 
 
-def cmd_expand(config: dict, args) -> int:
+def cmd_expand(config: dict, args, stage: str) -> tuple[list, int]:
     """Write expansion coefficient columns as CSV plus a JSON table.
 
     The ``probability`` column is the reconstruction-weighted magnitude
     |beta0| |c_mn|^2, i.e. the occupation probability of basis level m
     for the state labelled n.
     """
-    _validate(config, _EXPAND_SCHEMA)
     columns = [int(n) for n in config["columns"]]
     if len(set(columns)) != len(columns):
         raise ConfigError("config.columns: labels must be distinct")
@@ -659,18 +630,14 @@ def cmd_expand(config: dict, args) -> int:
         for m, (re, im) in enumerate(zip(column.real.tolist(),
                                          column.imag.tolist())):
             lines.append(row % (m, n, re, im, weight * (re**2 + im**2)))
-    document = _json_dumps(table_to_dict(table))
-
-    with staged(args.out) as stage:
-        write_csv(os.path.join(stage, "expansion.csv"),
-                  "m,n,real,imag,probability", lines)
-        _write_text(os.path.join(stage, "expansion.json"), document)
-    print("wrote %s" % os.path.join(args.out, "expansion.csv"))
-    print("wrote %s" % os.path.join(args.out, "expansion.json"))
-    return EXIT_OK
+    write_csv(os.path.join(stage, "expansion.csv"),
+              "m,n,real,imag,probability", lines)
+    _write_text(os.path.join(stage, "expansion.json"),
+                _json_dumps(table_to_dict(table)))
+    return ["expansion.csv", "expansion.json"], EXIT_OK
 
 
-def cmd_demkov(config: dict, args) -> int:
+def cmd_demkov(config: dict, args, stage: str) -> tuple[list, int]:
     """Write channel density snapshots plus a focus-metrics table.
 
     Every metrics row is computed before any snapshot.  Each snapshot
@@ -685,7 +652,6 @@ def cmd_demkov(config: dict, args) -> int:
     meaningful; set ``half_width`` in the config to resolve the waist in
     the snapshots.
     """
-    _validate(config, _DEMKOV_SCHEMA)
     block = config["channel"]
     c = ChannelParameters(float(block["beta0"]),
                           float(block.get("delta0", 0.0)))
@@ -711,8 +677,7 @@ def cmd_demkov(config: dict, args) -> int:
     # the envelope divides by beta0^2, which underflows for a tiny beta0;
     # numpy's overflow warnings are silenced because every metrics row
     # and snapshot block is checked to be finite before it is written
-    with staged(args.out) as stage, \
-            _blame("config.channel", scale="config.channel.beta0"), \
+    with _blame("config.channel", scale="config.channel.beta0"), \
             np.errstate(all="ignore"):
         lines = []
         for t in times:
@@ -727,14 +692,11 @@ def cmd_demkov(config: dict, args) -> int:
                    for name, t in zip(names, times)})
         write_csv(os.path.join(stage, names[-1]),
                   "t,peak,rms_width,center_x,norm", lines)
-    for name in names:
-        print("wrote %s" % os.path.join(args.out, name))
-    return EXIT_OK
+    return names, EXIT_OK
 
 
-def cmd_verify(config: dict, args) -> int:
+def cmd_verify(config: dict, args, stage: str) -> tuple[list, int]:
     """Run the invariant suite; write the JSON report; exit 0 iff clean."""
-    _validate(config, _VERIFY_SCHEMA)
     seed = config.get("seed", DEFAULT_SEED)
     if args.seed is not None:
         if args.seed < 0:
@@ -743,40 +705,51 @@ def cmd_verify(config: dict, args) -> int:
         seed = args.seed
     report = verify.run_verification(int(seed))
     # a non-finite error has failed its check; JSON writes it as null
-    document = _json_dumps(dict(report, checks=[
-        dict(e, max_error=e["max_error"] if math.isfinite(e["max_error"])
-             else None) for e in report["checks"]]))
-
-    with staged(args.out) as stage:
-        _write_text(os.path.join(stage, "verify_report.json"), document)
-    path = os.path.join(args.out, "verify_report.json")
+    _write_text(os.path.join(stage, "verify_report.json"), _json_dumps(
+        dict(report, checks=[
+            dict(e, max_error=e["max_error"] if math.isfinite(e["max_error"])
+                 else None) for e in report["checks"]])))
 
     for entry in report["checks"]:
         print("%s %-28s max_error=%.3e tolerance=%.0e (%.2fs)" % (
             "ok  " if entry["passed"] else "FAIL", entry["name"],
             entry["max_error"], entry["tolerance"],
             entry["runtime_seconds"]))
-    print("wrote %s" % path)
     if report["all_passed"]:
         print("all %d checks passed (seed %d)" % (len(report["checks"]),
                                                   report["seed"]))
-        return EXIT_OK
+        return ["verify_report.json"], EXIT_OK
     failed = [e["name"] for e in report["checks"] if not e["passed"]]
     print("FAILED checks: %s (seed %d)" % (", ".join(failed), report["seed"]))
-    return EXIT_VERIFY
+    return ["verify_report.json"], EXIT_VERIFY
 
 
 # ----------------------------------------------------------------------
 # argument parsing and dispatch
 # ----------------------------------------------------------------------
 
-_HANDLERS = {
-    "evolve": cmd_evolve,
-    "wigner": cmd_wigner,
-    "statistics": cmd_statistics,
-    "expand": cmd_expand,
-    "demkov": cmd_demkov,
-    "verify": cmd_verify,
+_FLAGS = {
+    "--truncation": {"type": int, "help": "override the table row budget"},
+    "--grid": {"metavar": "NX,NP", "help": "override the grid point counts"},
+    "--seed": {"type": int, "help": "seed for the random parameter draws"},
+}
+
+#: Each subcommand once: its handler, the schema `main` checks its
+#: config against (None where the handler picks a variant schema
+#: itself), its help text and its one extra flag.
+_COMMANDS = {
+    "evolve": (cmd_evolve, _EVOLVE_SCHEMA,
+               "tabulate the parameter flow and second moments", None),
+    "wigner": (cmd_wigner, _WIGNER_SCHEMA,
+               "write phase-space grids (and a rotation report)", "--grid"),
+    "statistics": (cmd_statistics, None,
+                   "write number-basis probability tables", "--truncation"),
+    "expand": (cmd_expand, _EXPAND_SCHEMA,
+               "write basis expansion coefficient tables", "--truncation"),
+    "demkov": (cmd_demkov, _DEMKOV_SCHEMA,
+               "write focusing-channel snapshots and metrics", "--grid"),
+    "verify": (cmd_verify, _VERIFY_SCHEMA,
+               "run the cross-module invariant suite", "--seed"),
 }
 
 
@@ -786,39 +759,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Squeezed-state evolution, phase-space grids, photon "
                     "statistics, and the invariant verification suite.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    specs = (
-        ("evolve", "tabulate the parameter flow and second moments"),
-        ("wigner", "write phase-space grids (and a rotation report)"),
-        ("statistics", "write number-basis probability tables"),
-        ("expand", "write basis expansion coefficient tables"),
-        ("demkov", "write focusing-channel snapshots and metrics"),
-        ("verify", "run the cross-module invariant suite"),
-    )
-    for name, help_text in specs:
+    for name, (_, schema, help_text, flag) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=(name != "verify"),
+        # a config may be left out only where the empty one is valid
+        p.add_argument("--config", required=schema is None
+                       or bool(schema["required"]),
                        help="path to the JSON config file")
         p.add_argument("--out", default=".",
                        help="output directory (created if missing)")
-        if name in ("statistics", "expand"):
-            p.add_argument("--truncation", type=int, default=None,
-                           help="override the table row budget")
-        if name in ("wigner", "demkov"):
-            p.add_argument("--grid", default=None, metavar="NX,NP",
-                           help="override the grid point counts")
-        if name == "verify":
-            p.add_argument("--seed", type=int, default=None,
-                           help="seed for the random parameter draws")
+        if flag is not None:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point: run one subcommand (see above); return the exit code."""
     args = build_parser().parse_args(argv)
+    handler, schema = _COMMANDS[args.command][:2]
     try:
         config = _load_config(args.config) if args.config else {}
-        return _HANDLERS[args.command](config, args)
+        if schema is not None:
+            _validate(config, schema)
+        with staged(args.out) as stage:
+            names, code = handler(config, args, stage)
+        for name in names:
+            print("wrote %s" % os.path.join(args.out, name))
+        return code
     except ValueError as exc:
         # a ConfigError, or a domain rejection raised while computing
         print("config error: %s" % exc, file=sys.stderr)

@@ -736,45 +736,45 @@ class PhotonStatistics:
         return 1.0 - float(np.sum(self.probabilities))
 
 
-def pascal_even(sigma_sum: float, p_max: int) -> PhotonStatistics:
+def pascal_even(sigma_sum: float, m_max: int) -> PhotonStatistics:
     """Even-level Pascal law of the squeezed vacuum.
 
     P_{2p} = sqrt(2) C(2p, p) q^p / (4^p sqrt(sigma_sum + 1)) with
     q = (sigma_sum - 1)/(sigma_sum + 1), where sigma_sum is the sum of
-    the momentum and position variances (>= 1).  Levels up to 2*p_max
+    the momentum and position variances (>= 1).  Levels up to m_max
     are stored; odd entries are exact zeros.  The full-distribution
     moments are mean (sigma-1)/2 and variance (sigma^2-1)/2.
     """
     if not sigma_sum >= 1.0:
         raise ValueError(f"variance sum must be >= 1, got {sigma_sum}")
-    p_max = _check_int(p_max, "p_max", 0, MAX_DEGREE - 1)
-    probs = np.zeros(2 * p_max + 1)
+    m_max = _check_int(m_max, "m_max", 0, 2 * MAX_DEGREE - 1)
+    probs = np.zeros(m_max + 1)
     q = (sigma_sum - 1.0) / (sigma_sum + 1.0)
     term = math.sqrt(2.0 / (sigma_sum + 1.0))
     probs[0] = term
-    for p in range(1, p_max + 1):
+    for p in range(1, m_max // 2 + 1):
         term *= q * (2.0 * p - 1.0) / (2.0 * p)
         probs[2 * p] = term
     return PhotonStatistics(probs, 0.5 * (sigma_sum - 1.0),
                             0.5 * (sigma_sum**2 - 1.0))
 
 
-def pascal_odd(sigma_sum: float, p_max: int) -> PhotonStatistics:
+def pascal_odd(sigma_sum: float, m_max: int) -> PhotonStatistics:
     """Odd-level Pascal law of the squeezed first excited state.
 
     P_{2p+1} = (2/(sigma_sum+1))^{3/2} (3/2)_p q^p / p!, same q as
-    `pascal_even`.  Levels up to 2*p_max + 1 are stored; even entries
-    are exact zeros.  Moments: mean (3 sigma - 1)/2, variance
+    `pascal_even`.  Levels up to m_max (at least 1) are stored; even
+    entries are exact zeros.  Moments: mean (3 sigma - 1)/2, variance
     3(sigma^2 - 1)/2.
     """
     if not sigma_sum >= 1.0:
         raise ValueError(f"variance sum must be >= 1, got {sigma_sum}")
-    p_max = _check_int(p_max, "p_max", 0, MAX_DEGREE - 1)
-    probs = np.zeros(2 * p_max + 2)
+    m_max = _check_int(m_max, "m_max", 1, 2 * MAX_DEGREE - 1)
+    probs = np.zeros(m_max + 1)
     q = (sigma_sum - 1.0) / (sigma_sum + 1.0)
     term = (2.0 / (sigma_sum + 1.0)) ** 1.5
     probs[1] = term
-    for p in range(1, p_max + 1):
+    for p in range(1, (m_max - 1) // 2 + 1):
         term *= q * (p + 0.5) / p
         probs[2 * p + 1] = term
     return PhotonStatistics(probs, 0.5 * (3.0 * sigma_sum - 1.0),

@@ -167,7 +167,7 @@ def _check_expansion_even_law(rng):
         coeffs = squeezed_vacuum_coeffs(a, b, 40)
         probs = b * np.abs(coeffs)**2
         sigma_sum = (1.0 + 4.0 * a * a + b**4) / (2.0 * b * b)
-        ref = pascal_even(sigma_sum, 40).probabilities[0::2]
+        ref = pascal_even(sigma_sum, 80).probabilities[0::2]
         yield float(np.max(np.abs(probs - ref)))
 
 

@@ -12,6 +12,11 @@ numpy expressions that `sqstates.fockexp`'s kernels evaluated before
 those kernels wrote their products in place, kept verbatim so that the
 tests can pin the in-place kernels to the same bits.  They reuse only
 the library pieces that the in-place rewrite left alone.
+
+`flow_row` is a reference of that kind too: one row of ``evolve.csv``
+through the scalar route of the flow (`evolve`, `covariance` and
+`classical_trajectory` at one time), which the CLI's array route must
+match bit for bit.
 """
 
 import math
@@ -22,17 +27,32 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from sqstates import fockexp
+from sqstates.ermakov import classical_trajectory, evolve
 from sqstates.specfun import (
     gauss_hermite_rule,
     hermite_function_table,
     hyp2f1_even_odd,
     laguerre_ratio_table,
 )
+from sqstates.states import covariance
 
 #: number levels of the operator-algebra basis behind `fock_tail`
 FOCK_DIM = 1024
 #: largest mass an oracle column may carry in the top quarter of its basis
 FOCK_EDGE_MASS = 1e-12
+
+
+def flow_row(p0, t):
+    """One row of ``evolve.csv`` through the scalar route."""
+    p = evolve(p0, t)
+    cov = covariance(p)
+    x_mean, p_mean = classical_trajectory(p0, t)
+    row = (t, p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.kappa,
+           cov.sigma_p, cov.sigma_x, cov.sigma_px, cov.sigma_p * cov.sigma_x,
+           x_mean, p_mean)
+    if not all(map(math.isfinite, row)):
+        raise FloatingPointError("non-finite flow value at t = %r" % t)
+    return row
 
 
 def gauss_grid(half_width, n=500, center=0.0):

@@ -327,8 +327,8 @@ def test_criterion_06_statistics_identities(rng):
         tab = expansion_table(p0, (0, 1), size=256)
         probs = p0.beta * np.abs(tab.coeffs) ** 2
         sig = _sigma0(p0)
-        even = pascal_even(sig, 110).probabilities
-        odd = pascal_odd(sig, 110).probabilities
+        even = pascal_even(sig, 220).probabilities
+        odd = pascal_odd(sig, 221).probabilities
         err_pascal = max(err_pascal,
                          float(np.max(np.abs(probs[:200, 0] - even[:200]))),
                          float(np.max(np.abs(probs[:200, 1] - odd[:200]))))

@@ -7,6 +7,7 @@ documented contract (0 ok, 1 verification failure, 2 config error,
 """
 
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -21,6 +22,7 @@ import sqstates.channel as channel
 import sqstates.cli as cli
 import sqstates.phasespace as phasespace
 import sqstates.verify as verify
+import oracles
 from conftest import subprocess_env
 from sqstates.cli import main
 from sqstates.ermakov import (
@@ -416,7 +418,7 @@ class TestEvolve:
                      "--out", str(tmp_path)]) == 0
         p0 = ErmakovParameters(**SQUEEZED)
         row = cli.fields(13) + "\n"
-        expected = "".join(row % cli._flow_row(p0, t)
+        expected = "".join(row % oracles.flow_row(p0, t)
                            for t in np.linspace(-3.0, 40.0, count).tolist())
         text = (tmp_path / "evolve.csv").read_text()
         assert text == cli._EVOLVE_HEADER + "\n" + expected
@@ -430,7 +432,7 @@ class TestEvolve:
         p0 = ErmakovParameters(**params)
         for i, t in enumerate(np.linspace(start, stop, count).tolist()):
             try:
-                cli._flow_row(p0, t)
+                oracles.flow_row(p0, t)
             except ArithmeticError as exc:
                 error = exc
                 break
@@ -823,6 +825,79 @@ class TestDemkov:
         assert main(["demkov", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path), "--grid", "21,31"]) == 2
         assert "square" in capsys.readouterr().err
+
+
+class TestRunDriver:
+    """`main` stages, commits and announces the files of every subcommand."""
+
+    RUNS = {
+        "evolve": (evolve_config(3), ["evolve.csv"]),
+        # twelve times: wigner_t10.csv sorts before wigner_t2.csv
+        "wigner": (dict(WIGNER_FOCK, times=[0.1 * i for i in range(12)],
+                        points=5, rotation_check=True),
+                   ["wigner_t%d.csv" % i for i in range(12)]
+                   + ["rotation_report.json"]),
+        "statistics": ({"mode": "pascal-odd", "sigma_sum": 2.0, "levels": 5},
+                       ["statistics.csv", "statistics.json"]),
+        "expand": ({"params": GROUND, "columns": [1, 0], "truncation": 4},
+                   ["expansion.csv", "expansion.json"]),
+        "demkov": (dict(DEMKOV_UNIT, times=[0.0, 0.5], points=5),
+                   ["snapshot_t0.csv", "snapshot_t1.csv", "metrics.csv"]),
+        "verify": ({"seed": 3}, ["verify_report.json"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(RUNS))
+    def test_wrote_lines_name_the_files_in_out(self, tmp_path, capsys,
+                                               monkeypatch, command):
+        monkeypatch.setattr(verify, "_CHECKS", (
+            ("small", 1.0, lambda rng: iter([0.0]), "yields its errors"),))
+        cfg, names = self.RUNS[command]
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # the wrote lines come last, in the handler's order
+        assert lines[-len(names):] == ["wrote %s" % (out / name)
+                                       for name in names]
+        assert sum(line.startswith("wrote ") for line in lines) == len(names)
+        assert sorted(os.listdir(out)) == sorted(names)
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]
+
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("expand", {"params": GROUND, "columns": [2, 0, 2]},
+         "config.columns"),
+        ("wigner", dict(WIGNER_FOCK, state={"kind": "tcs", "zeta": [0.1, 0.0]},
+                        rotation_check=True), "config.rotation_check"),
+    ], ids=["repeated-column", "tcs-rotation-check"])
+    def test_config_error_in_a_handler_leaves_out_missing(
+            self, tmp_path, capsys, command, cfg, field):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: %s: " % field)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("parts", [("afile",), ("afile", "x")],
+                             ids=["afile", "afile/x"])
+    def test_out_on_a_file_names_out(self, tmp_path, capsys, monkeypatch,
+                                     parts):
+        def computed(*args, **kwargs):
+            raise AssertionError("expand computed a table")
+
+        monkeypatch.setattr(cli, "expansion_table", computed)
+        (tmp_path / "afile").write_text("kept\n")
+        out = str(tmp_path.joinpath(*parts))
+        cfg = {"params": GROUND, "columns": [0]}
+        assert main(["expand", "--config", write_config(tmp_path, cfg),
+                     "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err == "i/o error: [Errno %d] %s: %r\n" % (
+            errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
+        assert sorted(os.listdir(tmp_path)) == ["afile", "config.json"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 class TestAtomicity:

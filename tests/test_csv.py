@@ -229,7 +229,7 @@ class TestTables:
         assert (out / "expansion.csv").read_bytes() == text(lines)
 
     def test_statistics(self, tmp_path):
-        stats = pascal_odd(2.7, 20)
+        stats = pascal_odd(2.7, 41)
         write_statistics_csv(tmp_path / "s.csv", stats)
         lines = ["m,probability"]
         for m, p in enumerate(stats.probabilities):

@@ -252,7 +252,7 @@ class TestSqueezedVacuumCoeffs:
         a, b = 0.9, 0.7
         sigma = (4 * a * a + b**4 + 1) / (2 * b * b)
         coeffs = squeezed_vacuum_coeffs(a, b, 40)
-        stats = pascal_even(sigma, 40)
+        stats = pascal_even(sigma, 80)
         assert b * np.abs(coeffs) ** 2 == pytest.approx(
             stats.probabilities[::2], abs=1e-14)
 
@@ -597,8 +597,8 @@ class TestTimeDependentExpansion:
 
 class TestPhotonStatistics:
     def test_no_squeezing_concentrates_on_lowest_levels(self):
-        even = pascal_even(1.0, 10)
-        odd = pascal_odd(1.0, 10)
+        even = pascal_even(1.0, 20)
+        odd = pascal_odd(1.0, 21)
         assert even.probabilities[0] == pytest.approx(1.0, abs=1e-15)
         assert np.all(even.probabilities[1:] == 0.0)
         assert odd.probabilities[1] == pytest.approx(1.0, abs=1e-15)
@@ -607,12 +607,12 @@ class TestPhotonStatistics:
 
     def test_distributions_sum_to_one(self):
         for sigma in (1.5, 4.0, 40.0):
-            assert pascal_even(sigma, 500).tail < 1e-10
-            assert pascal_odd(sigma, 500).tail < 1e-10
+            assert pascal_even(sigma, 1000).tail < 1e-10
+            assert pascal_odd(sigma, 1001).tail < 1e-10
 
     def test_moments_match_summed_series(self):
         for sigma in (2.0, 11.0):
-            for stats in (pascal_even(sigma, 500), pascal_odd(sigma, 500)):
+            for stats in (pascal_even(sigma, 1000), pascal_odd(sigma, 1001)):
                 m = np.arange(len(stats.probabilities))
                 mean = float(np.sum(m * stats.probabilities))
                 var = float(np.sum((m - mean) ** 2 * stats.probabilities))
@@ -625,8 +625,8 @@ class TestPhotonStatistics:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             mat = m_matrix(0.0, b0, 192)
-        even = pascal_even(sigma, 95).probabilities
-        odd = pascal_odd(sigma, 94).probabilities
+        even = pascal_even(sigma, 190).probabilities
+        odd = pascal_odd(sigma, 189).probabilities
         col0 = b0 * np.abs(mat[:, 0]) ** 2
         col1 = b0 * np.abs(mat[:, 1]) ** 2
         assert col0[:190] == pytest.approx(even[:190], abs=1e-9)
@@ -651,9 +651,9 @@ class TestPhotonStatistics:
 
     def test_variance_sum_below_floor_rejected(self):
         with pytest.raises(ValueError):
-            pascal_even(0.99, 10)
+            pascal_even(0.99, 20)
         with pytest.raises(ValueError):
-            pascal_odd(-2.0, 10)
+            pascal_odd(-2.0, 21)
 
     def test_overflowed_mean_level_is_arithmetic_error(self):
         # nbar = inf made every probability exp(-inf) * inf = nan
@@ -661,7 +661,7 @@ class TestPhotonStatistics:
             poisson_statistics(1e200, 0.0, 4)
 
     def test_serialization(self, tmp_path):
-        stats = pascal_even(3.0, 12)
+        stats = pascal_even(3.0, 24)
         target = tmp_path / "levels.csv"
         write_statistics_csv(target, stats)
         lines = target.read_text().splitlines()

@@ -43,9 +43,10 @@ ENTRY_POINTS = {
     "m_matrix": ("size", 1, MAX_DEGREE, lambda v: m_matrix(0.3, 1.2, v)),
     "expansion_table": ("size", 1, MAX_DEGREE,
                         lambda v: expansion_table(P0, (0,), v)),
-    "pascal_even": ("p_max", 0, MAX_DEGREE - 1,
+    "pascal_even": ("m_max", 0, 2 * MAX_DEGREE - 1,
                     lambda v: pascal_even(2.0, v)),
-    "pascal_odd": ("p_max", 0, MAX_DEGREE - 1, lambda v: pascal_odd(2.0, v)),
+    "pascal_odd": ("m_max", 1, 2 * MAX_DEGREE - 1,
+                   lambda v: pascal_odd(2.0, v)),
     "squeezed_vacuum_coeffs": ("p_max", 0, MAX_DEGREE - 1,
                                lambda v: squeezed_vacuum_coeffs(0.3, 1.2, v)),
     "poisson_statistics": ("m_max", 0, MAX_DEGREE - 1,
