@@ -10,16 +10,16 @@ period -- four orders of magnitude for beta0 = 0.1.  The packet centre
 meanwhile swings along delta0 sin t, the isochronic transverse
 oscillation, so the focal spot walks across the channel axis.
 
-Everything here is one closed-form wavefunction (a product of two 1D
-ground packets, one displaced) and readouts of its Gaussian envelope
+The packet is one closed-form wavefunction (a product of two 1D ground
+packets, one displaced), and everything here reads its Gaussian
+envelope
 
     w(t) = beta0^2 sin^2 t + beta0^{-2} cos^2 t,
 
 the squared width scale: |psi|^2 = exp(-((x - delta0 sin t)^2 + y^2)/w)
-/ (pi w).  The leading phase carries the continuous branch of
-arctan(beta0^2 tan t), the same winding bookkeeping as the parameter
-evolution module -- the principal branch would make psi discontinuous
-at quarter periods.
+/ (pi w).  The wavefunction itself, whose leading phase carries the
+continuous branch of arctan(beta0^2 tan t), is the reference the tests
+hold this density to (`psi_2d` in ``tests/oracles.py``).
 
 The longitudinal coordinate is reported as t throughout; output files
 label it "depth" since that is what a beamline measures.
@@ -33,17 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._csv import FLOAT, block_lines, format_axis, mesh_blocks, write_csv
-from .ermakov import ErmakovParameters, _continuous_arg
 from .specfun import _check_int
 
 __all__ = [
     "ChannelParameters",
     "FocusMetrics",
     "width_squared",
-    "psi_2d",
     "density",
     "focus_metrics",
-    "density_grid",
     "write_snapshot_csv",
 ]
 
@@ -101,45 +98,12 @@ def width_squared(c: ChannelParameters, t: float) -> float:
     return bsq * s * s + co * co / bsq
 
 
-def _leading_phase(c: ChannelParameters, t: float) -> float:
-    """Continuous branch of arctan(beta0^2 tan t)."""
-    probe = ErmakovParameters(0.0, c.beta0, 0.0, 0.0, 0.0, 0.0)
-    return _continuous_arg(probe, t)
-
-
-def psi_2d(c: ChannelParameters, x, y, t: float):
-    """The channeled packet wavefunction at depth t.
-
-    Four factors: a normalizing amplitude with the continuous leading
-    phase, a radial chirp, a plane-wave factor from the transverse
-    momentum offset, and the displaced Gaussian envelope.  Accepts
-    scalar or array x, y (broadcast together).
-
-    Returns
-    -------
-    complex or ndarray
-        psi(x, y, t), unit L2 norm over the transverse plane.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = width_squared(c, t)
-    s, co = math.sin(t), math.cos(t)
-    bsq = c.beta0 * c.beta0
-    rsq = x * x + y * y
-    shift = x - c.delta0 * s
-    front = math.pi ** -0.5 * w ** -0.5 * np.exp(-1j * _leading_phase(c, t))
-    chirp = (bsq - 1.0 / bsq) * rsq * (2.0 * s * co) / (4.0 * w)
-    ray = c.delta0 * (2.0 * x - c.delta0 * s) * co / (2.0 * bsq * w)
-    envelope = -(shift * shift + y * y) / (2.0 * w)
-    return front * np.exp(1j * (chirp + ray) + envelope)
-
-
 def density(c: ChannelParameters, x, y, t: float):
     """Transverse flux density |psi|^2 at depth t, in closed form.
 
     A single displaced Gaussian of squared scale w(t); evaluated
     directly (no wavefunction round trip), and required by the tests to
-    match |psi_2d|^2 to 1e-12.
+    match |psi|^2 of the channeled wavefunction to 1e-12.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -201,41 +165,24 @@ def _snapshot_axes(c: ChannelParameters, points: int, half_width):
     return x, x.copy()
 
 
-def density_grid(c: ChannelParameters, t: float, points: int = 301,
-                 half_width=None):
-    """Sample the density on a centred square grid.
+def write_snapshot_csv(path, c: ChannelParameters, t: float,
+                       points: int = 301, half_width=None) -> None:
+    """Write the density at depth t on a centred square grid as one CSV file.
 
-    The default half-width, 6 times the widest phase of the breathing
-    envelope plus the swing amplitude, keeps both the focused and the
-    defocused frames of one series on a common grid.  That grid is
-    sized for the widest frame, so it under-resolves a strong focus:
+    Each row is (depth, x, y, density), x-major, with 17 significant
+    digits.  The default half-width, 6 times the widest phase of the
+    breathing envelope plus the swing amplitude, keeps both the focused
+    and the defocused frames of one series on a common grid.  That grid
+    is sized for the widest frame, so it under-resolves a strong focus:
     at beta0 = 0.1 the half-width is 60 and 401 points are 0.3 apart,
     while the waist has an rms width of 0.071, so the focused frame
     holds its packet in about one cell.  The sampled values stay exact
     pointwise; pass a smaller ``half_width`` to resolve the waist.
-    The grid is assembled from the row blocks of `_csv.mesh_blocks`,
-    the evaluator that `write_snapshot_csv` streams; axes that are not
-    finite raise ``FloatingPointError``.
+    Axes that are not finite raise ``FloatingPointError``.
 
-    Returns
-    -------
-    (ndarray, ndarray, ndarray)
-        x axis, y axis, and values with ``values[i, j]`` at
-        ``(x[i], y[j])``.
-    """
-    x, y = _snapshot_axes(c, points, half_width)
-    blocks = mesh_blocks(lambda xs, ys: density(c, xs, ys, t), x, y)
-    return x, y, np.concatenate(list(blocks))
-
-
-def write_snapshot_csv(path, c: ChannelParameters, t: float,
-                       points: int = 301, half_width=None) -> None:
-    """Write ``density_grid(c, t, points, half_width)`` as one CSV file.
-
-    Each row is (depth, x, y, density), x-major, with 17 significant
-    digits.  The grid is sampled, checked to be finite, formatted and
-    written one row block at a time (`_csv.block_lines`), so no whole
-    grid and no whole text is held.  A block that is not finite raises
+    The grid is sampled, checked to be finite, formatted and written
+    one row block at a time (`_csv.block_lines`), so no whole grid and
+    no whole text is held.  A block that is not finite raises
     ``FloatingPointError`` when it arrives, after the blocks before it
     are written; the command-line front end writes into a staging
     directory, which keeps a failed file out of sight.

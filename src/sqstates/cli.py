@@ -645,7 +645,7 @@ def cmd_demkov(config: dict, args, stage: str) -> tuple[list, int]:
     `channel.write_snapshot_csv` into the run's one staging directory;
     ``metrics.csv`` is written last.  All snapshots share one
     square grid sized for the widest frame (see
-    `channel.density_grid`), which under-resolves a strong focus: at
+    `channel.write_snapshot_csv`), which under-resolves a strong focus: at
     beta0 = 0.1 the half-width is 60, a 401-point grid is 0.3 apart and
     the waist's rms width is 0.071.  The ``norm`` column of
     ``metrics.csv`` integrates on its own adaptive mesh and stays

@@ -55,7 +55,6 @@ __all__ = [
     "classical_trajectory",
     "invariants",
     "to_complex",
-    "from_complex",
     "evolve_complex",
 ]
 
@@ -305,9 +304,9 @@ def invariants(p: ErmakovParameters) -> InvariantSet:
 def to_complex(p0: ErmakovParameters) -> ComplexGroupParameters:
     """Map real initial data to the complex constants of the rotation form.
 
-    The sign of beta0 is not encoded (only beta0^2 enters); use the sign
-    argument of `from_complex` to recover a negative-beta representative.
-    gamma0 and kappa0 ride along separately.
+    The sign of beta0 is not encoded (only beta0^2 enters), so the map
+    is inverted up to that sign.  gamma0 and kappa0 ride along
+    separately.
     """
     c1, c2 = _c_pair(p0.alpha, p0.beta)
     c3 = complex(p0.delta / p0.beta, -p0.epsilon)
@@ -318,25 +317,6 @@ def _c_pair(alpha: float, beta: float) -> tuple[complex, complex]:
     """The squeeze-sector constants (c1, c2) of (alpha, beta)."""
     bsq = beta * beta
     return complex(0.5 * (1.0 + bsq), -alpha), complex(0.5 * (1.0 - bsq), alpha)
-
-
-def from_complex(
-    c: ComplexGroupParameters,
-    gamma0: float = 0.0,
-    kappa0: float = 0.0,
-    sign: int = 1,
-) -> ErmakovParameters:
-    """Invert `to_complex`; sign picks the branch of beta0 = +/- sqrt(|c1|^2-|c2|^2)."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    bsq = abs(c.c1) ** 2 - abs(c.c2) ** 2
-    if not bsq > 0.0:
-        raise ValueError("require |c1|^2 - |c2|^2 > 0")
-    b0 = sign * math.sqrt(bsq)
-    a0 = (0.5j * (c.c1 * c.c2.conjugate() - c.c1.conjugate() * c.c2)).real
-    d0 = 0.5 * b0 * (c.c3 + c.c3.conjugate()).real
-    e0 = (0.5j * (c.c3 - c.c3.conjugate())).real
-    return ErmakovParameters(a0, b0, float(gamma0), d0, e0, float(kappa0))
 
 
 def evolve_complex(

@@ -10,11 +10,11 @@ standard Hamiltonian H = (p^2 + x^2)/2, a *time-dependent* ladder pair
 and the quadratic invariant E(t) = (b b+ + b+ b)/2 whose spectrum stays
 k + 1/2 for all parameter values.  The pair solves the Heisenberg
 equations db/dt = i[b, H] as printed in the source convention (the
-standard textbook sign corresponds to running time backwards, exposed
-here as the ``time_reversed`` switch), so b(t) is obtainable either by
-rebuilding (substituting evolved parameters into the definition) or by
-rotating the (a, a+, 1) components of b(0) with e^{+-it} -- both paths
-are implemented and must agree.
+standard textbook sign, db/dt = -i[b, H], corresponds to running time
+backwards and fails them), so b(t) is obtainable either by rebuilding
+(substituting evolved parameters into the definition) or by rotating
+the (a, a+, 1) components of b(0) with e^{+-it} -- both paths are
+implemented and must agree.
 
 Truncation discipline.  A hard cutoff at dimension N corrupts only the
 top of the matrices: products of tridiagonal/pentadiagonal operators are
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ermakov import ErmakovParameters, classical_trajectory, evolve
+from .ermakov import ErmakovParameters, evolve
 from .specfun import _check_int
 
 __all__ = [
@@ -50,9 +50,6 @@ __all__ = [
     "invariant_E",
     "ladder_coefficients",
     "hamiltonian_in_ladder",
-    "var_h_operator",
-    "ladder_action_check",
-    "field_expectation",
     "interior",
     "energy_levels",
 ]
@@ -179,16 +176,14 @@ def b_operators(p: ErmakovParameters, n_dim: int) -> dict:
     }
 
 
-def b_evolved(p0: ErmakovParameters, t: float, n_dim: int,
-              time_reversed: bool = False) -> OperatorMatrix:
+def b_evolved(p0: ErmakovParameters, t: float, n_dim: int) -> OperatorMatrix:
     """b(t) from b(0) by the exact ladder dynamics, without re-evolving.
 
     b(0) is a linear combination u a + v a+ + w; under db/dt = i[b, H]
     with H = (p^2 + x^2)/2 the components simply rotate, u -> u e^{it},
-    v -> v e^{-it}, w -> w.  The ``time_reversed`` switch selects the
-    textbook sign convention instead (components rotate the other way).
-    Must agree with rebuilding `b_operators` from evolved parameters;
-    the two routes solve the same equations with the same data.
+    v -> v e^{-it}, w -> w.  Must agree with rebuilding `b_operators`
+    from evolved parameters; the two routes solve the same equations
+    with the same data.
     """
     ops = fock_operators(n_dim)
     a0, b0 = p0.alpha, p0.beta
@@ -197,20 +192,18 @@ def b_evolved(p0: ErmakovParameters, t: float, n_dim: int,
     u = phase0 * complex(b0 * b0 + 1.0, -2.0 * a0) / (2.0 * b0)
     v = phase0 * complex(b0 * b0 - 1.0, -2.0 * a0) / (2.0 * b0)
     w = phase0 * complex(p0.epsilon, -p0.delta / b0) / math.sqrt(2.0)
-    rot = cmath.exp(-1j * t) if time_reversed else cmath.exp(1j * t)
+    rot = cmath.exp(1j * t)
     mat = (u * rot * ops["a"].entries
            + v * np.conj(rot) * ops["a_dag"].entries
            + w * np.eye(n_dim))
     return OperatorMatrix(mat)
 
 
-def heisenberg_residual(p0: ErmakovParameters, t: float, n_dim: int,
-                        time_reversed: bool = False) -> float:
+def heisenberg_residual(p0: ErmakovParameters, t: float, n_dim: int) -> float:
     """Interior-block residual of the ladder Heisenberg equation.
 
     Differentiates the rebuilt b(t) by central differences of step 1e-5
-    and measures max |db/dt - i[b, H]| on the (N-1) block (or
-    db/dt + i[b, H] under the time-reversed convention).
+    and measures max |db/dt - i[b, H]| on the (N-1) block.
     """
     step = 1e-5
     ops = fock_operators(n_dim)
@@ -219,8 +212,7 @@ def heisenberg_residual(p0: ErmakovParameters, t: float, n_dim: int,
     behind = b_operators(evolve(p0, t - step), n_dim)["b"].entries
     rate = (ahead - behind) / (2.0 * step)
     here = b_operators(evolve(p0, t), n_dim)["b"].entries
-    sign = -1.0 if time_reversed else 1.0
-    resid = rate - sign * 1j * (here @ ham - ham @ here)
+    resid = rate - 1j * (here @ ham - ham @ here)
     return float(np.max(np.abs(interior(resid, 1))))
 
 
@@ -316,86 +308,3 @@ def energy_levels(p: ErmakovParameters, n_dim: int):
         if lead.size:
             full[:, k] = col * (np.conj(lead[0]) / abs(lead[0]))
     return vals, full
-
-
-def var_h_operator(n: int, p: ErmakovParameters, n_dim: int = 256) -> float:
-    """Energy variance of the n-th invariant eigenstate, operator route.
-
-    Builds the n-th eigenvector of the invariant E on the interior block
-    and evaluates <H^2> - <H>^2 with the truncated H.  Serves as the
-    independent oracle for the closed-form variance.
-
-    Parameters
-    ----------
-    n : int
-        Level index; capped at n_dim // 8 so the eigenvector is fully
-        resolved inside the truncation.
-    p : ErmakovParameters
-        Parameters at the instant of interest.
-    n_dim : int, optional
-        Fock dimension (default 256).
-    """
-    n = _check_int(n, "n", 0)
-    if n > n_dim // 8:
-        raise ValueError("level %d too close to the truncation %d; "
-                         "raise n_dim" % (n, n_dim))
-    _, vecs = energy_levels(p, n_dim)
-    state = vecs[:, n]
-    ham = fock_operators(n_dim)["H"].entries
-    h_state = ham @ state
-    mean = float(np.real(np.vdot(state, h_state)))
-    square = float(np.real(np.vdot(h_state, h_state)))
-    return square - mean * mean
-
-
-def ladder_action_check(p: ErmakovParameters, n_dim: int,
-                        levels: int = 7) -> float:
-    """Worst deviation of the invariant eigenvectors from ladder action.
-
-    Applies b and b+ to the lowest eigenvectors of E and measures the
-    distance from sqrt(n) |psi_{n-1}> and sqrt(n+1) |psi_{n+1}>, allowing
-    one global phase per level (anchored at the ground level, then fixed
-    recursively by the b overlaps).  Includes |b psi_0| -- the ground
-    vector must be annihilated.
-    """
-    levels = _check_int(levels, "levels", 1, n_dim // 8)
-    _, vecs = energy_levels(p, n_dim)
-    ladder = b_operators(p, n_dim)
-    low = ladder["b"].entries
-    high = ladder["b_dag"].entries
-    phased = [vecs[:, 0]]
-    for k in range(1, levels + 1):
-        overlap = complex(np.vdot(phased[k - 1], low @ vecs[:, k]))
-        if abs(overlap) < 1e-8:
-            raise ArithmeticError("ladder overlap vanished at level %d" % k)
-        phased.append(vecs[:, k] * (abs(overlap) / overlap))
-    gaps = [np.linalg.norm(low @ phased[0])]
-    for k in range(1, levels + 1):
-        gaps.append(np.linalg.norm(low @ phased[k]
-                                   - math.sqrt(k) * phased[k - 1]))
-        if k < levels:
-            gaps.append(np.linalg.norm(high @ phased[k]
-                                       - math.sqrt(k + 1.0) * phased[k + 1]))
-    return float(np.max(gaps))  # a NaN gap gives NaN
-
-
-def field_expectation(e_mode: float, h_mode: float, state_n: int,
-                      p0: ErmakovParameters, t: float) -> tuple[float, float]:
-    """Mean electric and magnetic single-mode fields at time t.
-
-    For the retained unit-frequency cavity mode with caller-supplied
-    scalar mode amplitudes (the geometry factors), the expectations are
-    proportional to the packet centroid:
-
-        <E> = -sqrt(4 pi) * e_mode * <p>(t),
-        <H> = +sqrt(4 pi) * h_mode * <x>(t).
-
-    The centroid is the same for every level n of the dynamic Fock
-    space (displacement is carried by the parameters, not the level),
-    so ``state_n`` only participates through validation.
-    """
-    _check_int(state_n, "state_n", 0)
-    x_mean, p_mean = classical_trajectory(p0, t)
-    root = math.sqrt(4.0 * math.pi)
-    return -root * e_mode * p_mean, root * h_mode * x_mean
-

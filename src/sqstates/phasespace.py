@@ -64,14 +64,10 @@ __all__ = [
     "wigner_tcs",
     "wigner_numeric",
     "moyal",
-    "wigner_superposition",
     "rotate_evolution_check",
     "default_grid",
     "tcs_grid",
-    "superposition_grid",
     "grid_normalization",
-    "position_marginal",
-    "momentum_marginal",
     "purity",
     "write_tcs_csv",
     "write_superposition_csv",
@@ -398,7 +394,7 @@ def _check_coeffs(coeffs) -> list[tuple[complex, int]]:
         raise ValueError("superposition needs at least one term")
     if len({n for _, n in pairs}) != len(pairs):
         raise ValueError("duplicate basis labels in superposition")
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:  # a NaN total fails too
         raise ValueError("coefficients are not normalized: sum |c|^2 = %.17g"
                          % total)
     return pairs
@@ -430,38 +426,6 @@ def _superposition_values(pairs, p: ErmakovParameters, x, mom):
     return acc
 
 
-def wigner_superposition(coeffs: Sequence, p0: ErmakovParameters,
-                         pt: PhaseSpacePoint, t: float) -> float:
-    """Wigner function of a finite superposition of number states.
-
-    Parameters
-    ----------
-    coeffs : sequence of (complex, int)
-        Coefficient/label pairs; sum |c|^2 must equal 1 (1e-12) and the
-        labels must be distinct.
-    p0 : ErmakovParameters
-        Initial parameters.
-    pt : PhaseSpacePoint
-        Evaluation point.
-    t : float
-        Time.
-
-    Returns
-    -------
-    float
-        The (real) Wigner value; the cross terms combine conjugately, so
-        the imaginary residual is pure roundoff -- it is checked against
-        1e-10 and dropped.
-    """
-    pairs = _check_coeffs(coeffs)
-    p = evolve(p0, t)
-    w = complex(_superposition_values(pairs, p, pt.x, pt.p))
-    if not abs(w.imag) <= 1e-10 * (1.0 + abs(w)):
-        raise ArithmeticError(
-            "superposition Wigner value has imaginary residual %.3e" % w.imag)
-    return w.real
-
-
 def rotate_evolution_check(coeffs: Sequence, p0: ErmakovParameters,
                            grid: PhaseSpaceGrid, t: float) -> float:
     """Largest violation of the rigid-rotation evolution law on a grid.
@@ -471,8 +435,9 @@ def rotate_evolution_check(coeffs: Sequence, p0: ErmakovParameters,
     This evaluates both sides of that identity for a superposition state
     over the grid's mesh (the grid's stored values are ignored; it only
     supplies the sampling domain) and returns the maximum absolute
-    difference.  The mesh is visited in the row blocks of
-    `superposition_grid`, whose imaginary-residual check applies too.
+    difference.  The mesh is visited in the row blocks that
+    `write_superposition_csv` writes, and their imaginary-residual check
+    applies too.
 
     Returns
     -------
@@ -611,17 +576,6 @@ def tcs_grid(s: TCSState, grid: PhaseSpaceGrid, t: float) -> PhaseSpaceGrid:
     return _collect(grid, _tcs_rows(s, grid, t))
 
 
-def superposition_grid(coeffs: Sequence, p0: ErmakovParameters,
-                       grid: PhaseSpaceGrid, t: float) -> PhaseSpaceGrid:
-    """Evaluate a superposition Wigner function over a grid's mesh.
-
-    The imaginary residual of the double sum is checked against 1e-10
-    (relative to the largest value) and dropped, as in the scalar
-    evaluator.
-    """
-    return _collect(grid, _superposition_rows(coeffs, p0, grid, t))
-
-
 def grid_normalization(grid: PhaseSpaceGrid):
     """Integral of the stored values over the whole grid (trapezoid)."""
     inner = np.trapezoid(grid.values, dx=grid.dp, axis=1)
@@ -629,16 +583,6 @@ def grid_normalization(grid: PhaseSpaceGrid):
     if np.iscomplexobj(grid.values):
         return complex(total)
     return float(total)
-
-
-def position_marginal(grid: PhaseSpaceGrid) -> np.ndarray:
-    """Integrate over momentum: the position density |psi(x)|^2."""
-    return np.trapezoid(grid.values, dx=grid.dp, axis=1)
-
-
-def momentum_marginal(grid: PhaseSpaceGrid) -> np.ndarray:
-    """Integrate over position: the momentum density |psi-hat(p)|^2."""
-    return np.trapezoid(grid.values, dx=grid.dx, axis=0)
 
 
 def purity(grid: PhaseSpaceGrid) -> float:
@@ -669,11 +613,14 @@ def write_tcs_csv(path, s: TCSState, grid: PhaseSpaceGrid, t: float) -> None:
 def write_superposition_csv(path, coeffs: Sequence, p0: ErmakovParameters,
                             grid: PhaseSpaceGrid, t: float,
                             rotation_check: bool = False):
-    """Write ``superposition_grid(...)`` as (x, p, W) rows, position-major.
+    """Write a superposition's Wigner grid as (x, p, W) rows, position-major.
 
-    The values are computed, checked, formatted and written one row
-    block at a time (`_csv.block_lines`), so no array of the whole mesh
-    is ever held.  A block that is not finite raises
+    ``coeffs`` is a sequence of (coefficient, level) pairs with distinct
+    levels and sum |c|^2 = 1 to within 1e-12; anything else, a NaN
+    coefficient included, raises ``ValueError`` before the file is
+    opened.  The values are computed, checked, formatted and written
+    one row block at a time (`_csv.block_lines`), so no array of the
+    whole mesh is ever held.  A block that is not finite raises
     ``FloatingPointError`` before it is written: at high basis levels
     an underflowed Gaussian factor meets an overflowed Laguerre value
     in `_moyal_values`.  The imaginary-residual check spans the whole

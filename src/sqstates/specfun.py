@@ -1,8 +1,9 @@
 """Polynomial special functions and the Gaussian-weighted Hermite integral.
 
-Everything here terminates: Hermite and associated Laguerre polynomials,
-the zeros of the Hermite functions, terminating 2F1 sums, and the closed
-form of integral(exp(-lambda2 x^2) H_m(a x) H_n(b x) dx).  Degrees are
+Everything here terminates: the normalized Hermite functions and
+associated Laguerre polynomials, the zeros of the Hermite functions,
+terminating 2F1 sums, and the closed form of
+integral(exp(-lambda2 x^2) H_m(a x) H_n(b x) dx).  Degrees are
 capped at MAX_DEGREE to keep silent overflow out of the library.  Only
 numpy and the standard library are used.
 
@@ -24,8 +25,6 @@ import numpy as np
 __all__ = [
     "MAX_DEGREE",
     "ParameterDegeneracyError",
-    "hermite",
-    "hermite_function",
     "hermite_function_table",
     "hermite_zeros",
     "gauss_hermite_rule",
@@ -65,32 +64,6 @@ def _check_degree(n, name="degree"):
     return _check_int(n, name, 0, MAX_DEGREE)
 
 
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x), vectorized over x.
-
-    Plain three-term recurrence; values overflow for large n and |x|,
-    use `hermite_function` when a normalized, weighted value is wanted.
-    """
-    n = _check_degree(n)
-    x = np.asarray(x)
-    h_prev = np.ones_like(x, dtype=x.dtype if x.dtype.kind == "c" else float)
-    if n == 0:
-        return h_prev if h_prev.shape else h_prev[()]
-    h = 2.0 * x * h_prev
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if h.shape else h[()]
-
-
-def hermite_function(n: int, x):
-    """Normalized Hermite function H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)).
-
-    Stable for any degree up to MAX_DEGREE (the recurrence works on the
-    weighted, unit-norm functions so nothing overflows).
-    """
-    return hermite_function_table(n, x)[-1]
-
-
 def _hermite_rows(nmax: int, x):
     """Yield the normalized Hermite functions h_0(x), ..., h_nmax(x).
 
@@ -110,7 +83,11 @@ def _hermite_rows(nmax: int, x):
 
 
 def hermite_function_table(nmax: int, x) -> np.ndarray:
-    """All normalized Hermite functions 0..nmax at once, shape (nmax+1, ...)."""
+    """All normalized Hermite functions 0..nmax at once, shape (nmax+1, ...).
+
+    Row n is H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)), stable for any
+    degree up to MAX_DEGREE.
+    """
     nmax = _check_degree(nmax)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((nmax + 1,) + x.shape)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "UncertaintyExtrema",
     "psi_n",
     "psi_tcs",
-    "psi_superposition",
     "covariance",
     "variance_series",
     "uncertainty_extrema",
@@ -156,25 +154,6 @@ def psi_tcs(s: TCSState, x, t: float):
     envelope = np.exp(-0.5 * (xi - math.sqrt(2.0) * eta) ** 2)
     front = cmath.exp(0.5 * (eta * eta - abs(eta) ** 2) + 1j * p.gamma)
     vals = root * front * _phase_factor(p, xv) * envelope
-    return _shape_like(vals, x)
-
-
-def psi_superposition(coeffs: Sequence[complex], p0: ErmakovParameters, x, t: float):
-    """Evaluate sum_n coeffs[n] * psi_n at time t; coeffs must be unit norm."""
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coeffs must be a nonempty 1-d sequence")
-    norm = float(np.sum(np.abs(c) ** 2))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"coefficients are not normalized: sum |c|^2 = {norm!r}")
-    p = evolve(p0, t)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    xi = p.beta * xv + p.epsilon
-    table = hermite_function_table(c.size - 1, xi)
-    weights = c * np.exp(2j * p.gamma * np.arange(c.size))
-    root_beta = complex(p.beta) ** 0.5
-    vals = (root_beta * np.exp(1j * p.gamma) * _phase_factor(p, xv)
-            * np.tensordot(weights, table, axes=(0, 0)))
     return _shape_like(vals, x)
 
 

@@ -37,24 +37,44 @@ from .fockexp import (
     poisson_statistics,
     squeezed_vacuum_coeffs,
     t_matrix,
+    time_dependent_expansion,
 )
-from .operators import b_operators, energy_levels, heisenberg_residual, interior
+from .operators import (
+    b_evolved,
+    b_operators,
+    energy_levels,
+    fock_operators,
+    hamiltonian_in_ladder,
+    heisenberg_residual,
+    interior,
+)
 from .phasespace import (
     PhaseSpacePoint,
     default_grid,
     grid_normalization,
     moyal,
+    purity,
     rotate_evolution_check,
     tcs_center,
     tcs_grid,
+    wigner_numeric,
+    wigner_tcs,
 )
-from .specfun import bailey_integral, hyp2f1_even_odd, hyp2f1_terminating
+from .specfun import (
+    bailey_integral,
+    hermite_function_table,
+    hyp2f1_even_odd,
+    hyp2f1_terminating,
+)
 from .states import (
     DynamicState,
     TCSState,
     covariance,
+    energy,
     psi_n,
+    psi_tcs,
     uncertainty_extrema,
+    var_h,
     variance_series,
 )
 
@@ -321,6 +341,82 @@ def _check_channel_norm(rng):
             yield abs(_channel_norm(c, t) - 1.0)
 
 
+#: the draw box of the truncation-128 expansion checks
+_EXPANSION_BOX = {"squeeze": (0.7, 1.45), "alpha_max": 0.7, "disp_max": 1.0}
+
+
+def _check_energy_variance(rng):
+    levels = np.arange(128) + 0.5
+    for _ in range(3):
+        p0 = _draw(rng, **_EXPANSION_BOX)
+        table = expansion_table(p0, (0, 1, 2), size=128)
+        probs = abs(table.beta0) * np.abs(table.coeffs) ** 2
+        mean = levels @ probs
+        spread = ((levels[:, None] - mean) ** 2 * probs).sum(axis=0)
+        for j, n in enumerate(table.columns):
+            s = DynamicState(n, p0)
+            # relative: the rows beyond the truncation carry the largest
+            # levels, so the variance misses about tail * 128^2
+            for closed, truncated in ((energy(s), mean[j]),
+                                      (var_h(s), spread[j])):
+                yield abs(closed - truncated) / max(1.0, closed)
+
+
+def _check_tcs_wigner(rng):
+    for _ in range(2):
+        p0 = _draw(rng)
+        s = TCSState(complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)),
+                     p0)
+        t = float(rng.uniform(0.0, 2.0 * math.pi))
+        center = tcs_center(s, t)
+        p = evolve(p0, t)
+        cov = covariance(p)
+        # the transform's integrand decays like exp(-beta(t)^2 y^2 / 4)
+        extent = 12.0 / min(1.0, p.beta)
+        for _ in range(3):
+            pt = PhaseSpacePoint(
+                center[0] + math.sqrt(cov.sigma_x) * rng.uniform(-2.0, 2.0),
+                center[1] + math.sqrt(cov.sigma_p) * rng.uniform(-2.0, 2.0))
+            quad = wigner_numeric(lambda x: psi_tcs(s, x, t), pt,
+                                  extent=extent)
+            yield abs(wigner_tcs(s, pt, t) - quad)
+        # at the product minimum the packet's ellipse is upright, and a
+        # small grid integrates it to roundoff
+        upright = uncertainty_extrema(p0).t_min
+        g = default_grid(p0, upright, (0,), points=41, spread=6.0,
+                         center=tcs_center(s, upright))
+        yield abs(purity(tcs_grid(s, g, upright)) - 0.5 / math.pi)
+
+
+def _check_evolved_expansion(rng):
+    xs = np.linspace(-6.0, 6.0, 121)
+    basis = hermite_function_table(127, xs)
+    for _ in range(2):
+        p0 = _draw(rng, **_EXPANSION_BOX)
+        n = int(rng.integers(0, 4))
+        t = float(rng.uniform(0.0, 2.0 * math.pi))
+        rebuilt = math.sqrt(p0.beta) * (
+            time_dependent_expansion(p0, n, t, 128) @ basis)
+        direct = psi_n(DynamicState(n, p0), xs, t)
+        yield float(np.max(np.abs(rebuilt - direct)))
+
+
+def _check_ladder_rotation(rng):
+    for _ in range(3):
+        p0 = _draw(rng)
+        t = float(rng.uniform(0.0, 4.0 * math.pi))
+        rebuilt = b_operators(evolve(p0, t), 48)["b"].entries
+        yield float(np.max(np.abs(b_evolved(p0, t, 48).entries - rebuilt)))
+
+
+def _check_ladder_hamiltonian(rng):
+    ham = fock_operators(48)["H"].entries
+    for _ in range(3):
+        p = evolve(_draw(rng), float(rng.uniform(0.0, 2.0 * math.pi)))
+        gap = hamiltonian_in_ladder(p, 48).entries - ham
+        yield float(np.max(np.abs(interior(gap, 2))))
+
+
 #: name, tolerance, implementation, one-line description.
 _CHECKS = (
     ("variance-extrema", 1e-10, _check_variance_extrema,
@@ -359,6 +455,16 @@ _CHECKS = (
      "waist/entry widths are reciprocal and the peak gain is 1/beta0^4"),
     ("channel-norm", 1e-6, _check_channel_norm,
      "channel densities integrate to one at every depth"),
+    ("energy-variance", 1e-7, _check_energy_variance,
+     "closed-form <H> and Var H match the level weights of the expansion"),
+    ("tcs-wigner", 1e-12, _check_tcs_wigner,
+     "packet Wigner forms match the defining transform; purity is 1/(2 pi)"),
+    ("evolved-expansion", 1e-6, _check_evolved_expansion,
+     "evolved expansion coefficients rebuild the dynamic wavefunction"),
+    ("ladder-rotation", 1e-12, _check_ladder_rotation,
+     "b(0) rotated by the Heisenberg dynamics equals b rebuilt at time t"),
+    ("ladder-hamiltonian", 1e-10, _check_ladder_hamiltonian,
+     "H reassembled over the moving ladder pair equals (p^2 + x^2)/2"),
 )
 
 

@@ -17,6 +17,15 @@ the library pieces that the in-place rewrite left alone.
 through the scalar route of the flow (`evolve`, `covariance` and
 `classical_trajectory` at one time), which the CLI's array route must
 match bit for bit.
+
+The third kind, at the end of this module, are routes that once sat in
+the library but that no run reaches, and that the tests read only as
+references: the Hermite polynomial `hermite`, the superposition
+wavefunction `psi_superposition`, the held superposition Wigner grid
+`superposition_grid`, the channel wavefunction `psi_2d` and its
+`density_grid`, the inverse map `from_complex`, and the operator-side
+energy variance `var_h_operator` and ladder check `ladder_action_check`.
+They keep their library checks and build on the library's own pieces.
 """
 
 import math
@@ -27,14 +36,25 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from sqstates import fockexp
-from sqstates.ermakov import classical_trajectory, evolve
+from sqstates._csv import mesh_blocks
+from sqstates.channel import _snapshot_axes, density, width_squared
+from sqstates.ermakov import (
+    ErmakovParameters,
+    _continuous_arg,
+    classical_trajectory,
+    evolve,
+)
+from sqstates.operators import b_operators, energy_levels, fock_operators
+from sqstates.phasespace import _collect, _superposition_rows
 from sqstates.specfun import (
+    _check_degree,
+    _check_int,
     gauss_hermite_rule,
     hermite_function_table,
     hyp2f1_even_odd,
     laguerre_ratio_table,
 )
-from sqstates.states import covariance
+from sqstates.states import _phase_factor, _shape_like, covariance
 
 #: number levels of the operator-algebra basis behind `fock_tail`
 FOCK_DIM = 1024
@@ -296,3 +316,162 @@ def oneshot_expansion(p0, cols, size):
     if p0.gamma != 0.0:
         first = first * np.exp(1j * (2.0 * picked + 1.0) * p0.gamma)
     return np.ascontiguousarray(first), tail
+
+
+# ----------------------------------------------------------------------
+# library routes kept as test references
+# ----------------------------------------------------------------------
+
+def hermite(n, x):
+    """Physicists' Hermite polynomial H_n(x), vectorized over x.
+
+    Plain three-term recurrence; values overflow for large n and |x|,
+    where `hermite_function_table` gives the normalized, weighted value.
+    """
+    n = _check_degree(n)
+    x = np.asarray(x)
+    h_prev = np.ones_like(x, dtype=x.dtype if x.dtype.kind == "c" else float)
+    if n == 0:
+        return h_prev if h_prev.shape else h_prev[()]
+    h = 2.0 * x * h_prev
+    for k in range(1, n):
+        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
+    return h if h.shape else h[()]
+
+
+def psi_superposition(coeffs, p0, x, t):
+    """Evaluate sum_n coeffs[n] * psi_n at time t; coeffs must be unit norm."""
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coeffs must be a nonempty 1-d sequence")
+    norm = float(np.sum(np.abs(c) ** 2))
+    if abs(norm - 1.0) > 1e-12:
+        raise ValueError(f"coefficients are not normalized: sum |c|^2 = {norm!r}")
+    p = evolve(p0, t)
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    xi = p.beta * xv + p.epsilon
+    table = hermite_function_table(c.size - 1, xi)
+    weights = c * np.exp(2j * p.gamma * np.arange(c.size))
+    root_beta = complex(p.beta) ** 0.5
+    vals = (root_beta * np.exp(1j * p.gamma) * _phase_factor(p, xv)
+            * np.tensordot(weights, table, axes=(0, 0)))
+    return _shape_like(vals, x)
+
+
+def superposition_grid(coeffs, p0, grid, t):
+    """A superposition Wigner function held over a grid's mesh.
+
+    The row blocks are those `phasespace.write_superposition_csv`
+    writes; the imaginary residual of the double sum is checked against
+    1e-10 (relative to the largest value) and dropped.
+    """
+    return _collect(grid, _superposition_rows(coeffs, p0, grid, t))
+
+
+def density_grid(c, t, points=301, half_width=None):
+    """The channel density on the grid `channel.write_snapshot_csv` writes.
+
+    Returns
+    -------
+    (ndarray, ndarray, ndarray)
+        x axis, y axis, and values with ``values[i, j]`` at
+        ``(x[i], y[j])``, stacked from the writer's row blocks.
+    """
+    x, y = _snapshot_axes(c, points, half_width)
+    blocks = mesh_blocks(lambda xs, ys: density(c, xs, ys, t), x, y)
+    return x, y, np.concatenate(list(blocks))
+
+
+def _leading_phase(c, t):
+    """Continuous branch of arctan(beta0^2 tan t)."""
+    probe = ErmakovParameters(0.0, c.beta0, 0.0, 0.0, 0.0, 0.0)
+    return _continuous_arg(probe, t)
+
+
+def psi_2d(c, x, y, t):
+    """The channeled packet wavefunction at depth t.
+
+    Four factors: a normalizing amplitude with the continuous leading
+    phase (the principal branch would make psi jump at quarter
+    periods), a radial chirp, a plane-wave factor from the transverse
+    momentum offset, and the displaced Gaussian envelope.  Accepts
+    scalar or array x, y (broadcast together); unit L2 norm over the
+    transverse plane.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = width_squared(c, t)
+    s, co = math.sin(t), math.cos(t)
+    bsq = c.beta0 * c.beta0
+    rsq = x * x + y * y
+    shift = x - c.delta0 * s
+    front = math.pi ** -0.5 * w ** -0.5 * np.exp(-1j * _leading_phase(c, t))
+    chirp = (bsq - 1.0 / bsq) * rsq * (2.0 * s * co) / (4.0 * w)
+    ray = c.delta0 * (2.0 * x - c.delta0 * s) * co / (2.0 * bsq * w)
+    envelope = -(shift * shift + y * y) / (2.0 * w)
+    return front * np.exp(1j * (chirp + ray) + envelope)
+
+
+def from_complex(c, gamma0=0.0, kappa0=0.0, sign=1):
+    """Invert `to_complex`; sign picks the branch of beta0 = +/- sqrt(|c1|^2-|c2|^2)."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    bsq = abs(c.c1) ** 2 - abs(c.c2) ** 2
+    if not bsq > 0.0:
+        raise ValueError("require |c1|^2 - |c2|^2 > 0")
+    b0 = sign * math.sqrt(bsq)
+    a0 = (0.5j * (c.c1 * c.c2.conjugate() - c.c1.conjugate() * c.c2)).real
+    d0 = 0.5 * b0 * (c.c3 + c.c3.conjugate()).real
+    e0 = (0.5j * (c.c3 - c.c3.conjugate())).real
+    return ErmakovParameters(a0, b0, float(gamma0), d0, e0, float(kappa0))
+
+
+def var_h_operator(n, p, n_dim=256):
+    """Energy variance of the n-th invariant eigenstate, operator route.
+
+    Builds the n-th eigenvector of the invariant E on the interior block
+    and evaluates <H^2> - <H>^2 with the truncated H: the independent
+    oracle of the closed-form `states.var_h`.  The level is capped at
+    n_dim // 8 so that the eigenvector is resolved inside the truncation.
+    """
+    n = _check_int(n, "n", 0)
+    if n > n_dim // 8:
+        raise ValueError("level %d too close to the truncation %d; "
+                         "raise n_dim" % (n, n_dim))
+    _, vecs = energy_levels(p, n_dim)
+    state = vecs[:, n]
+    ham = fock_operators(n_dim)["H"].entries
+    h_state = ham @ state
+    mean = float(np.real(np.vdot(state, h_state)))
+    square = float(np.real(np.vdot(h_state, h_state)))
+    return square - mean * mean
+
+
+def ladder_action_check(p, n_dim, levels=7):
+    """Worst deviation of the invariant eigenvectors from ladder action.
+
+    Applies b and b+ to the lowest eigenvectors of E and measures the
+    distance from sqrt(n) |psi_{n-1}> and sqrt(n+1) |psi_{n+1}>, allowing
+    one global phase per level (anchored at the ground level, then fixed
+    recursively by the b overlaps).  Includes |b psi_0| -- the ground
+    vector must be annihilated.
+    """
+    levels = _check_int(levels, "levels", 1, n_dim // 8)
+    _, vecs = energy_levels(p, n_dim)
+    ladder = b_operators(p, n_dim)
+    low = ladder["b"].entries
+    high = ladder["b_dag"].entries
+    phased = [vecs[:, 0]]
+    for k in range(1, levels + 1):
+        overlap = complex(np.vdot(phased[k - 1], low @ vecs[:, k]))
+        if abs(overlap) < 1e-8:
+            raise ArithmeticError("ladder overlap vanished at level %d" % k)
+        phased.append(vecs[:, k] * (abs(overlap) / overlap))
+    gaps = [np.linalg.norm(low @ phased[0])]
+    for k in range(1, levels + 1):
+        gaps.append(np.linalg.norm(low @ phased[k]
+                                   - math.sqrt(k) * phased[k - 1]))
+        if k < levels:
+            gaps.append(np.linalg.norm(high @ phased[k]
+                                       - math.sqrt(k + 1.0) * phased[k + 1]))
+    return float(np.max(gaps))  # a NaN gap gives NaN

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from sqstates.channel import ChannelParameters, density_grid, focus_metrics, psi_2d
+from sqstates.channel import ChannelParameters, focus_metrics
 from sqstates.ermakov import (
     ErmakovParameters,
     classical_trajectory,
@@ -46,7 +46,6 @@ from sqstates.operators import (
     energy_levels,
     heisenberg_residual,
     interior,
-    var_h_operator,
 )
 from sqstates.phasespace import (
     PhaseSpacePoint,
@@ -54,13 +53,11 @@ from sqstates.phasespace import (
     moyal,
     purity,
     rotate_evolution_check,
-    superposition_grid,
     wigner_numeric,
     wigner_tcs,
 )
 from sqstates.specfun import (
     bailey_integral,
-    hermite,
     hermite_function_table,
     hyp2f1_even_odd,
 )
@@ -77,10 +74,15 @@ from sqstates.states import (
 
 from conftest import draw_params
 from oracles import (
+    density_grid,
     fock_tail,
     gauss_grid,
+    hermite,
+    psi_2d,
     schrodinger_residual,
     schrodinger_residual_2d,
+    superposition_grid,
+    var_h_operator,
 )
 
 

@@ -9,16 +9,14 @@ import pytest
 from sqstates.channel import (
     ChannelParameters,
     density,
-    density_grid,
     focus_metrics,
-    psi_2d,
     width_squared,
     write_snapshot_csv,
 )
 from sqstates.ermakov import ErmakovParameters
 from sqstates.states import DynamicState, psi_n
 
-from oracles import gauss_grid, schrodinger_residual_2d
+from oracles import density_grid, gauss_grid, psi_2d, schrodinger_residual_2d
 
 
 def draw_channel(rng):

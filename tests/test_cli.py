@@ -933,7 +933,7 @@ class TestAtomicity:
                 return p, x
         else:
             c = channel.ChannelParameters(cfg["channel"]["beta0"])
-            rows = channel.density_grid(c, t, cfg["points"])[0]
+            rows = oracles.density_grid(c, t, cfg["points"])[0]
             module, name, late = channel, "density", t
 
             def where(c, x, y, t):
@@ -1046,11 +1046,15 @@ class TestVerify:
             assert entry["max_error"] <= entry["tolerance"]
             assert entry["runtime_seconds"] >= 0.0
 
-    @pytest.mark.parametrize("seed", [61, 103, 108, 239])
+    @pytest.mark.parametrize("seed", [61, 103, 108, 134, 203, 239, 243,
+                                      272, 284])
     def test_steep_draws_pass(self, seed):
-        # the draws of these seeds are steep enough that a fixed
+        # the draws of 61, 103, 108 and 239 are steep enough that a fixed
         # ladder-spectrum truncation of 192 or second-order differences
-        # in wave-equation missed their tolerances
+        # in wave-equation missed their tolerances; 134, 243, 272, 284
+        # and 203 give the largest errors of energy-variance, tcs-wigner,
+        # evolved-expansion, ladder-rotation and ladder-hamiltonian over
+        # seeds 0 to 299
         assert verify.run_verification(seed)["all_passed"] is True
 
     def test_seed_flag_overrides_config(self, tmp_path):

@@ -24,18 +24,15 @@ from sqstates._csv import (
 from sqstates.channel import (
     ChannelParameters,
     _channel_norm,
-    density_grid,
     focus_metrics,
 )
 from sqstates.cli import main
 from sqstates.ermakov import ErmakovParameters, classical_trajectory, evolve
 from sqstates.fockexp import expansion_table, pascal_odd, write_statistics_csv
-from sqstates.phasespace import (
-    PhaseSpaceGrid,
-    default_grid,
-    superposition_grid,
-)
+from sqstates.phasespace import PhaseSpaceGrid, default_grid
 from sqstates.states import covariance
+
+from oracles import density_grid, superposition_grid
 
 SQUEEZED = {"alpha": 0.6, "beta": 1.4, "gamma": 0.3, "delta": -0.8,
             "epsilon": 0.5, "kappa": 0.1}

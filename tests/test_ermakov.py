@@ -16,12 +16,12 @@ from sqstates.ermakov import (
     classical_trajectory,
     evolve,
     evolve_complex,
-    from_complex,
     invariants,
     to_complex,
 )
 
 from conftest import draw_params
+from oracles import from_complex
 
 GROUND = ErmakovParameters(0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 

@@ -8,18 +8,20 @@ report NaN.
 """
 
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import sqstates.fockexp as fockexp
-import sqstates.operators as operators
 import sqstates.phasespace as phasespace
 import sqstates.states as states
 from sqstates.ermakov import ErmakovParameters
 from sqstates.phasespace import PhaseSpacePoint
 from sqstates.states import DynamicState, TCSState
+
+import oracles
 
 P0 = ErmakovParameters(0.3, 1.2, 0.7, 0.4, -0.5, 0.2)
 NAN_MOMENTS = SimpleNamespace(sigma_x=math.nan, sigma_p=math.nan,
@@ -45,16 +47,22 @@ def var_h(monkeypatch):
     return states.var_h(DynamicState(2, P0))
 
 
-def wigner_superposition(monkeypatch):
+def superposition_csv(monkeypatch, rotation_check):
+    """The superposition writer, whose values go NaN; writes nowhere."""
     monkeypatch.setattr(phasespace, "_superposition_values", nan_values)
-    return phasespace.wigner_superposition(COEFFS, P0,
-                                           PhaseSpacePoint(0.1, -0.2), 0.4)
+    grid = phasespace.default_grid(P0, 0.4, (0, 2), points=5)
+    return phasespace.write_superposition_csv(os.devnull, COEFFS, P0, grid,
+                                              0.4, rotation_check)
+
+
+def wigner_superposition(monkeypatch):
+    # the imaginary residual of a superposition grid goes NaN
+    return superposition_csv(monkeypatch, False)
 
 
 def superposition_grid(monkeypatch):
-    monkeypatch.setattr(phasespace, "_superposition_values", nan_values)
-    grid = phasespace.default_grid(P0, 0.4, (0, 2), points=5)
-    return phasespace.superposition_grid(COEFFS, P0, grid, 0.4)
+    # the same, with the rotation law computed from the same values
+    return superposition_csv(monkeypatch, True)
 
 
 def wigner_numeric(monkeypatch):
@@ -73,7 +81,7 @@ def phase_identity(monkeypatch):
 
 def ladder_action(monkeypatch):
     # one level's eigenvector goes NaN, and the levels phased from it
-    real = operators.energy_levels
+    real = oracles.energy_levels
 
     def nan_level(p, n_dim):
         values, vecs = real(p, n_dim)
@@ -81,8 +89,8 @@ def ladder_action(monkeypatch):
         vecs[:, 3] = math.nan
         return values, vecs
 
-    monkeypatch.setattr(operators, "energy_levels", nan_level)
-    return operators.ladder_action_check(P0, 96)
+    monkeypatch.setattr(oracles, "energy_levels", nan_level)
+    return oracles.ladder_action_check(P0, 96)
 
 
 @pytest.mark.parametrize("inject, outcome", [

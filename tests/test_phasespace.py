@@ -13,21 +13,18 @@ from sqstates.phasespace import (
     PhaseSpacePoint,
     default_grid,
     grid_normalization,
-    momentum_marginal,
     moyal,
-    position_marginal,
     purity,
     rotate_evolution_check,
-    superposition_grid,
     tcs_center,
     tcs_grid,
     wigner_numeric,
-    wigner_superposition,
     wigner_tcs,
 )
-from sqstates.states import DynamicState, TCSState, psi_n, psi_superposition, psi_tcs
+from sqstates.states import DynamicState, TCSState, psi_n, psi_tcs
 
 from conftest import draw_params
+from oracles import psi_superposition, superposition_grid
 
 
 def fourier_momentum_density(psi_x, x, p_range):
@@ -38,6 +35,13 @@ def fourier_momentum_density(psi_x, x, p_range):
         amp = np.trapezoid(psi_x * np.exp(-1j * p * x), dx=step)
         out[k] = abs(amp) ** 2 / (2.0 * math.pi)
     return out
+
+
+def superposition_value(coeffs, p0, pt, t):
+    """A superposition's Wigner value at one point, by the grid route."""
+    mesh = PhaseSpaceGrid([pt.x, pt.x + 1.0], [pt.p, pt.p + 1.0],
+                          np.zeros((2, 2)))
+    return float(superposition_grid(coeffs, p0, mesh, t).values[0, 0])
 
 
 def draw_tcs(rng, radius=1.0):
@@ -102,7 +106,7 @@ class TestClosedGaussian:
         t = 0.8
         g = default_grid(s.params0, t, points=601, spread=7.0,
                          center=tcs_center(s, t))
-        marg = position_marginal(tcs_grid(s, g, t))
+        marg = np.trapezoid(tcs_grid(s, g, t).values, dx=g.dp, axis=1)
         dens = np.abs(psi_tcs(s, g.x_range, t)) ** 2
         assert np.max(np.abs(marg - dens)) < 1e-7
 
@@ -111,7 +115,7 @@ class TestClosedGaussian:
         t = 2.1
         g = default_grid(s.params0, t, points=501, spread=7.0,
                          center=tcs_center(s, t))
-        marg = momentum_marginal(tcs_grid(s, g, t))
+        marg = np.trapezoid(tcs_grid(s, g, t).values, dx=g.dx, axis=0)
         half = 0.5 * (g.x_range[-1] - g.x_range[0])
         x = np.linspace(g.x_range[0] - half, g.x_range[-1] + half, 4001)
         dens = fourier_momentum_density(psi_tcs(s, x, t), x, g.p_range)
@@ -235,7 +239,7 @@ class TestSuperposition:
     def test_single_term_reduces_to_diagonal(self, rng):
         p0 = draw_params(rng)
         pt = PhaseSpacePoint(0.4, -0.3)
-        w = wigner_superposition([(1.0, 2)], p0, pt, 0.9)
+        w = superposition_value([(1.0, 2)], p0, pt, 0.9)
         assert w == pytest.approx(moyal(2, 2, p0, pt, 0.9).real, abs=1e-15)
 
     def test_two_term_state_real_and_normalized(self):
@@ -259,26 +263,36 @@ class TestSuperposition:
             got = wigner_numeric(f, pt, extent=18.0 / min(beta_t, 1.0),
                                  nodes=3073)
             assert got == pytest.approx(
-                wigner_superposition(coeffs, p0, pt, t), abs=1e-7)
+                superposition_value(coeffs, p0, pt, t), abs=1e-7)
 
     def test_rejects_unnormalized(self):
         p0 = ErmakovParameters(0, 1, 0, 0, 0, 0)
         with pytest.raises(ValueError, match="normal"):
-            wigner_superposition([(0.8, 0), (0.7, 1)], p0,
-                                 PhaseSpacePoint(0, 0), 0.0)
+            superposition_value([(0.8, 0), (0.7, 1)], p0,
+                                PhaseSpacePoint(0, 0), 0.0)
 
     def test_rejects_duplicate_labels(self):
         p0 = ErmakovParameters(0, 1, 0, 0, 0, 0)
         bad = [(1 / math.sqrt(2), 1), (1 / math.sqrt(2), 1)]
         with pytest.raises(ValueError, match="duplicate"):
-            wigner_superposition(bad, p0, PhaseSpacePoint(0, 0), 0.0)
+            superposition_value(bad, p0, PhaseSpacePoint(0, 0), 0.0)
 
     @pytest.mark.parametrize("bad", [[1.0], [(1.0,)], [(1.0, 0, 3)]])
     def test_rejects_malformed_term(self, bad):
         p0 = ErmakovParameters(0, 1, 0, 0, 0, 0)
         with pytest.raises(ValueError,
                            match=r"term 0 is not a \(coefficient, level\) pair"):
-            wigner_superposition(bad, p0, PhaseSpacePoint(0, 0), 0.0)
+            superposition_value(bad, p0, PhaseSpacePoint(0, 0), 0.0)
+
+    def test_nan_coefficient_is_not_normalized(self, tmp_path):
+        # a NaN total once passed `abs(total - 1) > tol` and failed later,
+        # as an imaginary residual of nan
+        p0 = ErmakovParameters(0, 1, 0, 0, 0, 0)
+        path = tmp_path / "w.csv"
+        with pytest.raises(ValueError, match="not normalized"):
+            phasespace.write_superposition_csv(
+                path, [(math.nan, 0)], p0, default_grid(p0, points=5), 0.0)
+        assert not path.exists()
 
     def test_purity_of_pure_states(self, rng):
         p0 = draw_params(rng)

@@ -14,7 +14,6 @@ from sqstates.states import (
     covariance,
     energy,
     psi_n,
-    psi_superposition,
     psi_tcs,
     uncertainty_extrema,
     var_h,
@@ -26,6 +25,7 @@ from oracles import (
     fd_second_derivative,
     gauss_grid,
     overlap,
+    psi_superposition,
     quadrature_extent,
     schrodinger_residual,
 )
