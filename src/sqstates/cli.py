@@ -555,10 +555,13 @@ def cmd_statistics(config: dict, args, stage: str) -> tuple[list, int]:
     """Write a (level, probability) table and its JSON moment summary.
 
     The closed-form modes (``poisson``, ``pascal-even``, ``pascal-odd``)
-    report the exact full-distribution mean and variance; the
-    ``full-expansion`` mode builds the table from the coefficient
-    pipeline instead and reports the moments of the *stored* rows, with
-    the weighted mass beyond the truncation in ``tail_mass``.
+    report the exact full-distribution mean and variance, and one minus
+    the stored probabilities as ``tail_mass``; the ``full-expansion``
+    mode builds the table from the coefficient pipeline instead, writes
+    the level weights of its column 0 (`ExpansionTable.weights`, the
+    ``probability`` column of ``expand``), reports the moments of the
+    *stored* rows, and reports the table's own weighted mass beyond the
+    truncation, ``tail_mass[0]``, as ``tail_mass``.
     """
     mode = _validate_variant(config, "mode", _STATISTICS_SCHEMAS, "config")
     props = _STATISTICS_SCHEMAS[mode]["properties"]
@@ -569,12 +572,12 @@ def cmd_statistics(config: dict, args, stage: str) -> tuple[list, int]:
         p0 = _params_of(config["params"])
         with _blame("config.params"):
             table = expansion_table(p0, (0,), size=truncation)
-            column = table.coeffs[:, 0]
-            probs = abs(table.beta0) * (column.real**2 + column.imag**2)
+            probs = table.weights[:, 0]
             m = np.arange(truncation, dtype=float)
             mean = float(probs @ m)
             variance = float(probs @ (m * m)) - mean * mean
             stats = PhotonStatistics(probs, mean, variance)
+            tail = float(table.tail_mass[0])
     else:
         levels = _truncation(args, int(config.get("levels", 64)),
                              props["levels"])
@@ -590,12 +593,13 @@ def cmd_statistics(config: dict, args, stage: str) -> tuple[list, int]:
             law = pascal_even if mode == "pascal-even" else pascal_odd
             with _blame("config.sigma_sum"):
                 stats = law(float(config["sigma_sum"]), levels)
+        tail = stats.tail
     write_statistics_csv(os.path.join(stage, "statistics.csv"), stats)
     _write_text(os.path.join(stage, "statistics.json"), _json_dumps({
         "mode": mode,
         "mean": stats.mean,
         "variance": stats.variance,
-        "tail_mass": stats.tail,
+        "tail_mass": tail,
     }))
     return ["statistics.csv", "statistics.json"], EXIT_OK
 
@@ -621,15 +625,14 @@ def cmd_expand(config: dict, args, stage: str) -> tuple[list, int]:
         table = expansion_table(p0, tuple(columns), size=truncation)
 
     row = "%d,%d," + fields(3) + "\n"
-    weight = abs(table.beta0)
+    weights = table.weights
     lines = []
     for j, n in enumerate(table.columns):
         column = table.coeffs[:, j]
-        # scalar re**2 keeps libm pow, which numpy's array square can
-        # differ from in the last bit
-        for m, (re, im) in enumerate(zip(column.real.tolist(),
-                                         column.imag.tolist())):
-            lines.append(row % (m, n, re, im, weight * (re**2 + im**2)))
+        for m, (re, im, w) in enumerate(zip(column.real.tolist(),
+                                            column.imag.tolist(),
+                                            weights[:, j].tolist())):
+            lines.append(row % (m, n, re, im, w))
     write_csv(os.path.join(stage, "expansion.csv"),
               "m,n,real,imag,probability", lines)
     _write_text(os.path.join(stage, "expansion.json"),
@@ -711,10 +714,11 @@ def cmd_verify(config: dict, args, stage: str) -> tuple[list, int]:
                  else None) for e in report["checks"]])))
 
     for entry in report["checks"]:
-        print("%s %-28s max_error=%.3e tolerance=%.0e (%.2fs)" % (
+        print("%s %-28s max_error=%.3e tolerance=%.0e (%.2fs)%s" % (
             "ok  " if entry["passed"] else "FAIL", entry["name"],
             entry["max_error"], entry["tolerance"],
-            entry["runtime_seconds"]))
+            entry["runtime_seconds"],
+            " error: " + entry["error"] if "error" in entry else ""))
     if report["all_passed"]:
         print("all %d checks passed (seed %d)" % (len(report["checks"]),
                                                   report["seed"]))

@@ -176,19 +176,14 @@ def _times(t):
     return _check_time(t), _ONE
 
 
-def _continuous_arg(p0: ErmakovParameters, t: float) -> float:
-    """Continuous argument of z(t) = (cos t + 2 alpha0 sin t) + i beta0^2 sin t.
-
-    The winding of z matches e^{it} exactly (the residual factor never
-    circles the origin), so arg z - t always lies in (-pi, pi); remainder
-    against 2*pi recovers the continuous branch from the principal one.
-    """
-    s, c = math.sin(t), math.cos(t)
-    return _branch(t, p0.beta * p0.beta * s, c + 2.0 * p0.alpha * s, _ONE)
-
-
 def _branch(t, im, re, m):
-    """The argument of re + i im on the branch `_continuous_arg` takes."""
+    """The continuous argument of z(t) = re + i im at time(s) ``t``.
+
+    For z(t) = (cos t + 2 alpha0 sin t) + i beta0^2 sin t the winding of
+    z matches e^{it} exactly (the residual factor never circles the
+    origin), so arg z - t always lies in (-pi, pi); remainder against
+    2*pi recovers the continuous branch from the principal one.
+    """
     return t + m.remainder(m.atan2(im, re) - t, 2.0 * math.pi)
 
 
@@ -204,7 +199,7 @@ def _closed_form(p0: ErmakovParameters, t, m):
     s, c = m.sin(t), m.cos(t)
     sin2t, cos2t = m.sin(2.0 * t), m.cos(2.0 * t)
     b0sq = b0 * b0
-    lin = 2.0 * a0 * s + c  # the real part of z(t), see `_continuous_arg`
+    lin = 2.0 * a0 * s + c  # the real part of z(t), see `_branch`
     den = b0sq * b0sq * s * s + m.square(lin)
     root = m.sqrt(den)
 

@@ -53,7 +53,11 @@ difference-form Laguerre recurrence that drops an order at every step
 without forming M or T: it applies the two phase dressings and the
 factors of M to T[:, cols] directly, row * (hxw (hy^T (col * T[:, cols]))),
 at O(size^2 k) cost, and T[:, cols] needs the Laguerre recurrence only up
-to index max(cols).  Its cross-check applies the T of the other
+to index max(cols).  Any column count takes one route (a lone column
+runs as two equal ones), so the bits of column n and of its tail depend
+on (p0, n, size) alone, not on which other columns are requested, and
+`ExpansionTable.weights` is the one place that squares them into level
+weights.  Its cross-check applies the T of the other
 factorization order to M[:, cols] as two real triangle products
 (`_t_product`), so no complex size x size matrix is ever formed.
 Every kernel writes its products into its result or into one work table
@@ -540,6 +544,22 @@ class ExpansionTable:
         """Number of retained rows."""
         return self.coeffs.shape[0]
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Level weights |beta0| (re^2 + im^2) of `coeffs`, read-only.
+
+        Entry [m, j] is the occupation probability of basis level m in
+        column j.  Each square is libm ``pow`` on a Python float, one
+        call per entry (numpy's array square can differ from it in the
+        last bit), so the weights are computed on access: a table that
+        is never squared does not pay for them.
+        """
+        weight = abs(self.beta0)
+        return _readonly(np.array([
+            [weight * (re**2 + im**2) for re, im in zip(res, ims)]
+            for res, ims in zip(self.coeffs.real.tolist(),
+                                self.coeffs.imag.tolist())]))
+
 
 def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> ExpansionTable:
     """Build expansion columns c_mn for every n in `columns`.
@@ -557,8 +577,11 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
     kernel run only up to max(cols); the second, the cross-check,
     applies the T of the other order to M[:, cols], built from the same
     factors, as two real triangle products over the whole triangle
-    (`_t_product`).  The first order is returned, with the
-    initial-phase gauge e^{i(2n+1)gamma0} folded into each column so that
+    (`_t_product`).  Any column count takes this one route: a lone
+    column is computed as two equal columns and returned once, so column
+    n and its tail have the same bits in every table that requests n.
+    The first order is returned, with the initial-phase gauge
+    e^{i(2n+1)gamma0} folded into each column so that
 
         psi_n(x, 0) = sqrt(beta0) sum_m c_mn Psi_m(x)
 
@@ -585,15 +608,18 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
             raise ValueError(f"column {n} outside [0, {size})")
 
     a0, b0 = p0.alpha, p0.beta
-    picked = np.array(cols)
+    # one column runs as two equal ones: alone, numpy would apply the
+    # factors as a matrix-vector product and sum the column pairwise,
+    # both of which round otherwise than the route of a wider table
+    picked = np.array(cols if len(cols) > 1 else cols * 2)
     first_order, second_order = _t_arguments(p0)
-    tcols = _t_columns(*first_order, size, cols)
+    tcols = _t_columns(*first_order, size, picked)
     if a0 == 0.0 and abs(b0) == 1.0:
         # the exact identity point of `m_matrix`: M = diag(1, b0, 1, b0, ...)
         diag = np.where(np.arange(size) % 2, b0, 1.0)
         first = np.multiply(diag[:, None], tcols, out=tcols)
-        mcols = np.zeros((size, len(cols)), dtype=complex)
-        mcols[picked, np.arange(len(cols))] = diag[picked]
+        mcols = np.zeros((size, len(picked)), dtype=complex)
+        mcols[picked, np.arange(len(picked))] = diag[picked]
     else:
         row, factors, col = _squeeze_factors(a0, b0, size)
         first = _real_scale_product(
@@ -620,7 +646,7 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
         j = failing[0]
         raise ArithmeticError(
             "factorization orders disagree beyond the truncation budget: "
-            f"column {cols[j]} has weighted difference {diff[j]:.3e} "
+            f"column {picked[j]} has weighted difference {diff[j]:.3e} "
             f"against a budget of {budget[j]:.3e}")
 
     worst = float(np.max(tail_first))
@@ -638,7 +664,9 @@ def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> Expansio
         # wavefunction carries e^{i(2n+1)gamma0}, so reconstruction needs it
         np.multiply(first, np.exp(1j * (2.0 * picked + 1.0) * p0.gamma),
                     out=first)
-    return ExpansionTable(np.ascontiguousarray(first), cols, tail_first, b0)
+    k = len(cols)
+    return ExpansionTable(np.ascontiguousarray(first[:, :k]), cols,
+                          tail_first[:k], b0)
 
 
 def _phase_identity_check(p0: ErmakovParameters, t: float) -> None:

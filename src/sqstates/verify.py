@@ -350,7 +350,7 @@ def _check_energy_variance(rng):
     for _ in range(3):
         p0 = _draw(rng, **_EXPANSION_BOX)
         table = expansion_table(p0, (0, 1, 2), size=128)
-        probs = abs(table.beta0) * np.abs(table.coeffs) ** 2
+        probs = table.weights
         mean = levels @ probs
         spread = ((levels[:, None] - mean) ** 2 * probs).sum(axis=0)
         for j, n in enumerate(table.columns):
@@ -476,13 +476,20 @@ def run_verification(seed: int) -> dict:
     takes the same draws whatever it yields.  Each entry reports the
     largest observed error (NaN if any error was NaN), the tolerance it
     was judged against, and its runtime.  A non-finite error fails its
-    check.
+    check.  A check that raises ArithmeticError or ValueError fails too:
+    its entry reports a NaN error and gains ``error``, the exception's
+    type and message, and the later checks still run.
     """
     rng = np.random.default_rng(int(seed))
     entries = []
     for name, tolerance, fn, description in _CHECKS:
         start = time.perf_counter()
-        errors = [float(e) for e in fn(rng)]
+        failure = None
+        try:
+            errors = [float(e) for e in fn(rng)]
+        except (ArithmeticError, ValueError) as exc:
+            errors = [math.nan]
+            failure = "%s: %s" % (type(exc).__name__, exc)
         error = (math.nan if any(map(math.isnan, errors))
                  else max(errors, default=0.0))
         entries.append({
@@ -493,6 +500,8 @@ def run_verification(seed: int) -> dict:
             "passed": error <= tolerance,
             "runtime_seconds": time.perf_counter() - start,
         })
+        if failure is not None:
+            entries[-1]["error"] = failure
     return {
         "seed": int(seed),
         "generator": "numpy.random.default_rng (PCG64)",

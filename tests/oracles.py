@@ -22,8 +22,9 @@ The third kind, at the end of this module, are routes that once sat in
 the library but that no run reaches, and that the tests read only as
 references: the Hermite polynomial `hermite`, the superposition
 wavefunction `psi_superposition`, the held superposition Wigner grid
-`superposition_grid`, the channel wavefunction `psi_2d` and its
-`density_grid`, the inverse map `from_complex`, and the operator-side
+`superposition_grid`, the channel wavefunction `psi_2d` with its
+`density_grid` and the continuous argument `_continuous_arg` behind its
+leading phase, the inverse map `from_complex`, and the operator-side
 energy variance `var_h_operator` and ladder check `ladder_action_check`.
 They keep their library checks and build on the library's own pieces.
 """
@@ -38,12 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from sqstates import fockexp
 from sqstates._csv import mesh_blocks
 from sqstates.channel import _snapshot_axes, density, width_squared
-from sqstates.ermakov import (
-    ErmakovParameters,
-    _continuous_arg,
-    classical_trajectory,
-    evolve,
-)
+from sqstates.ermakov import ErmakovParameters, classical_trajectory, evolve
 from sqstates.operators import b_operators, energy_levels, fock_operators
 from sqstates.phasespace import _collect, _superposition_rows
 from sqstates.specfun import (
@@ -380,6 +376,19 @@ def density_grid(c, t, points=301, half_width=None):
     x, y = _snapshot_axes(c, points, half_width)
     blocks = mesh_blocks(lambda xs, ys: density(c, xs, ys, t), x, y)
     return x, y, np.concatenate(list(blocks))
+
+
+def _continuous_arg(p0, t):
+    """Continuous argument of z(t) = (cos t + 2 alpha0 sin t) + i beta0^2 sin t.
+
+    The winding of z matches e^{it} exactly (the residual factor never
+    circles the origin), so arg z - t always lies in (-pi, pi); remainder
+    against 2*pi recovers the continuous branch from the principal one.
+    This is the branch `sqstates.ermakov` takes for gamma(t).
+    """
+    s, c = math.sin(t), math.cos(t)
+    im, re = p0.beta * p0.beta * s, c + 2.0 * p0.alpha * s
+    return t + math.remainder(math.atan2(im, re) - t, 2.0 * math.pi)
 
 
 def _leading_phase(c, t):

@@ -690,6 +690,38 @@ class TestStatistics:
         assert got.shape == ref.shape == (41, 2)
         assert np.max(np.abs(got - ref)) < 1e-12
 
+    @pytest.mark.parametrize("truncation", [64, 128])
+    @pytest.mark.parametrize("params", [
+        SQUEEZED,
+        {"alpha": -0.4, "beta": 0.8, "gamma": 0.0, "delta": 0.3,
+         "epsilon": -0.6, "kappa": 0.2},
+        {"alpha": 0.2, "beta": 1.1, "gamma": -0.7, "delta": 0.0,
+         "epsilon": 0.4, "kappa": 0.0},
+    ], ids=["squeezed", "gamma-zero", "gamma-negative"])
+    def test_full_expansion_is_column_zero_of_expand(self, tmp_path, params,
+                                                     truncation):
+        # one column, its level weights and its tail, by two commands
+        stats_cfg = {"mode": "full-expansion", "params": params,
+                     "truncation": truncation}
+        expand_cfg = {"params": params, "columns": [0],
+                      "truncation": truncation}
+        assert main(["statistics", "--config",
+                     write_config(tmp_path, stats_cfg, "stats.json"),
+                     "--out", str(tmp_path / "stats")]) == 0
+        assert main(["expand", "--config",
+                     write_config(tmp_path, expand_cfg, "expand.json"),
+                     "--out", str(tmp_path / "expand")]) == 0
+
+        def column(name, field):
+            lines = (tmp_path / name).read_text().splitlines()[1:]
+            return [line.split(",")[field] for line in lines]
+
+        assert (column("stats/statistics.csv", 1)
+                == column("expand/expansion.csv", 4))
+        summary = json.loads((tmp_path / "stats/statistics.json").read_text())
+        table = json.loads((tmp_path / "expand/expansion.json").read_text())
+        assert summary["tail_mass"] == table["tail_mass"][0]
+
     def test_truncation_flag_overrides_levels(self, tmp_path):
         cfg = {"mode": "poisson", "delta0": 1.0, "epsilon0": 0.0,
                "levels": 10}
@@ -1120,6 +1152,32 @@ class TestVerify:
         out = capsys.readouterr().out
         assert shown in out
         assert "FAILED checks: broken (seed %d)" % cli.DEFAULT_SEED in out
+
+    def test_raising_check_fails_alone(self, tmp_path, monkeypatch, capsys):
+        # a raise once ended the run as a config error (exit 2) with no
+        # report; now it fails its own check and the later checks run
+        def broken(rng):
+            yield 0.0
+            raise ArithmeticError("lost to roundoff")
+
+        monkeypatch.setattr(verify, "_CHECKS", tuple(
+            (name, tol, broken if name == "tcs-wigner" else fn, text)
+            for name, tol, fn, text in verify._CHECKS))
+        assert main(["verify", "--out", str(tmp_path)]) == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert len(report["checks"]) == len(verify._CHECKS)
+        failed = [e for e in report["checks"] if not e["passed"]]
+        assert [e["name"] for e in failed] == ["tcs-wigner"]
+        [entry] = failed
+        assert entry["max_error"] is None
+        assert entry["error"] == "ArithmeticError: lost to roundoff"
+        assert all("error" not in e for e in report["checks"]
+                   if e is not entry)
+        out = capsys.readouterr().out
+        [line] = [x for x in out.splitlines() if x.startswith("FAIL ")]
+        assert "tcs-wigner" in line
+        assert line.endswith("error: ArithmeticError: lost to roundoff")
+        assert "FAILED checks: tcs-wigner (seed %d)" % cli.DEFAULT_SEED in out
 
     def test_console_module_invocation(self, tmp_path):
         proc = subprocess.run(
