@@ -166,7 +166,7 @@ def _snapshot_axes(c: ChannelParameters, points: int, half_width):
 
 
 def write_snapshot_csv(path, c: ChannelParameters, t: float,
-                       points: int = 301, half_width=None) -> None:
+                       points: int, half_width=None) -> None:
     """Write the density at depth t on a centred square grid as one CSV file.
 
     Each row is (depth, x, y, density), x-major, with 17 significant

@@ -344,21 +344,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return nx, np_
 
 
-def _truncation(args, default: int, field: dict) -> int:
-    """``--truncation`` if given, else ``default``.
-
-    The flag is checked against the bounds of ``field``, the schema of
-    the config field it overrides.
-    """
-    if args.truncation is None:
-        return default
-    low, high = field["minimum"], field["maximum"]
-    if not low <= args.truncation <= high:
-        raise ConfigError("--truncation must be in [%d, %d], got %d"
-                          % (low, high, args.truncation))
-    return args.truncation
-
-
 @contextlib.contextmanager
 def _blame(block: str, scale: str | None = None,
            nonfinite: str | None = None):
@@ -564,11 +549,9 @@ def cmd_statistics(config: dict, args, stage: str) -> tuple[list, int]:
     truncation, ``tail_mass[0]``, as ``tail_mass``.
     """
     mode = _validate_variant(config, "mode", _STATISTICS_SCHEMAS, "config")
-    props = _STATISTICS_SCHEMAS[mode]["properties"]
 
     if mode == "full-expansion":
-        truncation = _truncation(args, int(config.get("truncation", 128)),
-                                 props["truncation"])
+        truncation = int(config.get("truncation", 128))
         p0 = _params_of(config["params"])
         with _blame("config.params"):
             table = expansion_table(p0, (0,), size=truncation)
@@ -579,8 +562,7 @@ def cmd_statistics(config: dict, args, stage: str) -> tuple[list, int]:
             stats = PhotonStatistics(probs, mean, variance)
             tail = float(table.tail_mass[0])
     else:
-        levels = _truncation(args, int(config.get("levels", 64)),
-                             props["levels"])
+        levels = int(config.get("levels", 64))
         if mode == "poisson":
             delta0 = float(config["delta0"])
             epsilon0 = float(config["epsilon0"])
@@ -614,8 +596,7 @@ def cmd_expand(config: dict, args, stage: str) -> tuple[list, int]:
     columns = [int(n) for n in config["columns"]]
     if len(set(columns)) != len(columns):
         raise ConfigError("config.columns: labels must be distinct")
-    truncation = _truncation(args, int(config.get("truncation", 128)),
-                             _TRUNCATION)
+    truncation = int(config.get("truncation", 128))
     for n in columns:
         if n >= truncation:
             raise ConfigError("config.columns: column %d is not below the "
@@ -660,12 +641,6 @@ def cmd_demkov(config: dict, args, stage: str) -> tuple[list, int]:
                           float(block.get("delta0", 0.0)))
     times = [float(t) for t in config["times"]]
     points = int(config.get("points", 201))
-    if args.grid:
-        nx, np_ = _parse_grid(args.grid)
-        if nx != np_:
-            raise ConfigError("--grid must be square (NX == NY) for "
-                              "density snapshots, got %s" % args.grid)
-        points = nx
     half_width = config.get("half_width")
     if half_width is not None:
         half_width = float(half_width)
@@ -733,25 +708,26 @@ def cmd_verify(config: dict, args, stage: str) -> tuple[list, int]:
 # ----------------------------------------------------------------------
 
 _FLAGS = {
-    "--truncation": {"type": int, "help": "override the table row budget"},
     "--grid": {"metavar": "NX,NP", "help": "override the grid point counts"},
     "--seed": {"type": int, "help": "seed for the random parameter draws"},
 }
 
 #: Each subcommand once: its handler, the schema `main` checks its
 #: config against (None where the handler picks a variant schema
-#: itself), its help text and its one extra flag.
+#: itself), its help text and its one extra flag, if any.  A table or
+#: grid size has one source, its config field; only ``wigner``'s
+#: non-square mesh needs a flag.
 _COMMANDS = {
     "evolve": (cmd_evolve, _EVOLVE_SCHEMA,
                "tabulate the parameter flow and second moments", None),
     "wigner": (cmd_wigner, _WIGNER_SCHEMA,
                "write phase-space grids (and a rotation report)", "--grid"),
     "statistics": (cmd_statistics, None,
-                   "write number-basis probability tables", "--truncation"),
+                   "write number-basis probability tables", None),
     "expand": (cmd_expand, _EXPAND_SCHEMA,
-               "write basis expansion coefficient tables", "--truncation"),
+               "write basis expansion coefficient tables", None),
     "demkov": (cmd_demkov, _DEMKOV_SCHEMA,
-               "write focusing-channel snapshots and metrics", "--grid"),
+               "write focusing-channel snapshots and metrics", None),
     "verify": (cmd_verify, _VERIFY_SCHEMA,
                "run the cross-module invariant suite", "--seed"),
 }

@@ -110,6 +110,16 @@ def _check_variance_extrema(rng):
         top = (1.0 + 4.0 * p0.alpha**2 + p0.beta**4)**2 / (16.0 * p0.beta**4)
         yield abs(ext.product_min - 0.25)
         yield abs(ext.product_max - top)
+        # at the product's floor one variance is at its minimum and the
+        # other at its maximum, (S -/+ R) / (4 beta0^2); the minimum is
+        # written as beta0^2 / (S + R), which does not cancel
+        b0sq = p0.beta**2
+        s_sum = 1.0 + 4.0 * p0.alpha**2 + b0sq**2
+        r = math.sqrt((4.0 * p0.alpha**2 + b0sq**2 - 1.0)**2
+                      + 16.0 * p0.alpha**2)
+        pair = (ext.var_p_at_min, ext.var_x_at_min)
+        yield abs(min(pair) - b0sq / (s_sum + r))
+        yield abs(max(pair) - (s_sum + r) / (4.0 * b0sq))
 
 
 def _check_flow_invariants(rng):
@@ -200,9 +210,13 @@ def _check_displacement_poisson(rng):
         yield float(np.max(np.abs(np.abs(column)**2 - stats.probabilities)))
 
 
+#: the draw box of the truncation-128 expansion checks
+_EXPANSION_BOX = {"squeeze": (0.7, 1.45), "alpha_max": 0.7, "disp_max": 1.0}
+
+
 def _check_expansion_tails(rng):
     for _ in range(3):
-        p0 = _draw(rng, squeeze=(0.7, 1.45), alpha_max=0.7, disp_max=1.0)
+        p0 = _draw(rng, **_EXPANSION_BOX)
         table = expansion_table(p0, (0, 1, 2), size=128)
         yield float(np.max(np.abs(table.tail_mass)))
 
@@ -339,10 +353,6 @@ def _check_channel_norm(rng):
                               float(rng.uniform(-1.5, 1.5)))
         for t in (0.4, 1.6):
             yield abs(_channel_norm(c, t) - 1.0)
-
-
-#: the draw box of the truncation-128 expansion checks
-_EXPANSION_BOX = {"squeeze": (0.7, 1.45), "alpha_max": 0.7, "disp_max": 1.0}
 
 
 def _check_energy_variance(rng):

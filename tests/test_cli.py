@@ -218,9 +218,9 @@ class TestConfigValidation:
          "--grid"),
         ("wigner", WIGNER_FOCK, ["--grid", "2,%d" % (cli.MAX_POINTS + 1)],
          "--grid"),
-        ("demkov", DEMKOV_UNIT,
-         ["--grid", "%d,%d" % (cli.MAX_POINTS + 1, cli.MAX_POINTS + 1)],
-         "--grid"),
+        ("expand", {"params": GROUND, "columns": [0],
+                    "truncation": cli.MAX_DEGREE + 1}, [],
+         "config.truncation"),
         ("wigner", dict(WIGNER_FOCK, state=superposition(cli.MAX_TERMS + 1)),
          [], "config.state.terms"),
     ])
@@ -233,7 +233,7 @@ class TestConfigValidation:
             raise AssertionError("compute reached past the size cap")
 
         for name in ("evolve", "default_grid", "focus_metrics",
-                     "write_snapshot_csv"):
+                     "write_snapshot_csv", "expansion_table"):
             monkeypatch.setattr(cli, name, reached)
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, cfg),
@@ -248,6 +248,25 @@ class TestConfigValidation:
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command, cfg, flags", [
+        ("statistics", {"mode": "poisson", "delta0": 1.0, "epsilon0": 0.0},
+         ["--truncation", "25"]),
+        ("expand", {"params": GROUND, "columns": [0]},
+         ["--truncation", "6"]),
+        ("demkov", DEMKOV_UNIT, ["--grid", "21,21"]),
+    ])
+    def test_size_flags_are_usage_errors(self, tmp_path, capsys, command,
+                                         cfg, flags):
+        # a table or grid size is set by its config field alone
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", write_config(tmp_path, cfg),
+                  "--out", str(out)] + flags)
+        assert info.value.code == 2
+        assert "unrecognized arguments: %s" % " ".join(flags) \
+            in capsys.readouterr().err
+        assert not out.exists()
 
 
 def raw_config(tmp_path, payload, literal):
@@ -722,13 +741,6 @@ class TestStatistics:
         table = json.loads((tmp_path / "expand/expansion.json").read_text())
         assert summary["tail_mass"] == table["tail_mass"][0]
 
-    def test_truncation_flag_overrides_levels(self, tmp_path):
-        cfg = {"mode": "poisson", "delta0": 1.0, "epsilon0": 0.0,
-               "levels": 10}
-        assert main(["statistics", "--config", write_config(tmp_path, cfg),
-                     "--out", str(tmp_path), "--truncation", "25"]) == 0
-        assert read_csv(tmp_path / "statistics.csv").shape == (26, 2)
-
 
 class TestExpand:
     def test_table_and_weighted_probability(self, tmp_path):
@@ -752,18 +764,16 @@ class TestExpand:
                      "--out", str(tmp_path)]) == 2
         assert "distinct" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("truncation, flags", [
-        (2, []), (128, ["--truncation", "6"])], ids=["config", "flag"])
+    @pytest.mark.parametrize("truncation", [2], ids=["config"])
     def test_column_beyond_truncation_names_its_field(
-            self, tmp_path, capsys, truncation, flags):
+            self, tmp_path, capsys, truncation):
         cfg = {"params": GROUND, "columns": [0, 6], "truncation": truncation}
         out = tmp_path / "out"
         assert main(["expand", "--config", write_config(tmp_path, cfg),
-                     "--out", str(out)] + flags) == 2
-        limit = int(flags[1]) if flags else truncation
+                     "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "config error: config.columns: column 6 is not below the "
-            "truncation %d\n" % limit)
+            "truncation %d\n" % truncation)
         assert not out.exists()
 
 
@@ -836,27 +846,6 @@ class TestDemkov:
         assert sorted(os.listdir(out)) == [
             "metrics.csv", "snapshot_t0.csv", "snapshot_t1.csv",
             "snapshot_t2.csv"]
-
-    def test_square_grid_flag_matches_points(self, tmp_path):
-        by_flag, by_config = tmp_path / "flag", tmp_path / "config"
-        assert main(["demkov", "--config",
-                     write_config(tmp_path, DEMKOV_UNIT, "flag.json"),
-                     "--out", str(by_flag), "--grid", "21,21"]) == 0
-        cfg = dict(DEMKOV_UNIT, points=21)
-        assert main(["demkov", "--config",
-                     write_config(tmp_path, cfg, "points.json"),
-                     "--out", str(by_config)]) == 0
-        names = sorted(os.listdir(by_config))
-        assert sorted(os.listdir(by_flag)) == names
-        for name in names:
-            assert ((by_flag / name).read_bytes()
-                    == (by_config / name).read_bytes())
-
-    def test_nonsquare_grid_rejected(self, tmp_path, capsys):
-        cfg = {"channel": {"beta0": 1.0}, "times": [0.0]}
-        assert main(["demkov", "--config", write_config(tmp_path, cfg),
-                     "--out", str(tmp_path), "--grid", "21,31"]) == 2
-        assert "square" in capsys.readouterr().err
 
 
 class TestRunDriver:

@@ -8,9 +8,10 @@ with one stderr line that names a config field (or reports an I/O
 error) and with nothing written; a JSON output holds no ``NaN`` or
 infinity either.  Grids are at most 9 x 9, runs at most two times long,
 tables at most 512 rows by three columns and flow tables at most 64
-rows, so each example takes milliseconds.  `verify` runs one seeded
-check of its suite on configs and ``--seed`` values drawn on both sides
-of its schema's edges.
+rows, so each example takes milliseconds.  `wigner` also draws
+``--grid`` values, valid ones and ones the flag turns away.  `verify`
+runs one seeded check of its suite on configs and ``--seed`` values
+drawn on both sides of its schema's edges.
 """
 
 import contextlib
@@ -23,11 +24,12 @@ import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sqstates import _schema, verify
 from sqstates.cli import (
     DEFAULT_SEED,
+    MAX_POINTS,
     _DEMKOV_SCHEMA,
     _EVOLVE_SCHEMA,
     _EXPAND_SCHEMA,
@@ -131,6 +133,21 @@ def wigner_configs(draw):
 
 
 @st.composite
+def grid_flags(draw):
+    """A ``wigner --grid`` value and its (NX, NP), or None if turned away."""
+    kind = draw(st.sampled_from(["valid", "range", "malformed"]))
+    if kind == "valid":
+        shape = (draw(POINTS), draw(POINTS))
+        return "%d,%d" % shape, shape
+    if kind == "range":
+        counts = [draw(POINTS), draw(st.sampled_from([0, 1, MAX_POINTS + 1]))]
+        if draw(st.booleans()):
+            counts.reverse()
+        return "%d,%d" % tuple(counts), None
+    return draw(st.sampled_from(["7", "3,3,3", "3,x", "2.5,3"])), None
+
+
+@st.composite
 def demkov_configs(draw):
     scale = draw(SCALES)
     channel = {"beta0": draw(scale.positive)}
@@ -220,8 +237,8 @@ def reject(constant):
     raise AssertionError("non-finite %s in a JSON output" % constant)
 
 
-def check_outcome(command, config):
-    code, err, files, left = run(command, config)
+def check_outcome(command, config, *flags):
+    code, err, files, left = run(command, config, *flags)
     if code == 0:
         assert files
         for name, text in files.items():
@@ -236,6 +253,7 @@ def check_outcome(command, config):
         assert err.count("\n") == 1 and err.endswith("\n"), err
         assert err.startswith(("config error: config.", "i/o error:")), err
         assert left == ["config.json"], left
+    return files
 
 
 @PROPERTY
@@ -244,10 +262,37 @@ def test_evolve_exits_cleanly_over_the_schema_box(config):
     check_outcome("evolve", config)
 
 
+#: A ground-state config that pins every kind of ``--grid`` value.
+GROUND_FOCK = {"params": {"alpha": 0.0, "beta": 1.0, "gamma": 0.0,
+                          "delta": 0.0, "epsilon": 0.0, "kappa": 0.0},
+               "state": {"kind": "fock", "level": 1}, "times": [0.0]}
+
+
 @PROPERTY
-@given(config=wigner_configs())
-def test_wigner_exits_cleanly_over_the_schema_box(config):
-    check_outcome("wigner", config)
+@given(config=wigner_configs(), grid=st.one_of(st.none(), grid_flags()))
+@example(config=GROUND_FOCK, grid=("9,2", (9, 2)))
+@example(config=GROUND_FOCK, grid=("0,5", None))
+@example(config=GROUND_FOCK, grid=("5,1", None))
+@example(config=GROUND_FOCK, grid=("5,%d" % (MAX_POINTS + 1), None))
+@example(config=GROUND_FOCK, grid=("7", None))
+@example(config=GROUND_FOCK, grid=("3,3,3", None))
+@example(config=GROUND_FOCK, grid=("3,x", None))
+def test_wigner_exits_cleanly_over_the_schema_box(config, grid):
+    if grid is None:
+        check_outcome("wigner", config)
+        return
+    text, shape = grid
+    if shape is None:
+        code, err, files, left = run("wigner", config, "--grid=" + text)
+        assert code == 2, (code, err)
+        assert err.startswith("config error: --grid "), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert left == ["config.json"], left
+        return
+    files = check_outcome("wigner", config, "--grid=" + text)
+    for name, body in files.items():
+        if name.endswith(".csv"):
+            assert body.count("\n") == 1 + shape[0] * shape[1], name
 
 
 @PROPERTY
