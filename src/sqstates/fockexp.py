@@ -561,7 +561,7 @@ class ExpansionTable:
                                 self.coeffs.imag.tolist())]))
 
 
-def expansion_table(p0: ErmakovParameters, columns, size: int = 128) -> ExpansionTable:
+def expansion_table(p0: ErmakovParameters, columns, size: int) -> ExpansionTable:
     """Build expansion columns c_mn for every n in `columns`.
 
     Both factorization orders of the coefficient product are computed,
@@ -709,7 +709,7 @@ def _phase_identity_check(p0: ErmakovParameters, t: float) -> None:
 
 
 def time_dependent_expansion(p0: ErmakovParameters, n: int, t: float,
-                             size: int = 128) -> np.ndarray:
+                             size: int) -> np.ndarray:
     """Expansion coefficients of psi_n at time t over the static basis.
 
     Returns the bare vector c_mn exp(-i(m+1/2)t); multiplying by

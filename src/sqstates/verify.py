@@ -7,6 +7,12 @@ folds each check's errors into its ``max_error``: the largest, NaN if
 any error is NaN, 0.0 if the check yields none.  The fold only picks a
 value, so a finite ``max_error`` is one of the measured errors, bit for
 bit.  A ``max_error`` that is not finite fails its check.
+
+Every truncated Fock table is sized by `_fock_size` from the closed-form
+mean level <H>_n - 1/2 (`states.energy`) of its columns: a factor times
+the largest, rounded up to a multiple of 16, with a floor.  Sizing reads
+no random number, so it never moves a draw.  The one exception is
+``expansion-tails``, whose claim is the tail at a fixed 128 rows.
 """
 
 from __future__ import annotations
@@ -210,14 +216,32 @@ def _check_displacement_poisson(rng):
         yield float(np.max(np.abs(np.abs(column)**2 - stats.probabilities)))
 
 
-#: the draw box of the truncation-128 expansion checks
+#: the draw box of the expansion checks, and their least truncation
 _EXPANSION_BOX = {"squeeze": (0.7, 1.45), "alpha_max": 0.7, "disp_max": 1.0}
+_EXPANSION_SIZE = 128
+
+
+def _fock_size(p0: ErmakovParameters, columns, factor: float,
+               floor: int) -> int:
+    """`factor` times the largest mean level of `columns`, at least `floor`.
+
+    Column n is |n> moved by the Gaussian unitary of p0, so its mean
+    level is <H>_n - 1/2; the size is rounded up to a multiple of 16.
+    """
+    mean_level = max(energy(DynamicState(n, p0)) for n in columns) - 0.5
+    return max(floor, 16 * math.ceil(factor * mean_level / 16.0))
+
+
+def _expansion_size(p0: ErmakovParameters, columns) -> int:
+    """Twelve times the largest mean level, at least `_EXPANSION_SIZE`."""
+    return _fock_size(p0, columns, 12.0, _EXPANSION_SIZE)
 
 
 def _check_expansion_tails(rng):
     for _ in range(3):
         p0 = _draw(rng, **_EXPANSION_BOX)
-        table = expansion_table(p0, (0, 1, 2), size=128)
+        # the claim is the tail at this fixed size, so it is not resized
+        table = expansion_table(p0, (0, 1, 2), size=_EXPANSION_SIZE)
         yield float(np.max(np.abs(table.tail_mass)))
 
 
@@ -268,26 +292,13 @@ def _check_heisenberg_motion(rng):
             yield heisenberg_residual(p0, t, 48)
 
 
-def _ladder_truncation(p0: ErmakovParameters) -> int:
-    """A truncation that resolves the lowest six invariant levels of p0.
-
-    Level k of the invariant is the image of |k> under the Gaussian
-    unitary of p0, so its mean photon number is (2k + 1)(sigma_x +
-    sigma_p)/2 - 1/2 + (xbar^2 + pbar^2)/2 in closed form.  Nine times
-    that mean at k = 6, rounded up to a multiple of 16, with 64 at the
-    least, keeps the spectrum error near roundoff over the drawn box.
-    """
-    cov = covariance(p0)
-    x_mean, p_mean = classical_trajectory(p0, 0.0)
-    mean_level = (6.5 * (cov.sigma_x + cov.sigma_p) - 0.5
-                  + 0.5 * (x_mean * x_mean + p_mean * p_mean))
-    return max(64, 16 * math.ceil(9.0 * mean_level / 16.0))
-
-
 def _check_ladder_spectrum(rng):
     for _ in range(2):
         p0 = _draw_resolvable(rng)
-        values, _ = energy_levels(evolve(p0, 0.0), _ladder_truncation(p0))
+        # nine times the mean level of invariant level 6, at least 64,
+        # keeps the spectrum error near roundoff over the drawn box
+        size = _fock_size(p0, (6,), 9.0, 64)
+        values, _ = energy_levels(evolve(p0, 0.0), size)
         for k in range(6):
             yield abs(float(values[k]) - (k + 0.5))
 
@@ -356,17 +367,19 @@ def _check_channel_norm(rng):
 
 
 def _check_energy_variance(rng):
-    levels = np.arange(128) + 0.5
+    columns = (0, 1, 2)
     for _ in range(3):
         p0 = _draw(rng, **_EXPANSION_BOX)
-        table = expansion_table(p0, (0, 1, 2), size=128)
+        size = _expansion_size(p0, columns)
+        table = expansion_table(p0, columns, size=size)
+        levels = np.arange(size) + 0.5
         probs = table.weights
         mean = levels @ probs
         spread = ((levels[:, None] - mean) ** 2 * probs).sum(axis=0)
         for j, n in enumerate(table.columns):
             s = DynamicState(n, p0)
             # relative: the rows beyond the truncation carry the largest
-            # levels, so the variance misses about tail * 128^2
+            # levels, so the variance misses about tail * size^2
             for closed, truncated in ((energy(s), mean[j]),
                                       (var_h(s), spread[j])):
                 yield abs(closed - truncated) / max(1.0, closed)
@@ -400,13 +413,14 @@ def _check_tcs_wigner(rng):
 
 def _check_evolved_expansion(rng):
     xs = np.linspace(-6.0, 6.0, 121)
-    basis = hermite_function_table(127, xs)
     for _ in range(2):
         p0 = _draw(rng, **_EXPANSION_BOX)
         n = int(rng.integers(0, 4))
         t = float(rng.uniform(0.0, 2.0 * math.pi))
+        size = _expansion_size(p0, (n,))
+        basis = hermite_function_table(size - 1, xs)
         rebuilt = math.sqrt(p0.beta) * (
-            time_dependent_expansion(p0, n, t, 128) @ basis)
+            time_dependent_expansion(p0, n, t, size) @ basis)
         direct = psi_n(DynamicState(n, p0), xs, t)
         yield float(np.max(np.abs(rebuilt - direct)))
 

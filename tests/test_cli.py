@@ -1068,14 +1068,18 @@ class TestVerify:
             assert entry["runtime_seconds"] >= 0.0
 
     @pytest.mark.parametrize("seed", [61, 103, 108, 134, 203, 239, 243,
-                                      272, 284])
+                                      272, 284, 691, 779, 1525, 1717, 2724])
     def test_steep_draws_pass(self, seed):
         # the draws of 61, 103, 108 and 239 are steep enough that a fixed
         # ladder-spectrum truncation of 192 or second-order differences
         # in wave-equation missed their tolerances; 134, 243, 272, 284
         # and 203 give the largest errors of energy-variance, tcs-wigner,
         # evolved-expansion, ladder-rotation and ladder-hamiltonian over
-        # seeds 0 to 299
+        # seeds 0 to 299.  Over seeds 0 to 3299 the closed-form mean
+        # level sizes only these tables above 128 rows: energy-variance
+        # at 691 and 1717 (144), and evolved-expansion at 779 (176), 1525
+        # and 2724 (144).  At a fixed 128 rows, 779 rebuilds its n = 3
+        # packet to 1.18e-6, beyond the tolerance 1e-6
         assert verify.run_verification(seed)["all_passed"] is True
 
     def test_seed_flag_overrides_config(self, tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sqstates import fockexp
+from sqstates import fockexp, verify
 from sqstates.ermakov import ErmakovParameters, evolve
 from sqstates.fockexp import (
     ExpansionTable,
@@ -31,7 +31,7 @@ from sqstates.specfun import (
     laguerre_ratio_table,
     laguerre_ratios,
 )
-from sqstates.states import DynamicState, psi_n
+from sqstates.states import DynamicState, energy, psi_n
 
 from conftest import draw_params
 from oracles import (
@@ -291,6 +291,20 @@ class TestExpansionTable:
             assert norms == pytest.approx(np.ones(7), abs=1e-8)
             # deficits are genuine truncation tails; excess is pure error
             assert norms.max() < 1.0 + 1e-12
+
+    def test_mean_level_is_the_closed_form_energy(self):
+        # column n is |n> moved by the Gaussian unitary of p0, so its mean
+        # photon number is <H>_n - 1/2; this is what sizes the truncated
+        # tables of sqstates verify.  The weights carry |beta0| already.
+        rng = np.random.default_rng(31)
+        levels = np.arange(256)
+        for _ in range(40):
+            p0 = verify._draw(rng, **verify._EXPANSION_BOX)
+            tab = expansion_table(p0, (0, 1, 2, 3), size=256)
+            for j, n in enumerate(tab.columns):
+                closed = energy(DynamicState(n, p0)) - 0.5
+                assert float(levels @ tab.weights[:, j]) == pytest.approx(
+                    closed, rel=1e-12, abs=0.0)
 
     def test_pure_squeeze_preserves_parity_exactly(self):
         p0 = ErmakovParameters(0.8, 1.5, 0.0, 0.0, 0.0, 0.7)
