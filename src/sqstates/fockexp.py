@@ -183,35 +183,49 @@ def _zeta_powers(a: float, b: float, size: int) -> np.ndarray:
     return np.exp(1j * (n * hi)) * np.exp(1j * (n * (theta - hi)))
 
 
+def _alternating(size: int, s: float) -> np.ndarray:
+    """The real diagonal (1, s, 1, s, ...); D = diag((-1)^m) at s = -1."""
+    return np.where(np.arange(size) % 2, s, 1.0)
+
+
+def _t_front(a: float, b: float, gamma: float) -> tuple[float, complex]:
+    """nu = (a^2 + b^2)/2 and T's factor front = e^{i(gamma - ab/2) - nu/2}.
+
+    At nu = 0, where T = front * identity, front is cos(gamma) + i sin(gamma).
+    """
+    nu = 0.5 * (a * a + b * b)
+    if nu == 0.0:
+        return nu, complex(math.cos(gamma), math.sin(gamma))
+    return nu, np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu)
+
+
 def _t_columns(a: float, b: float, gamma: float, size: int,
                cols) -> np.ndarray:
     """The columns `cols` of `t_matrix(a, b, gamma, size)`.
 
-    T = e^{i(gamma - ab/2) - nu/2} diag(conj(zeta)^m) S diag(zeta^n): the
-    upper triangle of the real S is U from `_displacement_upper`,
+    T = front diag(conj(zeta)^m) S diag(zeta^n) (`_t_front`): the upper
+    triangle of the real S is U from `_displacement_upper`,
     S[m, n] = U[m, n] for m <= n, and the lower triangle is its mirror
-    with a sign, S[m, n] = (-1)^{m-n} U[n, m].  Column c needs the rows
-    n <= c of U only, so the recurrence runs max(cols) + 1 steps; equal
-    columns get equal bits whatever else is requested.  Each entry
-    takes its phase as the one power zeta^{n-m}, so it carries the
-    roundings of the closed form and no more.
+    with the signs of D (`_alternating`), S[m, n] = D_m D_n U[n, m].
+    Column c needs the rows n <= c of U only, so the recurrence runs
+    max(cols) + 1 steps; equal columns get equal bits whatever else is
+    requested.  Each entry takes its phase as the one power zeta^{n-m},
+    so it carries the roundings of the closed form and no more.
     """
     cols = np.asarray(cols)
     m = np.arange(size)[:, None]
-    nu = 0.5 * (a * a + b * b)
+    nu, front = _t_front(a, b, gamma)
     if nu == 0.0:
-        return np.where(m == cols, complex(math.cos(gamma), math.sin(gamma)),
-                        0j)
+        return np.where(m == cols, front, 0j)
     rows = int(cols.max()) + 1
     upper = _displacement_upper(nu, rows, size)
-    sign = np.where(np.arange(size) % 2, -1.0, 1.0)
+    sign = _alternating(size, -1.0)
     s = upper[cols].T
     s *= sign[:, None] * sign[cols]
     np.copyto(s[:rows], upper[:, cols], where=m[:rows] <= cols)
     del upper
     # s is a transposed row gather, in Fortran order; the result is in C
-    out = np.multiply(np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu), s,
-                      order="C")
+    out = np.multiply(front, s, order="C")
     del s
     lag = cols - m                      # zeta^{n-m} = conj(zeta)^m zeta^n
     below = lag < 0
@@ -228,24 +242,24 @@ def _t_product(a: float, b: float, gamma: float, x: np.ndarray) -> np.ndarray:
     """t_matrix(a, b, gamma, len(x)) @ x for a (size, k) x, without forming T.
 
     With the factorization of `_t_columns`, T x is
-    e^{i(gamma - ab/2) - nu/2} conj(zeta)^m (S y) with y = zeta^n x, and
+    front conj(zeta)^m (S y) with y = zeta^n x, and
 
         S y = U_s y + diag(U) y + D U_s^T (D y),
 
-    where U_s is U without its diagonal and D = diag((-1)^m).  Both
-    products are real, on the (size, 2k) real view of y; the phases
-    touch only the size x k vectors.  Every entry of S still comes from
-    its own Laguerre closed form.
+    where U_s is U without its diagonal.  Both products are real, on the
+    (size, 2k) real view of y; the phases touch only the size x k
+    vectors.  Every entry of S still comes from its own Laguerre closed
+    form.
     """
     size = x.shape[0]
-    nu = 0.5 * (a * a + b * b)
+    nu, front = _t_front(a, b, gamma)
     if nu == 0.0:
-        return complex(math.cos(gamma), math.sin(gamma)) * x
+        return front * x
     upper = _displacement_upper(nu, size, size)
     diag = upper.diagonal().copy()
     np.fill_diagonal(upper, 0.0)
     zeta = _zeta_powers(a, b, size)
-    sign = np.where(np.arange(size) % 2, -1.0, 1.0)[:, None]
+    sign = _alternating(size, -1.0)[:, None]
     y = (zeta[:, None] * x).view(float)
     # sy = upper @ y + diag y + sign (upper^T (sign y)), summed in that order
     sy = upper @ y
@@ -255,7 +269,7 @@ def _t_product(a: float, b: float, gamma: float, x: np.ndarray) -> np.ndarray:
     np.matmul(upper.T, work, out=y)
     del upper, work
     sy += np.multiply(sign, y, out=y)
-    left = np.exp(1j * (gamma - 0.5 * a * b) - 0.5 * nu) * zeta.conj()
+    left = front * zeta.conj()
     out = sy.view(complex)
     return np.multiply(left[:, None], out, out=out)
 
@@ -443,8 +457,17 @@ def _squeeze_factors(alpha: float, beta: float, size: int):
     row = math.sqrt(b0 / abs(beta)) * np.exp(-1j * (m_idx + 0.5) * t)
     col = np.exp(-1j * (2.0 * m_idx + 1.0) * dgamma)
     if beta < 0.0:
-        col = col * np.where(m_idx % 2, -1.0, 1.0)
+        col = col * _alternating(size, -1.0)
     return row, _scale_factors(b0, size), col
+
+
+def _exact_scale(alpha: float, beta: float, size: int):
+    """The diagonal of M(alpha, beta) where M is exactly diagonal, else None.
+
+    That is at alpha = 0, |beta| = 1, where Psi_n(beta x) = beta^n Psi_n(x).
+    """
+    exact = alpha == 0.0 and abs(beta) == 1.0
+    return _alternating(size, beta) if exact else None
 
 
 def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
@@ -462,7 +485,7 @@ def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
     M(0, b0) is multiplied out from its quadrature factors one parity
     block at a time (`_scale_factors`), so entries with m + n odd are
     exact zeros by construction.  At alpha = 0, |beta| = 1 the matrix
-    is returned exactly, as diag(1, beta, 1, beta, ...).
+    is returned exactly, as diag(1, beta, 1, beta, ...) (`_exact_scale`).
 
     Parameters
     ----------
@@ -487,9 +510,9 @@ def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
         raise ValueError("beta must be nonzero")
     alpha = float(alpha)
     beta = float(beta)
-    if alpha == 0.0 and abs(beta) == 1.0:
-        diag = np.where(np.arange(size) % 2, beta, 1.0).astype(complex)
-        return _readonly(np.diag(diag))
+    diag = _exact_scale(alpha, beta, size)
+    if diag is not None:
+        return _readonly(np.diag(diag.astype(complex)))
     row, factors, col = _squeeze_factors(alpha, beta, size)
     core = _real_scale_matrix(factors, range(size))
     del factors
@@ -614,12 +637,10 @@ def expansion_table(p0: ErmakovParameters, columns, size: int) -> ExpansionTable
     picked = np.array(cols if len(cols) > 1 else cols * 2)
     first_order, second_order = _t_arguments(p0)
     tcols = _t_columns(*first_order, size, picked)
-    if a0 == 0.0 and abs(b0) == 1.0:
-        # the exact identity point of `m_matrix`: M = diag(1, b0, 1, b0, ...)
-        diag = np.where(np.arange(size) % 2, b0, 1.0)
+    diag = _exact_scale(a0, b0, size)
+    if diag is not None:
         first = np.multiply(diag[:, None], tcols, out=tcols)
-        mcols = np.zeros((size, len(picked)), dtype=complex)
-        mcols[picked, np.arange(len(picked))] = diag[picked]
+        mcols = np.where(np.arange(size)[:, None] == picked, diag[picked], 0j)
     else:
         row, factors, col = _squeeze_factors(a0, b0, size)
         first = _real_scale_product(

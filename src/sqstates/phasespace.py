@@ -107,9 +107,8 @@ class PhaseSpaceGrid:
     x_range, p_range : ndarray
         Strictly increasing, uniformly spaced 1D meshes.
     values : ndarray
-        Samples with ``values[i, j] = W(x_range[i], p_range[j])``; real
-        for state Wigner functions, complex for cross functions.  The
-        row index runs over position.
+        Real samples ``values[i, j] = W(x_range[i], p_range[j])``, the
+        row index over position; complex values raise ValueError.
     """
 
     x_range: np.ndarray
@@ -120,6 +119,8 @@ class PhaseSpaceGrid:
         x = np.asarray(self.x_range, dtype=float)
         p = np.asarray(self.p_range, dtype=float)
         v = np.asarray(self.values)
+        if np.iscomplexobj(v):
+            raise ValueError("values must be real")
         for name, mesh in (("x_range", x), ("p_range", p)):
             if mesh.ndim != 1 or mesh.size < 2:
                 raise ValueError("%s must be a 1D mesh with >= 2 points" % name)
@@ -246,15 +247,14 @@ def wigner_tcs(s: TCSState, pt: PhaseSpacePoint, t: float) -> float:
 # ----------------------------------------------------------------------
 
 def wigner_numeric(psi: Callable, pt: PhaseSpacePoint,
-                   psi2: Optional[Callable] = None,
-                   extent: float = 12.0, nodes: int = 1281):
+                   extent: float = 12.0, nodes: int = 1281) -> float:
     """Fourier quadrature of the defining Wigner transform.
 
-    Computes (1/2 pi) Integral psi*(x + y/2) phi(x - y/2) e^{i p y} dy by
-    the trapezoid rule on [-extent, extent], where phi defaults to psi
-    (ordinary Wigner function) or may be a second wavefunction (cross
-    function).  Serves as the module's independent oracle: it knows
-    nothing about the closed forms.
+    Computes (1/2 pi) Integral psi*(x + y/2) psi(x - y/2) e^{i p y} dy by
+    the trapezoid rule on [-extent, extent].  Serves as the module's
+    independent oracle: it knows nothing about the closed forms.  The
+    transforms of (psi_m + psi_n)/sqrt 2 and (psi_m - i psi_n)/sqrt 2 are
+    (W_mm + W_nn)/2 plus Re W_mn and Im W_mn of the cross function.
 
     Parameters
     ----------
@@ -263,8 +263,6 @@ def wigner_numeric(psi: Callable, pt: PhaseSpacePoint,
         values with Gaussian decay.
     pt : PhaseSpacePoint
         Evaluation point.
-    psi2 : callable, optional
-        Second wavefunction for a cross transform.
     extent : float, optional
         Half-width of the y window.  The integrand decays like
         exp(-beta^2 y^2 / 4) for packets of scale parameter beta, so
@@ -276,10 +274,8 @@ def wigner_numeric(psi: Callable, pt: PhaseSpacePoint,
 
     Returns
     -------
-    float or complex
-        Real for the single-wavefunction transform (the imaginary part
-        of the quadrature is roundoff and is dropped), complex for a
-        cross transform.
+    float
+        W(x, p), less the roundoff imaginary part of the quadrature.
 
     Raises
     ------
@@ -293,9 +289,8 @@ def wigner_numeric(psi: Callable, pt: PhaseSpacePoint,
         nodes += 1
     if not (extent > 0.0 and math.isfinite(extent)):
         raise ValueError("extent must be positive and finite")
-    other = psi if psi2 is None else psi2
     y, step = np.linspace(-extent, extent, nodes, retstep=True)
-    integrand = (np.conj(psi(pt.x + 0.5 * y)) * other(pt.x - 0.5 * y)
+    integrand = (np.conj(psi(pt.x + 0.5 * y)) * psi(pt.x - 0.5 * y)
                  * np.exp(1j * pt.p * y))
     total = np.trapezoid(integrand, dx=step) / (2.0 * math.pi)
     coarse = np.trapezoid(integrand[::2], dx=2.0 * step) / (2.0 * math.pi)
@@ -310,9 +305,7 @@ def wigner_numeric(psi: Callable, pt: PhaseSpacePoint,
             "Wigner quadrature did not converge: error estimate %.3e "
             "(discretisation %.3e, window truncation %.3e); increase "
             "extent and/or nodes" % (estimate, discretisation, truncation))
-    if psi2 is None:
-        return float(total.real)
-    return complex(total)
+    return float(total.real)
 
 
 # ----------------------------------------------------------------------
@@ -576,26 +569,20 @@ def tcs_grid(s: TCSState, grid: PhaseSpaceGrid, t: float) -> PhaseSpaceGrid:
     return _collect(grid, _tcs_rows(s, grid, t))
 
 
-def grid_normalization(grid: PhaseSpaceGrid):
+def grid_normalization(grid: PhaseSpaceGrid) -> float:
     """Integral of the stored values over the whole grid (trapezoid)."""
     inner = np.trapezoid(grid.values, dx=grid.dp, axis=1)
-    total = np.trapezoid(inner, dx=grid.dx)
-    if np.iscomplexobj(grid.values):
-        return complex(total)
-    return float(total)
+    return float(np.trapezoid(inner, dx=grid.dx))
 
 
 def purity(grid: PhaseSpaceGrid) -> float:
-    """Phase-space purity integral of a real Wigner grid.
+    """Phase-space purity integral of a Wigner grid.
 
     For every pure state the squared Wigner function integrates to
-    1/(2 pi); mixtures fall below.  The real part of the stored values
-    is used (state grids are real; feeding a cross-function grid here
-    is a caller error this routine cannot detect).
+    1/(2 pi); mixtures fall below.
     """
-    v = np.real(grid.values)
-    inner = np.trapezoid(v * v, dx=grid.dp, axis=1)
-    return float(np.trapezoid(inner, dx=grid.dx))
+    return grid_normalization(PhaseSpaceGrid(
+        grid.x_range, grid.p_range, grid.values * grid.values))
 
 
 def write_tcs_csv(path, s: TCSState, grid: PhaseSpaceGrid, t: float) -> None:

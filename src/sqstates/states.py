@@ -113,7 +113,6 @@ class UncertaintyExtrema:
     var_x_at_min: float
     t_max: float
     product_max: float
-    degenerate: bool
 
 
 def _shape_like(values: np.ndarray, x) -> np.ndarray | complex:
@@ -231,26 +230,17 @@ def uncertainty_extrema(p0: ErmakovParameters) -> UncertaintyExtrema:
     The oscillating part is R cos(2t - phi); the product minimum (exactly
     1/4) sits where |cos| = 1 and the maximum where cos = 0.  Which of
     var_p/var_x is large at the minimum is read off from the evaluated
-    series rather than assumed.  The alpha0 = 0, beta0^2 = 1 case has a
-    constant product and is flagged degenerate.
+    series rather than assumed.  At alpha0 = 0, beta0^2 = 1 the product
+    is constant, and t_min = 0, t_max = pi/4 are returned.
     """
-    a0, b0 = p0.alpha, p0.beta
-    b0sq = b0 * b0
-    s_const = 1.0 + 4.0 * a0 * a0 + b0sq * b0sq
-    a_coef = 4.0 * a0 * a0 + b0sq * b0sq - 1.0
-    b_coef = -4.0 * a0
-    radius = math.hypot(a_coef, b_coef)
-    if radius <= 1e-15 * s_const:
-        var_p, var_x, product = variance_series(p0, 0.0)
-        return UncertaintyExtrema(0.0, float(product), float(var_p),
-                                  float(var_x), 0.0, float(product), True)
-    phi = math.atan2(b_coef, a_coef)
+    a0, b0sq = p0.alpha, p0.beta * p0.beta
+    phi = math.atan2(-4.0 * a0, 4.0 * a0 * a0 + b0sq * b0sq - 1.0)
     t_min = (phi % math.pi) / 2.0
     t_max = ((phi + math.pi / 2.0) % math.pi) / 2.0
     vp_min, vx_min, prod_min = variance_series(p0, t_min)
     _, _, prod_max = variance_series(p0, t_max)
     return UncertaintyExtrema(t_min, float(prod_min), float(vp_min),
-                              float(vx_min), t_max, float(prod_max), False)
+                              float(vx_min), t_max, float(prod_max))
 
 
 def energy(s: DynamicState) -> float:

@@ -253,7 +253,7 @@ def _check_wigner_normalization(rng):
         t = float(rng.uniform(0.0, 2.0 * math.pi))
         g = default_grid(p0, t, (0,), points=241, spread=6.5,
                          center=tcs_center(s, t))
-        yield abs(float(grid_normalization(tcs_grid(s, g, t))) - 1.0)
+        yield abs(grid_normalization(tcs_grid(s, g, t)) - 1.0)
 
 
 def _check_fock_negativity(rng):

@@ -11,7 +11,10 @@ The `oneshot_*` functions are of another kind: they are the whole-table
 numpy expressions that `sqstates.fockexp`'s kernels evaluated before
 those kernels wrote their products in place, kept verbatim so that the
 tests can pin the in-place kernels to the same bits.  They reuse only
-the library pieces that the in-place rewrite left alone.
+the library pieces that the in-place rewrite left alone.  They also
+keep each parity sign and each identity-point test written out where
+the library now takes them from one helper, and `forked_extrema` keeps
+`states.uncertainty_extrema` with the constant-product fork it dropped.
 
 `flow_row` is a reference of that kind too: one row of ``evolve.csv``
 through the scalar route of the flow (`evolve`, `covariance` and
@@ -50,7 +53,12 @@ from sqstates.specfun import (
     hyp2f1_even_odd,
     laguerre_ratio_table,
 )
-from sqstates.states import _phase_factor, _shape_like, covariance
+from sqstates.states import (
+    _phase_factor,
+    _shape_like,
+    covariance,
+    variance_series,
+)
 
 #: number levels of the operator-algebra basis behind `fock_tail`
 FOCK_DIM = 1024
@@ -294,24 +302,55 @@ def oneshot_scale_product(factors, x):
 
 
 def oneshot_m_matrix(alpha, beta, size):
-    """`fockexp.m_matrix` off its identity points, as row * core * col."""
+    """`fockexp.m_matrix`: exact at its identity points, else row*core*col."""
+    if alpha == 0.0 and abs(beta) == 1.0:
+        diag = np.where(np.arange(size) % 2, beta, 1.0).astype(complex)
+        return np.diag(diag)
     row, factors, col = oneshot_squeeze_factors(alpha, beta, size)
     core = fockexp._real_scale_matrix(factors, range(size))
     return row[:, None] * core * col[None, :]
 
 
 def oneshot_expansion(p0, cols, size):
-    """(coeffs, tail_mass) of `fockexp.expansion_table`, off the identity
-    point of M, from the first factorization order only."""
+    """(coeffs, tail_mass) of `fockexp.expansion_table` from the first
+    factorization order only."""
     picked = np.array(cols)
     first_order, _ = fockexp._t_arguments(p0)
     tcols = oneshot_t_columns(*first_order, size, cols)
-    row, factors, col = oneshot_squeeze_factors(p0.alpha, p0.beta, size)
-    first = row[:, None] * oneshot_scale_product(factors, col[:, None] * tcols)
+    if p0.alpha == 0.0 and abs(p0.beta) == 1.0:
+        # the exact identity point of `m_matrix`: M = diag(1, b0, 1, b0, ...)
+        first = np.where(np.arange(size) % 2, p0.beta, 1.0)[:, None] * tcols
+    else:
+        row, factors, col = oneshot_squeeze_factors(p0.alpha, p0.beta, size)
+        first = row[:, None] * oneshot_scale_product(factors,
+                                                     col[:, None] * tcols)
     tail = 1.0 - abs(p0.beta) * np.sum(np.abs(first) ** 2, axis=0)
     if p0.gamma != 0.0:
         first = first * np.exp(1j * (2.0 * picked + 1.0) * p0.gamma)
     return np.ascontiguousarray(first), tail
+
+
+def forked_extrema(p0):
+    """The fields of `states.uncertainty_extrema`, in order, with its old
+    fork: a harmonic part of relative size 1e-15 or less counted as a
+    constant product, reported at t_min = t_max = 0."""
+    a0, b0 = p0.alpha, p0.beta
+    b0sq = b0 * b0
+    s_const = 1.0 + 4.0 * a0 * a0 + b0sq * b0sq
+    a_coef = 4.0 * a0 * a0 + b0sq * b0sq - 1.0
+    b_coef = -4.0 * a0
+    radius = math.hypot(a_coef, b_coef)
+    if radius <= 1e-15 * s_const:
+        var_p, var_x, product = variance_series(p0, 0.0)
+        return (0.0, float(product), float(var_p), float(var_x), 0.0,
+                float(product))
+    phi = math.atan2(b_coef, a_coef)
+    t_min = (phi % math.pi) / 2.0
+    t_max = ((phi + math.pi / 2.0) % math.pi) / 2.0
+    vp_min, vx_min, prod_min = variance_series(p0, t_min)
+    _, _, prod_max = variance_series(p0, t_max)
+    return (t_min, float(prod_min), float(vp_min), float(vx_min), t_max,
+            float(prod_max))
 
 
 # ----------------------------------------------------------------------

@@ -616,6 +616,40 @@ class TestInPlaceKernels:
         assert np.array_equal(uint64(fockexp._t_product(*second, x)),
                               uint64(oneshot_t_product(*second, x)))
 
+    # nu = 0 takes T = e^{i gamma} I; the others take the Laguerre triangle
+    @pytest.mark.parametrize("a, b, gamma", [
+        (0.0, 0.0, 0.0), (0.0, 0.0, 0.7), (-0.0, 0.0, -2.3),
+        (0.4, -0.5, 0.2), (-1.3, 0.0, 1.1), (0.0, 2.2, -0.4)])
+    @pytest.mark.parametrize("size", [1, 2, 17, 128])
+    def test_t_kernels_keep_their_signs_and_front(self, a, b, gamma, size):
+        rng = np.random.default_rng(size)
+        x = (rng.standard_normal((size, 3))
+             + 1j * rng.standard_normal((size, 3)))
+        assert np.array_equal(uint64(t_matrix(a, b, gamma, size)),
+                              uint64(oneshot_t_columns(a, b, gamma, size,
+                                                       range(size))))
+        assert np.array_equal(uint64(fockexp._t_product(a, b, gamma, x)),
+                              uint64(oneshot_t_product(a, b, gamma, x)))
+
+    # the two exact identity points of M, and the odd-column flip of
+    # beta0 < 0 on and off the alpha0 = 0 axis
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.0, 1.0), (0.0, -1.0), (-0.0, -1.0), (0.0, -0.7), (0.3, -1.0),
+        (-0.8, -1.6)])
+    @pytest.mark.parametrize("size", [2, 17, 128])
+    def test_m_kernels_keep_their_diagonal(self, alpha, beta, size):
+        assert np.array_equal(uint64(m_matrix(alpha, beta, size)),
+                              uint64(oneshot_m_matrix(alpha, beta, size)))
+        rng = np.random.default_rng(size)
+        p0 = ErmakovParameters(alpha, beta, *rng.uniform(-1.0, 1.0, 4))
+        cols = (0, 3, min(size, 17) - 1) if size > 3 else (0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            tab = expansion_table(p0, cols, size)
+        coeffs, tail = oneshot_expansion(p0, cols, size)
+        assert np.array_equal(uint64(tab.coeffs), uint64(coeffs))
+        assert np.array_equal(uint64(tab.tail_mass), uint64(tail))
+
     # tracemalloc peaks at size 512 (MiB): whole-table expressions first,
     # in-place kernels second; each bound lies between the two
     @pytest.mark.parametrize("call, bound", [

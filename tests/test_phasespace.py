@@ -64,6 +64,8 @@ class TestPoints:
             PhaseSpaceGrid(np.array([0.0, 0.1, 0.3]), x, np.zeros((3, 11)))
         with pytest.raises(ValueError, match="shape"):
             PhaseSpaceGrid(x, x, np.zeros((11, 10)))
+        with pytest.raises(ValueError, match="real"):
+            PhaseSpaceGrid(x, x, np.zeros((11, 11), dtype=complex))
 
     def test_grid_spacing_properties(self):
         g = default_grid(ErmakovParameters(0, 1, 0, 0, 0, 0), points=51)
@@ -178,8 +180,16 @@ class TestMoyal:
         f0 = lambda x: psi_n(DynamicState(0, p0), x, t)
         f1 = lambda x: psi_n(DynamicState(1, p0), x, t)
         pt = PhaseSpacePoint(0.3, 0.8)
-        got = wigner_numeric(f0, pt, psi2=f1, extent=extent, nodes=2049)
-        assert abs(got - moyal(0, 1, p0, pt, t)) < 1e-7
+
+        def transform(f):
+            return wigner_numeric(f, pt, extent=extent, nodes=2049)
+
+        # (f0 + c f1)/sqrt 2 has W = (W00 + W11)/2 + Re(c W01), so c = 1
+        # gives Re W01 and c = -i gives Im W01
+        mean = 0.5 * (transform(f0) + transform(f1))
+        re = transform(lambda x: (f0(x) + f1(x)) / math.sqrt(2.0)) - mean
+        im = transform(lambda x: (f0(x) - 1j * f1(x)) / math.sqrt(2.0)) - mean
+        assert abs(complex(re, im) - moyal(0, 1, p0, pt, t)) < 1e-7
 
     def test_diagonal_against_quadrature_n_to_4(self, rng):
         p0 = draw_params(rng)
@@ -211,9 +221,10 @@ class TestMoyal:
         base = default_grid(p0, t, levels=(4,), points=401, spread=6.0)
         xg, pg = np.meshgrid(base.x_range, base.p_range, indexing="ij")
         for m, n in [(0, 0), (2, 2), (4, 4), (0, 2), (1, 4), (0, 1)]:
+            # a cross function is complex, which a PhaseSpaceGrid refuses
             vals = _moyal_values(m, n, ev, xg, pg)
-            g = PhaseSpaceGrid(base.x_range, base.p_range, vals)
-            total = grid_normalization(g)
+            total = np.trapezoid(np.trapezoid(vals, dx=base.dp, axis=1),
+                                 dx=base.dx)
             target = 1.0 if m == n else 0.0
             assert abs(total - target) < 1e-6
 

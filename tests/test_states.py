@@ -1,6 +1,7 @@
 """Wavefunction and moment tests driven by quadrature and stencil oracles."""
 
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from sqstates.states import (
 from conftest import draw_params
 from oracles import (
     fd_second_derivative,
+    forked_extrema,
     gauss_grid,
     overlap,
     psi_superposition,
@@ -232,17 +234,42 @@ class TestUncertaintyExtrema:
         # max product 25/36
         p0 = ErmakovParameters(0.0, math.sqrt(3.0), 0.0, 0.0, 0.0, 0.0)
         ext = uncertainty_extrema(p0)
-        assert not ext.degenerate
         assert ext.product_min == pytest.approx(0.25, abs=1e-13)
         assert ext.product_max == pytest.approx(25.0 / 36.0, abs=1e-13)
         vars_sorted = sorted((ext.var_p_at_min, ext.var_x_at_min))
         assert vars_sorted == pytest.approx([1.0 / 6.0, 1.5], abs=1e-13)
 
     def test_degenerate_flagged(self):
+        # alpha0 = 0, beta0^2 = 1: the product is constant, so every
+        # instant is an extremum and nothing needs flagging
         ext = uncertainty_extrema(GROUND)
-        assert ext.degenerate
         assert ext.product_min == pytest.approx(0.25, abs=1e-15)
         assert ext.product_max == pytest.approx(0.25, abs=1e-15)
+
+    def test_fields_keep_their_bits(self, rng):
+        # off the old constant-product fork, every field has the bits of
+        # the route that had it (`oracles.forked_extrema`)
+        for i in range(200):
+            p0 = draw_params(rng)
+            if i % 2:
+                p0 = ErmakovParameters(p0.alpha, -p0.beta, p0.gamma,
+                                       p0.delta, p0.epsilon, p0.kappa)
+            got = np.array(astuple(uncertainty_extrema(p0)))
+            want = np.array(forked_extrema(p0))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("beta", [1.0, -1.0])
+    def test_constant_product_moves_only_t_max(self, beta):
+        # at alpha0 = 0, beta0^2 = 1 every instant is an extremum: the
+        # fork reported t_max = 0, the one route reports pi/4
+        p0 = ErmakovParameters(0.0, beta, 0.3, -0.2, 0.5, 0.1)
+        got = astuple(uncertainty_extrema(p0))
+        want = forked_extrema(p0)
+        assert (got[4], want[4]) == (math.pi / 4.0, 0.0)
+        keep = [0, 1, 2, 3, 5]
+        assert np.array_equal(np.array(got)[keep].view(np.uint64),
+                              np.array(want)[keep].view(np.uint64))
+        assert got[:4] + got[5:] == (0.0, 0.25, 0.5, 0.5, 0.25)
 
     def test_extrema_against_dense_sampling(self, rng):
         # the analytic extrema must bound every sampled value, and the
@@ -275,8 +302,6 @@ class TestUncertaintyExtrema:
         for _ in range(30):
             p0 = draw_params(rng)
             ext = uncertainty_extrema(p0)
-            if ext.degenerate:
-                continue
             s = 1 + 4 * p0.alpha**2 + p0.beta**4
             plus = 4 * p0.alpha**2 + (p0.beta**2 + 1) ** 2
             minus = 4 * p0.alpha**2 + (p0.beta**2 - 1) ** 2
