@@ -64,6 +64,10 @@ Every kernel writes its products into its result or into one work table
 of that size, so it holds at most one size x size temporary beside what
 it returns; each in-place product keeps the elementwise operations and
 operand order of the whole-table expression it replaces, bit for bit.
+The one exception is ``m_matrix(alpha, beta, 1)``: numpy's in-place
+complex multiply of a 1x1 array rounds otherwise than the out-of-place
+one (``m_matrix(0.0, -0.7, 1)`` has imaginary part 0 where the one-shot
+expression gives 2.79e-17); from 2x2 on the two agree.
 
 NORMALIZATION: stored coefficients are the bare c_mn above -- the
 sqrt(beta0) weight is applied at reconstruction, NOT stored.  A single

@@ -170,7 +170,13 @@ def _covariance(a, b) -> CovarianceTriple:
             f"beta = {b!r}: beta^2 or beta^4 is out of the float range")
     try:
         return CovarianceTriple(sigma_p, sigma_x, sigma_px)
-    except ValueError as exc:  # alpha and beta are valid: an overflow
+    except ValueError as exc:
+        terms = (sigma_p, sigma_x, sigma_px, sigma_p * sigma_x,
+                 sigma_px * sigma_px)
+        if all(map(math.isfinite, terms)):
+            raise ArithmeticError(
+                f"the second moments fail the determinant check: {exc}"
+            ) from exc
         raise ArithmeticError(f"the second moments overflow: {exc}") from exc
 
 
@@ -188,7 +194,8 @@ def covariance(p: ErmakovParameters) -> CovarianceTriple:
         If beta^2 overflows or beta^4 underflows, so that sigma_p or
         sigma_x is not positive.
     ArithmeticError
-        If the moments overflow, so that the determinant identity fails.
+        If the determinant identity fails; the message says "overflow"
+        only when a moment or a product of two is not finite.
 
     For arrays, the error is that of the first bad entry.
     """

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._pcg64 import PCG64
 from .channel import (
     ChannelParameters,
     _channel_norm,
@@ -503,8 +504,11 @@ def run_verification(seed: int) -> dict:
     check.  A check that raises ArithmeticError or ValueError fails too:
     its entry reports a NaN error and gains ``error``, the exception's
     type and message, and the later checks still run.
+
+    The stream is ``numpy.random.default_rng(seed)``'s PCG64, drawn bit
+    for bit by `_pcg64.PCG64` without loading ``numpy.random``.
     """
-    rng = np.random.default_rng(int(seed))
+    rng = PCG64(int(seed))
     entries = []
     for name, tolerance, fn, description in _CHECKS:
         start = time.perf_counter()

@@ -1025,7 +1025,8 @@ def peak_rss_mb(tmp_path, command=None, cfg=None):
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads VmHWM from /proc")
 class TestMemory:
-    """Grids are computed and written in row blocks, never held whole."""
+    """Grids are computed and written in row blocks, never held whole,
+    and `verify` draws its stream without loading ``numpy.random``."""
 
     # one time runs in process, two in forked workers
     @pytest.mark.parametrize("times", [[1.3], [0.0, 1.3]],
@@ -1053,6 +1054,23 @@ class TestMemory:
                "times": [0.0, 0.25 * math.pi, 0.5 * math.pi], "points": 401}
         floor = peak_rss_mb(tmp_path)
         assert peak_rss_mb(tmp_path, "demkov", cfg) - floor <= 8.0
+
+    def test_verify_stays_near_the_import_floor(self, tmp_path):
+        # loading numpy.random for the draws put the default seed about
+        # 12 MB above the floor; without it the run peaks about 7 MB above
+        floor = peak_rss_mb(tmp_path)
+        assert peak_rss_mb(tmp_path, "verify", {}) - floor <= 10.0
+
+    def test_verify_leaves_numpy_random_unloaded(self, tmp_path):
+        code = ("import sys\nimport sqstates.cli as cli\n"
+                "assert cli.main(['verify', '--out', %r]) == 0\n"
+                "print(sorted(m for m in sys.modules"
+                " if m.startswith('numpy.random')))" % str(tmp_path / "out"))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestVerify:

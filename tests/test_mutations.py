@@ -5,7 +5,9 @@ an identity that a route must keep.  Each case below scales one route's
 value by 1 + 1e-6 (for the imaginary-residual check, by 1 + 1e-6 i, and
 for the Hermitian and adjoint checks, one triangle of a Hermitian
 quadrature) and expects the check to raise.  The NaN cases of the same
-checks are in ``test_nan_guards.py``.
+checks are in ``test_nan_guards.py``.  One guard lets its error through:
+`energy_levels` checks only that its levels are resolved, and its case
+is a strict xfail.
 """
 
 import itertools
@@ -22,7 +24,7 @@ import sqstates.specfun as specfun
 import sqstates.states as states
 from sqstates.ermakov import ErmakovParameters, evolve
 from sqstates.phasespace import PhaseSpacePoint
-from sqstates.states import DynamicState, TCSState
+from sqstates.states import DynamicState, TCSState, psi_tcs
 
 P0 = ErmakovParameters(0.3, 1.2, 0.7, 0.4, -0.5, 0.2)
 ERROR = 1e-6
@@ -35,8 +37,8 @@ def scaled(fn, *, calls=None):
     """
     count = itertools.count()
 
-    def wrapper(*args):
-        value = fn(*args)
+    def wrapper(*args, **kwargs):
+        value = fn(*args, **kwargs)
         if calls is not None and next(count) not in calls:
             return value
         if isinstance(value, tuple):
@@ -136,6 +138,33 @@ def bailey_residual(monkeypatch):
     return specfun.bailey_integral(2, 4, 1.1, 0.7, 1.3)
 
 
+def quadrature(call):
+    """The fine (0) or half-resolution (1) sum of `wigner_numeric`, at
+    the packet's centre, where W = 1/pi."""
+    def inject(monkeypatch):
+        s = TCSState(0.8 - 0.6j, P0)
+        monkeypatch.setattr(np, "trapezoid",
+                            scaled(np.trapezoid, calls={call}))
+        return phasespace.wigner_numeric(
+            lambda x: psi_tcs(s, x, 0.4),
+            PhaseSpacePoint(*phasespace.tcs_center(s, 0.4)))
+    inject.__name__ = "wigner_numeric-" + ("fine", "coarse")[call]
+    return inject
+
+
+def level(monkeypatch):
+    """Level 3 of `energy_levels`' eigenvalues, off by ERROR."""
+    real = np.linalg.eigh
+
+    def eigh(block):
+        vals, vecs = real(block)
+        vals[3] *= 1.0 + ERROR
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return operators.energy_levels(P0, 24)
+
+
 FORMS = "equivalent Wigner forms disagree"
 
 
@@ -156,6 +185,8 @@ CASES = [
     (b_adjoint, ArithmeticError, "ladder adjoint relation"),
     (hermitian_claim, ValueError, "claimed Hermitian"),
     (bailey_residual, ArithmeticError, "imaginary residual"),
+    (quadrature(0), ArithmeticError, "quadrature did not converge"),
+    (quadrature(1), ArithmeticError, "quadrature did not converge"),
 ]
 
 
@@ -165,6 +196,24 @@ def test_a_small_error_fails_the_cross_check(monkeypatch, inject, error,
                                              match):
     with pytest.raises(error, match=match):
         inject(monkeypatch)
+
+
+# the guard only asks that consecutive levels be 1e-6 apart; they are
+# about 1 apart, and no second route to them is compared
+@pytest.mark.xfail(raises=pytest.fail.Exception, strict=True,
+                   reason="the degeneracy guard passes an error in a level")
+def test_a_small_level_error_fails_the_degeneracy_guard(monkeypatch):
+    with pytest.raises(ArithmeticError, match="unresolved"):
+        level(monkeypatch)
+
+
+@pytest.mark.parametrize("times", [0.4, np.linspace(0.0, 3.0, 7)],
+                         ids=["scalar", "array"])
+def test_a_failed_identity_is_not_called_an_overflow(monkeypatch, times):
+    # nothing overflowed: the message names the identity alone
+    with pytest.raises(ArithmeticError) as info:
+        determinant(times)(monkeypatch)
+    assert "overflow" not in str(info.value)
 
 
 def test_the_routes_agree_unmutated():
@@ -177,4 +226,7 @@ def test_the_routes_agree_unmutated():
     fockexp._phase_identity_check(P0, 0.7)
     operators.b_operators(P0, 8)
     operators.invariant_E(P0, 8)
+    operators.energy_levels(P0, 24)
+    phasespace.wigner_numeric(lambda x: psi_tcs(s, x, 0.4),
+                              PhaseSpacePoint(*phasespace.tcs_center(s, 0.4)))
     assert math.isfinite(specfun.bailey_integral(2, 4, 1.1, 0.7, 1.3))
