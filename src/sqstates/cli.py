@@ -103,6 +103,8 @@ EXIT_IO = 3
 
 #: Seed used by ``verify`` when neither the config nor --seed gives one.
 DEFAULT_SEED = 20240817
+#: The values of the config fields ``points`` and ``truncation`` if unset.
+DEFAULT_POINTS, DEFAULT_TRUNCATION = 201, 128
 
 class ConfigError(ValueError):
     """A config file failed validation; the message names the field."""
@@ -459,7 +461,7 @@ def cmd_wigner(config: dict, args, stage: str) -> tuple[list, int]:
     kind = _validate_variant(state, "kind", _STATE_SCHEMAS, "config.state")
 
     p0 = _params_of(config["params"])
-    points = int(config.get("points", 201))
+    points = int(config.get("points", DEFAULT_POINTS))
     shape = _parse_grid(args.grid) if args.grid else (points, points)
     spread = float(config.get("spread", 5.0))
     want_rotation = bool(config.get("rotation_check", False))
@@ -551,7 +553,7 @@ def cmd_statistics(config: dict, args, stage: str) -> tuple[list, int]:
     mode = _validate_variant(config, "mode", _STATISTICS_SCHEMAS, "config")
 
     if mode == "full-expansion":
-        truncation = int(config.get("truncation", 128))
+        truncation = int(config.get("truncation", DEFAULT_TRUNCATION))
         p0 = _params_of(config["params"])
         with _blame("config.params"):
             table = expansion_table(p0, (0,), size=truncation)
@@ -596,7 +598,7 @@ def cmd_expand(config: dict, args, stage: str) -> tuple[list, int]:
     columns = [int(n) for n in config["columns"]]
     if len(set(columns)) != len(columns):
         raise ConfigError("config.columns: labels must be distinct")
-    truncation = int(config.get("truncation", 128))
+    truncation = int(config.get("truncation", DEFAULT_TRUNCATION))
     for n in columns:
         if n >= truncation:
             raise ConfigError("config.columns: column %d is not below the "
@@ -640,7 +642,7 @@ def cmd_demkov(config: dict, args, stage: str) -> tuple[list, int]:
     c = ChannelParameters(float(block["beta0"]),
                           float(block.get("delta0", 0.0)))
     times = [float(t) for t in config["times"]]
-    points = int(config.get("points", 201))
+    points = int(config.get("points", DEFAULT_POINTS))
     half_width = config.get("half_width")
     if half_width is not None:
         half_width = float(half_width)
@@ -677,7 +679,7 @@ def cmd_verify(config: dict, args, stage: str) -> tuple[list, int]:
     """Run the invariant suite; write the JSON report; exit 0 iff clean."""
     seed = config.get("seed", DEFAULT_SEED)
     if args.seed is not None:
-        if args.seed < 0:
+        if args.seed < _VERIFY_SCHEMA["properties"]["seed"]["minimum"]:
             raise ConfigError("--seed must be a non-negative integer, got %d"
                               % args.seed)
         seed = args.seed

@@ -3,7 +3,7 @@
 Six real parameters (alpha, beta, gamma, delta, epsilon, kappa) fix a
 normalized Gaussian wave packet of the unit-frequency harmonic oscillator
 at one instant: alpha, delta, kappa are quadratic/linear/constant phase
-coefficients, beta scales the envelope, epsilon shifts it, gamma is the
+coefficients, beta > 0 scales the envelope, epsilon shifts it, gamma is the
 accumulated phase of the lowest mode.  The time dependence of all six is
 known in closed form, so "evolution" here is exact substitution, never
 numerical integration.
@@ -69,11 +69,10 @@ MAX_TIME = 0.25 * sys.float_info.max
 class ErmakovParameters:
     """One instant of the six-parameter Gaussian packet, or many.
 
-    beta must be nonzero (it scales the envelope width as 1/beta**2); the
-    canonical sign at construction from real data is beta > 0, but negative
-    beta is representable and evolves consistently.  `evolve` over an
-    array of times gives six 1-d float64 arrays, one entry per time, and
-    the checks then hold entrywise.
+    beta must be positive (it scales the envelope width as 1/beta**2);
+    `evolve` keeps it positive at every time.  `evolve` over an array of
+    times gives six 1-d float64 arrays, one entry per time, and the checks
+    then hold entrywise.
     """
 
     alpha: float
@@ -87,7 +86,7 @@ class ErmakovParameters:
         if isinstance(self.beta, np.ndarray):
             values = [getattr(self, name) for name in _PARAM_FIELDS]
             if (all(np.isfinite(v).all() for v in values)
-                    and (self.beta != 0.0).all()):
+                    and (self.beta > 0.0).all()):
                 return
             for row in zip(*[v.tolist() for v in values]):
                 ErmakovParameters(*row)  # raises at the first bad entry
@@ -96,8 +95,7 @@ class ErmakovParameters:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.beta == 0.0:
-            raise ValueError("beta must be nonzero")
+        _check_beta(self.beta)
 
 
 @dataclass(frozen=True)
@@ -130,6 +128,12 @@ class InvariantSet:
     phase_invariant: float
     displacement_invariant_1: float
     displacement_invariant_2: float
+
+
+def _check_beta(beta, name: str = "beta") -> None:
+    """Raise ValueError, naming the argument ``name``, unless beta > 0."""
+    if not beta > 0.0:
+        raise ValueError(f"{name} must be positive, got {beta!r}")
 
 
 def _check_time(t: float) -> float:
@@ -299,9 +303,8 @@ def invariants(p: ErmakovParameters) -> InvariantSet:
 def to_complex(p0: ErmakovParameters) -> ComplexGroupParameters:
     """Map real initial data to the complex constants of the rotation form.
 
-    The sign of beta0 is not encoded (only beta0^2 enters), so the map
-    is inverted up to that sign.  gamma0 and kappa0 ride along
-    separately.
+    beta0 > 0 comes back as sqrt(|c1|^2 - |c2|^2), so the map is one to
+    one; gamma0 and kappa0 ride along separately.
     """
     c1, c2 = _c_pair(p0.alpha, p0.beta)
     c3 = complex(p0.delta / p0.beta, -p0.epsilon)
@@ -320,7 +323,7 @@ def evolve_complex(
     kappa0: float,
     t: float,
 ) -> ErmakovParameters:
-    """Evolve through the complex rotation form; returns the beta > 0 representative.
+    """Evolve through the complex rotation form.
 
     z(t) = c1 e^{it} + c2 e^{-it} never vanishes, and its continuous
     argument is t + Arg(c1) + Arg(1 + (c2/c1) e^{-2it}) with both principal

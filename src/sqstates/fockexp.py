@@ -66,12 +66,12 @@ it returns; each in-place product keeps the elementwise operations and
 operand order of the whole-table expression it replaces, bit for bit.
 The one exception is ``m_matrix(alpha, beta, 1)``: numpy's in-place
 complex multiply of a 1x1 array rounds otherwise than the out-of-place
-one (``m_matrix(0.0, -0.7, 1)`` has imaginary part 0 where the one-shot
+one (``m_matrix(0.0, 0.7, 1)`` has imaginary part 0 where the one-shot
 expression gives 2.79e-17); from 2x2 on the two agree.
 
 NORMALIZATION: stored coefficients are the bare c_mn above -- the
 sqrt(beta0) weight is applied at reconstruction, NOT stored.  A single
-column therefore sums to |beta0| * sum_m |c_mn|^2 = 1 - tail, and
+column therefore sums to beta0 * sum_m |c_mn|^2 = 1 - tail, and
 `ExpansionTable.tail_mass` always reports that weighted deficit.  The
 matrix product is blind to the initial phase gamma0 while the
 wavefunction carries a constant e^{i(2n+1)gamma0}, so that gauge factor
@@ -93,7 +93,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._csv import BLOCK_ROWS, FLOAT, write_csv
-from .ermakov import ErmakovParameters, _c_pair, evolve
+from .ermakov import ErmakovParameters, _c_pair, _check_beta, evolve
 from .specfun import (
     MAX_DEGREE,
     _check_degree,
@@ -187,9 +187,9 @@ def _zeta_powers(a: float, b: float, size: int) -> np.ndarray:
     return np.exp(1j * (n * hi)) * np.exp(1j * (n * (theta - hi)))
 
 
-def _alternating(size: int, s: float) -> np.ndarray:
-    """The real diagonal (1, s, 1, s, ...); D = diag((-1)^m) at s = -1."""
-    return np.where(np.arange(size) % 2, s, 1.0)
+def _alternating(size: int) -> np.ndarray:
+    """The real diagonal D = diag((-1)^m) = (1, -1, 1, -1, ...)."""
+    return np.where(np.arange(size) % 2, -1.0, 1.0)
 
 
 def _t_front(a: float, b: float, gamma: float) -> tuple[float, complex]:
@@ -223,7 +223,7 @@ def _t_columns(a: float, b: float, gamma: float, size: int,
         return np.where(m == cols, front, 0j)
     rows = int(cols.max()) + 1
     upper = _displacement_upper(nu, rows, size)
-    sign = _alternating(size, -1.0)
+    sign = _alternating(size)
     s = upper[cols].T
     s *= sign[:, None] * sign[cols]
     np.copyto(s[:rows], upper[:, cols], where=m[:rows] <= cols)
@@ -263,7 +263,7 @@ def _t_product(a: float, b: float, gamma: float, x: np.ndarray) -> np.ndarray:
     diag = upper.diagonal().copy()
     np.fill_diagonal(upper, 0.0)
     zeta = _zeta_powers(a, b, size)
-    sign = _alternating(size, -1.0)[:, None]
+    sign = _alternating(size)[:, None]
     y = (zeta[:, None] * x).view(float)
     # sy = upper @ y + diag y + sign (upper^T (sign y)), summed in that order
     sy = upper @ y
@@ -451,27 +451,24 @@ def _orbit_phases(alpha: float, beta: float) -> tuple[float, float, float]:
 
 
 def _squeeze_factors(alpha: float, beta: float, size: int):
-    """Factors ``(row, factors, col)`` of M(alpha, beta), beta != 0.
+    """Factors ``(row, factors, col)`` of M(alpha, beta), beta > 0.
 
     M = row[:, None] * M(0, b0) * col[None, :], with M(0, b0) held as its
     quadrature factors (`_scale_factors`); see `m_matrix`.
     """
-    b0, t, dgamma = _orbit_phases(alpha, abs(beta))
+    b0, t, dgamma = _orbit_phases(alpha, beta)
     m_idx = np.arange(size)
-    row = math.sqrt(b0 / abs(beta)) * np.exp(-1j * (m_idx + 0.5) * t)
+    row = math.sqrt(b0 / beta) * np.exp(-1j * (m_idx + 0.5) * t)
     col = np.exp(-1j * (2.0 * m_idx + 1.0) * dgamma)
-    if beta < 0.0:
-        col = col * _alternating(size, -1.0)
     return row, _scale_factors(b0, size), col
 
 
 def _exact_scale(alpha: float, beta: float, size: int):
     """The diagonal of M(alpha, beta) where M is exactly diagonal, else None.
 
-    That is at alpha = 0, |beta| = 1, where Psi_n(beta x) = beta^n Psi_n(x).
+    That is at alpha = 0, beta = 1 only, where M is the identity.
     """
-    exact = alpha == 0.0 and abs(beta) == 1.0
-    return _alternating(size, beta) if exact else None
+    return np.ones(size) if alpha == 0.0 and beta == 1.0 else None
 
 
 def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
@@ -488,15 +485,15 @@ def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
 
     M(0, b0) is multiplied out from its quadrature factors one parity
     block at a time (`_scale_factors`), so entries with m + n odd are
-    exact zeros by construction.  At alpha = 0, |beta| = 1 the matrix
-    is returned exactly, as diag(1, beta, 1, beta, ...) (`_exact_scale`).
+    exact zeros by construction.  At alpha = 0, beta = 1 the identity is
+    returned exactly (`_exact_scale`).
 
     Parameters
     ----------
     alpha : float
         Quadratic phase of the transformed state.
     beta : float
-        Scale factor; must be nonzero (negative flips odd columns).
+        Scale factor; must be positive.
     size : int
         Number of rows and columns.
 
@@ -510,8 +507,7 @@ def m_matrix(alpha: float, beta: float, size: int) -> np.ndarray:
         accuracy is uniform in size (~1e-13 absolute at MAX_DEGREE).
     """
     size = _check_int(size, "size", 1, MAX_DEGREE)
-    if beta == 0.0:
-        raise ValueError("beta must be nonzero")
+    _check_beta(beta)
     alpha = float(alpha)
     beta = float(beta)
     diag = _exact_scale(alpha, beta, size)
@@ -536,7 +532,7 @@ class ExpansionTable:
     `coeffs[m, j]` is the bare coefficient c_{m, columns[j]}; the
     sqrt(beta0) reconstruction weight is NOT included (see the module
     docstring), so the physical probability carried by column j is
-    |beta0| * sum_m |coeffs[m, j]|^2 = 1 - tail_mass[j].
+    beta0 * sum_m |coeffs[m, j]|^2 = 1 - tail_mass[j].
 
     Attributes
     ----------
@@ -548,7 +544,7 @@ class ExpansionTable:
         Weighted probability beyond the truncation, one entry per
         column; always reported, never silently dropped.
     beta0 : float
-        Scale parameter fixing the reconstruction weight.
+        Scale parameter, positive, fixing the reconstruction weight.
     """
 
     coeffs: np.ndarray
@@ -573,7 +569,7 @@ class ExpansionTable:
 
     @property
     def weights(self) -> np.ndarray:
-        """Level weights |beta0| (re^2 + im^2) of `coeffs`, read-only.
+        """Level weights beta0 (re^2 + im^2) of `coeffs`, read-only.
 
         Entry [m, j] is the occupation probability of basis level m in
         column j.  Each square is libm ``pow`` on a Python float, one
@@ -581,9 +577,9 @@ class ExpansionTable:
         last bit), so the weights are computed on access: a table that
         is never squared does not pay for them.
         """
-        weight = abs(self.beta0)
+        b0 = self.beta0
         return _readonly(np.array([
-            [weight * (re**2 + im**2) for re, im in zip(res, ims)]
+            [b0 * (re**2 + im**2) for re, im in zip(res, ims)]
             for res, ims in zip(self.coeffs.real.tolist(),
                                 self.coeffs.imag.tolist())]))
 
@@ -661,10 +657,9 @@ def expansion_table(p0: ErmakovParameters, columns, size: int) -> ExpansionTable
             "non-finite expansion coefficients: the overlap matrices "
             f"overflow at truncation {size} for these parameters")
 
-    weight = abs(b0)
-    tail_first = 1.0 - weight * np.sum(np.abs(first) ** 2, axis=0)
-    tail_second = 1.0 - weight * np.sum(np.abs(second) ** 2, axis=0)
-    diff = weight * np.sum(np.abs(first - second) ** 2, axis=0)
+    tail_first = 1.0 - b0 * np.sum(np.abs(first) ** 2, axis=0)
+    tail_second = 1.0 - b0 * np.sum(np.abs(second) ** 2, axis=0)
+    diff = b0 * np.sum(np.abs(first - second) ** 2, axis=0)
     budget = 10.0 * (np.abs(tail_first) + np.abs(tail_second)) + 1e-18
     failing = np.flatnonzero(~(diff <= budget))
     if failing.size:
@@ -744,8 +739,7 @@ def time_dependent_expansion(p0: ErmakovParameters, n: int, t: float,
     on a small block (ArithmeticError on failure).
     """
     table = expansion_table(p0, (n,), size)
-    if p0.beta > 0:
-        _phase_identity_check(p0, t)
+    _phase_identity_check(p0, t)
     phases = np.exp(-1j * (np.arange(size) + 0.5) * t)
     return _readonly(table.coeffs[:, 0] * phases)
 
@@ -862,8 +856,7 @@ def squeezed_vacuum_coeffs(alpha0: float, beta0: float, p_max: int) -> np.ndarra
     sqrt(beta0) reconstruction weight is again left out, so
     beta0 |coeff_p|^2 reproduces the even Pascal probabilities.
     """
-    if beta0 == 0.0:
-        raise ValueError("beta0 must be nonzero")
+    _check_beta(beta0, "beta0")
     p_max = _check_int(p_max, "p_max", 0, MAX_DEGREE - 1)
     c1, c2 = _c_pair(alpha0, beta0)
     out = np.zeros(p_max + 1, dtype=complex)

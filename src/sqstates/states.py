@@ -98,7 +98,7 @@ class CovarianceTriple:
 class ScaleRangeError(ArithmeticError):
     """A power of beta left the float range inside `covariance`.
 
-    sigma_p and sigma_x are positive for every finite nonzero beta, so
+    sigma_p and sigma_x are positive for every finite beta > 0, so
     when one of them is not, beta^2 overflowed or beta^4 underflowed.
     """
 
@@ -132,6 +132,7 @@ def psi_n(s: DynamicState, x, t: float):
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     xi = p.beta * xv + p.epsilon
     h = hermite_function_table(s.n, xi)[-1]
+    # not math.sqrt, which differs in the last bit for ~1 beta in 1250
     root_beta = complex(p.beta) ** 0.5
     vals = (root_beta * np.exp(1j * (2 * s.n + 1) * p.gamma)
             * _phase_factor(p, xv) * h)
@@ -149,7 +150,7 @@ def psi_tcs(s: TCSState, x, t: float):
     eta = complex(s.zeta) * cmath.exp(2j * p.gamma)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     xi = p.beta * xv + p.epsilon
-    root = complex(p.beta) ** 0.5 * math.pi ** -0.25
+    root = complex(p.beta) ** 0.5 * math.pi ** -0.25  # as in `psi_n`
     envelope = np.exp(-0.5 * (xi - math.sqrt(2.0) * eta) ** 2)
     front = cmath.exp(0.5 * (eta * eta - abs(eta) ** 2) + 1j * p.gamma)
     vals = root * front * _phase_factor(p, xv) * envelope

@@ -12,8 +12,8 @@ numpy expressions that `sqstates.fockexp`'s kernels evaluated before
 those kernels wrote their products in place, kept verbatim so that the
 tests can pin the in-place kernels to the same bits.  They reuse only
 the library pieces that the in-place rewrite left alone.  They also
-keep each parity sign and each identity-point test written out where
-the library now takes them from one helper, and `forked_extrema` keeps
+keep the parity sign and the identity-point test written out where the
+library takes each from one helper, and `forked_extrema` keeps
 `states.uncertainty_extrema` with the constant-product fork it dropped.
 
 `flow_row` is a reference of that kind too: one row of ``evolve.csv``
@@ -131,8 +131,8 @@ def schrodinger_residual_2d(psi, xs, ys, t, h=1e-4):
 
 
 def quadrature_extent(p, x_mean=0.0):
-    """Integration half width 10 * max(1, 1/|beta|, |<x>|) for a parameter set."""
-    return 10.0 * max(1.0, 1.0 / abs(p.beta), abs(x_mean))
+    """Integration half width 10 * max(1, 1/beta, |<x>|) for a parameter set."""
+    return 10.0 * max(1.0, 1.0 / p.beta, abs(x_mean))
 
 
 def hyp2f0_terminating(n, m, z):
@@ -161,10 +161,8 @@ def m_entry(m, n, alpha, beta, branch=1):
     c1 = complex(0.5 * (1.0 + beta * beta), -alpha)
     c2 = complex(0.5 * (1.0 - beta * beta), alpha)
     if c2 == 0:
-        # pure rescale by |beta| = 1: identity up to the parity of n
-        if m != n:
-            return 0j
-        return complex((-1.0) ** n) if beta < 0 else 1 + 0j
+        # alpha = 0, beta = 1: the identity
+        return 1 + 0j if m == n else 0j
     zeta = branch * beta / abs(c2)
     f = hyp2f1_even_odd(m, n, zeta)
     w = np.sqrt(c2)
@@ -277,12 +275,10 @@ def oneshot_t_product(a, b, gamma, x):
 
 def oneshot_squeeze_factors(alpha, beta, size):
     """`fockexp._squeeze_factors` with a separate weighted table hxw."""
-    b0, t, dgamma = fockexp._orbit_phases(alpha, abs(beta))
+    b0, t, dgamma = fockexp._orbit_phases(alpha, beta)
     m_idx = np.arange(size)
-    row = math.sqrt(b0 / abs(beta)) * np.exp(-1j * (m_idx + 0.5) * t)
+    row = math.sqrt(b0 / beta) * np.exp(-1j * (m_idx + 0.5) * t)
     col = np.exp(-1j * (2.0 * m_idx + 1.0) * dgamma)
-    if beta < 0.0:
-        col = col * np.where(m_idx % 2, -1.0, 1.0)
     u, weights = gauss_hermite_rule(size + 1)
     s = math.sqrt(2.0 / (1.0 + b0 * b0))
     table = hermite_function_table(size - 1, np.concatenate((s * u,
@@ -302,10 +298,9 @@ def oneshot_scale_product(factors, x):
 
 
 def oneshot_m_matrix(alpha, beta, size):
-    """`fockexp.m_matrix`: exact at its identity points, else row*core*col."""
-    if alpha == 0.0 and abs(beta) == 1.0:
-        diag = np.where(np.arange(size) % 2, beta, 1.0).astype(complex)
-        return np.diag(diag)
+    """`fockexp.m_matrix`: exact at its identity point, else row*core*col."""
+    if alpha == 0.0 and beta == 1.0:
+        return np.eye(size, dtype=complex)
     row, factors, col = oneshot_squeeze_factors(alpha, beta, size)
     core = fockexp._real_scale_matrix(factors, range(size))
     return row[:, None] * core * col[None, :]
@@ -317,14 +312,14 @@ def oneshot_expansion(p0, cols, size):
     picked = np.array(cols)
     first_order, _ = fockexp._t_arguments(p0)
     tcols = oneshot_t_columns(*first_order, size, cols)
-    if p0.alpha == 0.0 and abs(p0.beta) == 1.0:
-        # the exact identity point of `m_matrix`: M = diag(1, b0, 1, b0, ...)
-        first = np.where(np.arange(size) % 2, p0.beta, 1.0)[:, None] * tcols
+    if p0.alpha == 0.0 and p0.beta == 1.0:
+        # the exact identity point of `m_matrix`, applied as a product
+        first = np.ones(size)[:, None] * tcols
     else:
         row, factors, col = oneshot_squeeze_factors(p0.alpha, p0.beta, size)
         first = row[:, None] * oneshot_scale_product(factors,
                                                      col[:, None] * tcols)
-    tail = 1.0 - abs(p0.beta) * np.sum(np.abs(first) ** 2, axis=0)
+    tail = 1.0 - p0.beta * np.sum(np.abs(first) ** 2, axis=0)
     if p0.gamma != 0.0:
         first = first * np.exp(1j * (2.0 * picked + 1.0) * p0.gamma)
     return np.ascontiguousarray(first), tail
@@ -460,14 +455,12 @@ def psi_2d(c, x, y, t):
     return front * np.exp(1j * (chirp + ray) + envelope)
 
 
-def from_complex(c, gamma0=0.0, kappa0=0.0, sign=1):
-    """Invert `to_complex`; sign picks the branch of beta0 = +/- sqrt(|c1|^2-|c2|^2)."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+def from_complex(c, gamma0=0.0, kappa0=0.0):
+    """Invert `to_complex`, with beta0 = sqrt(|c1|^2 - |c2|^2) > 0."""
     bsq = abs(c.c1) ** 2 - abs(c.c2) ** 2
     if not bsq > 0.0:
         raise ValueError("require |c1|^2 - |c2|^2 > 0")
-    b0 = sign * math.sqrt(bsq)
+    b0 = math.sqrt(bsq)
     a0 = (0.5j * (c.c1 * c.c2.conjugate() - c.c1.conjugate() * c.c2)).real
     d0 = 0.5 * b0 * (c.c3 + c.c3.conjugate()).real
     e0 = (0.5j * (c.c3 - c.c3.conjugate())).real

@@ -1,11 +1,13 @@
 """Importing ``sqstates`` loads numpy with a one-thread OpenBLAS pool.
 
-Each case runs in a fresh interpreter, because OpenBLAS sizes its pool
-once, when numpy loads it.  The in-process tests of this suite import
-numpy in ``conftest.py`` before ``sqstates``, so the pin does not reach
-them: there numpy keeps whatever pool the environment gave it.
+OpenBLAS sizes its pool once, when numpy loads it, so most cases run in
+a fresh interpreter.  ``conftest.py`` imports ``sqstates`` before
+numpy, so the pin reaches this pytest process too; the last case asks
+numpy's OpenBLAS for its pool size in process.
 """
 
+import ctypes
+import glob
 import json
 import os
 import subprocess
@@ -77,3 +79,33 @@ def test_numpy_loaded_first_keeps_its_pool():
     seen = probe(before="import numpy\n")
     assert seen["after_import"] > 1
     assert seen["variable"] is None
+
+
+def numpy_pool_size():
+    """The pool size numpy's bundled OpenBLAS reports, or None.
+
+    Asked through the library itself, because a process can hold a
+    second OpenBLAS: scipy's wheels bundle their own, which reads the
+    thread variables when scipy loads it, after the pin is gone.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)  # already loaded: the same handle
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return None
+
+
+@pytest.mark.skipif(any(name in os.environ for name in THREAD_VARIABLES),
+                    reason="a thread variable sets the pool size")
+def test_this_process_has_one_blas_thread():
+    a = np.arange(512 * 512, dtype=float).reshape(512, 512) / 512.0
+    a @ a
+    size = numpy_pool_size()
+    if size is None:
+        pytest.skip("numpy's OpenBLAS is not a bundled library to ask")
+    assert size == 1

@@ -1122,12 +1122,13 @@ class TestVerify:
 
     def test_injected_sign_error_fails_named_check(self, tmp_path,
                                                    monkeypatch, capsys):
-        # a sign error in the evolved beta, put in for this check alone
+        # a sign error in the evolved delta, put in for this check alone
+        # (beta has no sign to get wrong: the library refuses beta <= 0)
         real_evolve = verify.evolve
 
         def flipped(p0, t):
             p = real_evolve(p0, t)
-            return dataclasses.replace(p, beta=-p.beta)
+            return dataclasses.replace(p, delta=-p.delta)
 
         def check(rng):
             # drained inside the context: a generator runs when read

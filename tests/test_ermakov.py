@@ -110,18 +110,9 @@ class TestComplexForm:
             back = from_complex(c, gamma0=p0.gamma, kappa0=p0.kappa)
             assert as_tuple(back) == pytest.approx(as_tuple(p0), abs=1e-13)
 
-    def test_negative_beta_branch(self):
-        p0 = ErmakovParameters(0.2, -1.3, 0.0, 0.4, -0.2, 0.0)
-        c = to_complex(p0)
-        back = from_complex(c, sign=-1)
-        assert back.beta == pytest.approx(-1.3, abs=1e-14)
-        assert back.delta == pytest.approx(0.4, abs=1e-14)
-
     def test_rejects_unbalanced_moduli(self):
         with pytest.raises(ValueError):
             ComplexGroupParameters(c1=0.3 + 0.0j, c2=0.7 + 0.0j, c3=0.0j)
-        with pytest.raises(ValueError):
-            from_complex(ComplexGroupParameters(1.0 + 0.0j, 0.1 + 0.0j, 0.0j), sign=2)
 
     def test_evolve_matches_evolve_complex(self, rng):
         for _ in range(200):

@@ -1,8 +1,10 @@
 """Overlap-matrix and expansion tests against quadrature and mpmath oracles."""
 
 import math
+import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -33,7 +35,7 @@ from sqstates.specfun import (
 )
 from sqstates.states import DynamicState, energy, psi_n
 
-from conftest import draw_params
+from conftest import draw_params, mirrored
 from oracles import (
     gauss_grid,
     hyp2f0_terminating,
@@ -174,10 +176,6 @@ class TestMMatrix:
     def test_unit_scale_is_identity(self):
         assert np.array_equal(m_matrix(0.0, 1.0, 7), np.eye(7))
 
-    def test_negative_unit_scale_alternates_signs(self):
-        out = m_matrix(0.0, -1.0, 6)
-        assert np.array_equal(out, np.diag([1, -1, 1, -1, 1, -1]).astype(complex))
-
     def test_matches_quadrature(self):
         out = m_matrix(0.4, 1.3, 9)
         ref = quad_squeeze_overlaps(0.4, 1.3, 9)
@@ -186,7 +184,7 @@ class TestMMatrix:
     def test_matches_entrywise_closed_form(self, rng):
         for _ in range(25):
             a = rng.uniform(-1.5, 1.5)
-            b = rng.uniform(0.4, 2.3) * rng.choice([-1.0, 1.0])
+            b = rng.uniform(0.4, 2.3)
             out = m_matrix(a, b, 12)
             for m in range(12):
                 for n in range(12):
@@ -215,7 +213,7 @@ class TestMMatrix:
         # a naive double-precision ladder loses these norms by ~1e80
         for a, b in [(0.4, 1.3), (1.0, 0.5), (0.0, 0.45)]:
             out = m_matrix(a, b, 512)
-            norms = abs(b) * np.sum(np.abs(out) ** 2, axis=0)
+            norms = b * np.sum(np.abs(out) ** 2, axis=0)
             assert norms.max() < 1.0 + 1e-11
             assert norms.min() > 0.0
 
@@ -229,15 +227,11 @@ class TestMMatrix:
         m, n = np.indices(out.shape)
         assert np.all(out[(m + n) % 2 == 1] == 0.0)
 
-    def test_negative_scale_flips_odd_columns(self):
-        plus = m_matrix(0.6, 1.7, 10)
-        minus = m_matrix(0.6, -1.7, 10)
-        signs = np.where(np.arange(10) % 2, -1.0, 1.0)
-        assert np.array_equal(minus, plus * signs)
-
     def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
-            m_matrix(0.3, 0.0, 8)
+        for beta in (0.0, -0.0, -1.0, -1.7):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"beta must be positive, got {beta!r}")):
+                m_matrix(0.3, beta, 8)
 
 
 class TestSqueezedVacuumCoeffs:
@@ -258,8 +252,10 @@ class TestSqueezedVacuumCoeffs:
             stats.probabilities[::2], abs=1e-14)
 
     def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
-            squeezed_vacuum_coeffs(0.1, 0.0, 5)
+        for beta0 in (0.0, -0.0, -0.7):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"beta0 must be positive, got {beta0!r}")):
+                squeezed_vacuum_coeffs(0.1, beta0, 5)
 
 
 class TestExpansionTable:
@@ -295,7 +291,7 @@ class TestExpansionTable:
     def test_mean_level_is_the_closed_form_energy(self):
         # column n is |n> moved by the Gaussian unitary of p0, so its mean
         # photon number is <H>_n - 1/2; this is what sizes the truncated
-        # tables of sqstates verify.  The weights carry |beta0| already.
+        # tables of sqstates verify.  The weights carry beta0 already.
         rng = np.random.default_rng(31)
         levels = np.arange(256)
         for _ in range(40):
@@ -344,7 +340,7 @@ class TestExpansionTable:
             expansion_table(p0, (0, 1), 128)
 
     def test_weights_are_weighted_squares(self):
-        p0 = ErmakovParameters(0.2, -1.1, 0.4, 0.5, -0.3, 0.1)
+        p0 = ErmakovParameters(0.2, 1.1, 0.4, 0.5, -0.3, 0.1)
         tab = expansion_table(p0, (0, 3), size=24)
         weights = tab.weights
         assert weights.shape == tab.coeffs.shape
@@ -428,25 +424,28 @@ def test_column_bits_do_not_depend_on_the_other_columns(p0, case):
                               uint_view(table.tail_mass[pick]))
 
 
-# gamma0 != 0 with beta0 > 0; beta0 < 0; the exact identity point of
-# m_matrix at beta0 = +1 and -1
+# gamma0 != 0 with beta0 > 0; beta0 < 0, refused and run at alpha0 < 0,
+# beta0 < 1; the exact identity point of m_matrix at beta0 = 1, and at
+# beta0 = -1, refused and run at the identity point with gamma0 < 0
 FACTORED_CASES = [
-    ErmakovParameters(0.3, 1.2, 0.7, 0.4, -0.5, 0.2),
-    ErmakovParameters(-0.4, -0.9, 0.3, 0.2, 0.3, -0.1),
-    ErmakovParameters(0.0, 1.0, 0.5, 0.3, -0.2, 0.1),
-    ErmakovParameters(0.0, -1.0, -1.1, 0.3, -0.2, 0.1),
+    (0.3, 1.2, 0.7, 0.4, -0.5, 0.2),
+    (-0.4, -0.9, 0.3, 0.2, 0.3, -0.1),
+    (0.0, 1.0, 0.5, 0.3, -0.2, 0.1),
+    (0.0, -1.0, -1.1, 0.3, -0.2, 0.1),
 ]
+GENERIC = ErmakovParameters(*FACTORED_CASES[0])
 
 
 class TestFactoredExpansion:
     """The first-order product never forms M, and never a full T."""
 
     @pytest.mark.parametrize("size", [7, 8, 128, 512])
-    @pytest.mark.parametrize("p0", FACTORED_CASES,
+    @pytest.mark.parametrize("case", FACTORED_CASES,
                              ids=["gamma0", "beta0<0", "identity", "-identity"])
-    def test_matches_explicit_matrix_product(self, size, p0):
+    def test_matches_explicit_matrix_product(self, size, case):
         # odd and even sizes give rules of even and odd node counts; the
         # last column carries a large tail, so warnings are expected
+        p0 = mirrored(*case)
         cols = (0, 5, size - 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
@@ -454,15 +453,15 @@ class TestFactoredExpansion:
         tmat = t_matrix(p0.epsilon, p0.delta / p0.beta, p0.kappa, size)
         gauge = np.exp(1j * (2.0 * np.array(cols) + 1.0) * p0.gamma)
         ref = (m_matrix(p0.alpha, p0.beta, size) @ tmat[:, cols]) * gauge
-        tail = 1.0 - abs(p0.beta) * np.sum(np.abs(ref) ** 2, axis=0)
+        tail = 1.0 - p0.beta * np.sum(np.abs(ref) ** 2, axis=0)
         assert np.max(np.abs(tab.coeffs - ref)) <= 1e-13
         assert np.max(np.abs(tab.tail_mass - tail)) <= 1e-13
 
     @pytest.mark.parametrize("size", [7, 8, 129])
     @pytest.mark.parametrize("beta", [1.3, -0.7])
     def test_m_matrix_parity_zeros_are_exact(self, size, beta):
-        # both node-count parities, both signs of beta
-        out = m_matrix(0.4, beta, size)
+        # both node-count parities, beta on both sides of 1
+        out = m_matrix(0.4, mirrored(0.4, beta).beta, size)
         m, n = np.indices(out.shape)
         assert np.all(out[(m + n) % 2 == 1] == 0.0)
 
@@ -475,9 +474,10 @@ class TestFactoredExpansion:
         want = np.ascontiguousarray(t_matrix(a, b, g, size)[:, cols])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("p0", FACTORED_CASES[::2],
+    @pytest.mark.parametrize("case", FACTORED_CASES[::2],
                              ids=["generic", "identity"])
-    def test_builds_no_squeeze_matrix_and_no_t_matrix(self, monkeypatch, p0):
+    def test_builds_no_squeeze_matrix_and_no_t_matrix(self, monkeypatch,
+                                                      case):
         calls = {"m_matrix": 0, "t_matrix": 0}
 
         def counted(name):
@@ -490,7 +490,7 @@ class TestFactoredExpansion:
 
         for name in calls:
             monkeypatch.setattr(fockexp, name, counted(name))
-        expansion_table(p0, (0, 1, 2), 64)
+        expansion_table(ErmakovParameters(*case), (0, 1, 2), 64)
         assert calls == {"m_matrix": 0, "t_matrix": 0}
 
     def test_cross_check_is_live(self, monkeypatch):
@@ -501,7 +501,7 @@ class TestFactoredExpansion:
                             lambda factors, x: inner(factors, x)
                             * np.exp(1e-6j))
         with pytest.raises(ArithmeticError, match="disagree"):
-            expansion_table(FACTORED_CASES[0], (0, 1, 2), 128)
+            expansion_table(GENERIC, (0, 1, 2), 128)
 
     def test_cross_check_names_the_failing_column(self, monkeypatch):
         # the same error on the middle column only: the message quotes
@@ -516,7 +516,7 @@ class TestFactoredExpansion:
         with pytest.raises(ArithmeticError,
                            match=r"disagree.*: column 5 has weighted "
                                  r"difference \S+ against a budget of"):
-            expansion_table(FACTORED_CASES[0], (2, 5, 7), 128)
+            expansion_table(GENERIC, (2, 5, 7), 128)
 
     def test_cross_check_is_live_on_the_second_order(self, monkeypatch):
         # the same norm-preserving error in the T2 application
@@ -525,7 +525,7 @@ class TestFactoredExpansion:
                             lambda a, b, g, x: inner(a, b, g, x)
                             * np.exp(1e-6j))
         with pytest.raises(ArithmeticError, match="disagree"):
-            expansion_table(FACTORED_CASES[0], (0, 1, 2), 128)
+            expansion_table(GENERIC, (0, 1, 2), 128)
 
 
 class TestTriangleKernel:
@@ -594,9 +594,6 @@ class TestInPlaceKernels:
         rng = np.random.default_rng(case)
         size = (17, 64, 128, 300)[case % 4]
         p0 = draw_params(rng)
-        if case % 2:
-            p0 = ErmakovParameters(p0.alpha, -p0.beta, p0.gamma, p0.delta,
-                                   p0.epsilon, p0.kappa)
         count = int(rng.integers(1, size + 1))
         cols = tuple(sorted(rng.choice(size, count, replace=False).tolist()))
         with warnings.catch_warnings():
@@ -631,17 +628,19 @@ class TestInPlaceKernels:
         assert np.array_equal(uint64(fockexp._t_product(a, b, gamma, x)),
                               uint64(oneshot_t_product(a, b, gamma, x)))
 
-    # the two exact identity points of M, and the odd-column flip of
-    # beta0 < 0 on and off the alpha0 = 0 axis
+    # the exact identity point of M, at alpha0 = 0 and -0; beside it on
+    # and off the alpha0 = 0 axis; and a generic point.  A case written
+    # with beta0 < 0 is refused and runs at -beta0 (`mirrored`)
     @pytest.mark.parametrize("alpha, beta", [
         (0.0, 1.0), (0.0, -1.0), (-0.0, -1.0), (0.0, -0.7), (0.3, -1.0),
         (-0.8, -1.6)])
     @pytest.mark.parametrize("size", [2, 17, 128])
     def test_m_kernels_keep_their_diagonal(self, alpha, beta, size):
+        rng = np.random.default_rng(size)
+        p0 = mirrored(alpha, beta, *rng.uniform(-1.0, 1.0, 4))
+        alpha, beta = p0.alpha, p0.beta
         assert np.array_equal(uint64(m_matrix(alpha, beta, size)),
                               uint64(oneshot_m_matrix(alpha, beta, size)))
-        rng = np.random.default_rng(size)
-        p0 = ErmakovParameters(alpha, beta, *rng.uniform(-1.0, 1.0, 4))
         cols = (0, 3, min(size, 17) - 1) if size > 3 else (0, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
@@ -653,8 +652,8 @@ class TestInPlaceKernels:
     # tracemalloc peaks at size 512 (MiB): whole-table expressions first,
     # in-place kernels second; each bound lies between the two
     @pytest.mark.parametrize("call, bound", [
-        (lambda: expansion_table(FACTORED_CASES[0], range(8), 512), 4.0),
-        (lambda: expansion_table(FACTORED_CASES[0], range(512), 512), 26.0),
+        (lambda: expansion_table(GENERIC, range(8), 512), 4.0),
+        (lambda: expansion_table(GENERIC, range(512), 512), 26.0),
         (lambda: t_matrix(0.4, -0.5, 0.2, 512), 12.0),
         (lambda: m_matrix(0.3, 1.2, 512), 8.0),
     ], ids=["expansion-8-columns",   # 7.61 -> 3.22
@@ -704,6 +703,20 @@ class TestTimeDependentExpansion:
             zt = pt.delta / pt.beta + 1j * pt.epsilon
             assert zt == pytest.approx(
                 z0 * np.exp(2j * (pt.gamma - p0.gamma)), abs=1e-12)
+
+    def test_phase_identity_check_runs_on_every_call(self, monkeypatch):
+        # no test of p0 gates the check: with the table stubbed out, a
+        # stand-in p0 that holds no beta at all still gets it every time
+        seen = []
+        table = SimpleNamespace(coeffs=np.ones((4, 1), dtype=complex))
+        monkeypatch.setattr(fockexp, "expansion_table",
+                            lambda p0, columns, size: table)
+        monkeypatch.setattr(fockexp, "_phase_identity_check",
+                            lambda p0, t: seen.append((p0, t)))
+        p0 = object()
+        for t in (0.0, 0.5, 2.0):
+            time_dependent_expansion(p0, 0, t, 4)
+        assert seen == [(p0, 0.0), (p0, 0.5), (p0, 2.0)]
 
     def test_phase_identity_guard_accepts_generic_draws(self, rng):
         for _ in range(4):

