@@ -6,6 +6,7 @@ path under test) and pasted here.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ class TestComplexForm:
             assert abs(c.c1) ** 2 - abs(c.c2) ** 2 == pytest.approx(p0.beta**2, rel=1e-13)
             back = from_complex(c, gamma0=p0.gamma, kappa0=p0.kappa)
             assert as_tuple(back) == pytest.approx(as_tuple(p0), abs=1e-13)
+
+    def test_negative_beta_branch(self):
+        # beta < 0 has no branch: the point is refused before to_complex,
+        # and the beta > 0 point with the same moduli round trips
+        with pytest.raises(ValueError, match=re.escape(
+                "beta must be positive, got -1.3")):
+            ErmakovParameters(0.2, -1.3, 0.0, 0.4, -0.2, 0.0)
+        back = from_complex(to_complex(
+            ErmakovParameters(0.2, 1.3, 0.0, 0.4, -0.2, 0.0)))
+        assert back.beta == pytest.approx(1.3, abs=1e-14)
+        assert back.delta == pytest.approx(0.4, abs=1e-14)
 
     def test_rejects_unbalanced_moduli(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,12 @@ class TestMMatrix:
     def test_unit_scale_is_identity(self):
         assert np.array_equal(m_matrix(0.0, 1.0, 7), np.eye(7))
 
+    def test_negative_unit_scale_alternates_signs(self):
+        # M(0, -1) = diag((-1)^m) is outside the domain beta > 0
+        with pytest.raises(ValueError, match=re.escape(
+                "beta must be positive, got -1.0")):
+            m_matrix(0.0, -1.0, 6)
+
     def test_matches_quadrature(self):
         out = m_matrix(0.4, 1.3, 9)
         ref = quad_squeeze_overlaps(0.4, 1.3, 9)
@@ -227,8 +233,14 @@ class TestMMatrix:
         m, n = np.indices(out.shape)
         assert np.all(out[(m + n) % 2 == 1] == 0.0)
 
+    def test_negative_scale_flips_odd_columns(self):
+        # there is no odd-column flip for beta < 0: the scale is refused
+        with pytest.raises(ValueError, match=re.escape(
+                "beta must be positive, got -1.7")):
+            m_matrix(0.6, -1.7, 10)
+
     def test_zero_scale_rejected(self):
-        for beta in (0.0, -0.0, -1.0, -1.7):
+        for beta in (0.0, -0.0):
             with pytest.raises(ValueError, match=re.escape(
                     f"beta must be positive, got {beta!r}")):
                 m_matrix(0.3, beta, 8)
