@@ -79,6 +79,7 @@ from .channel import (
 from .ermakov import MAX_TIME, ErmakovParameters, classical_trajectory, evolve
 from .fockexp import (
     PhotonStatistics,
+    _M_MAX,
     expansion_table,
     pascal_even,
     pascal_odd,
@@ -196,18 +197,8 @@ _STATE_SCHEMAS = {
     }, "kind", "terms"),
 }
 
-# The parity tables hold one amplitude per level *pair*, so they reach
-# about twice as high as the generic builders before hitting the degree
-# ceiling.
-_LEVEL_CAPS = {
-    "poisson": MAX_DEGREE - 1,
-    "pascal-even": 2 * (MAX_DEGREE - 1),
-    "pascal-odd": 2 * (MAX_DEGREE - 1) + 1,
-}
-
-
 def _levels_schema(mode: str) -> dict:
-    return {"type": "integer", "minimum": 1, "maximum": _LEVEL_CAPS[mode]}
+    return {"type": "integer", "minimum": 1, "maximum": _M_MAX[mode]}
 
 
 def _pascal_schema(mode: str) -> dict:
@@ -639,8 +630,7 @@ def cmd_demkov(config: dict, args, stage: str) -> tuple[list, int]:
     the snapshots.
     """
     block = config["channel"]
-    c = ChannelParameters(float(block["beta0"]),
-                          float(block.get("delta0", 0.0)))
+    c = ChannelParameters(**{k: float(v) for k, v in block.items()})
     times = [float(t) for t in config["times"]]
     points = int(config.get("points", DEFAULT_POINTS))
     half_width = config.get("half_width")

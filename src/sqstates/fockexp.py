@@ -783,6 +783,16 @@ class PhotonStatistics:
         return 1.0 - float(np.sum(self.probabilities))
 
 
+# The largest m_max of each photon law.  The parity laws hold one
+# amplitude per level *pair* p <= MAX_DEGREE - 1, so they reach about
+# twice as high as the Poisson law.
+_M_MAX = {
+    "poisson": MAX_DEGREE - 1,
+    "pascal-even": 2 * (MAX_DEGREE - 1),
+    "pascal-odd": 2 * (MAX_DEGREE - 1) + 1,
+}
+
+
 def pascal_even(sigma_sum: float, m_max: int) -> PhotonStatistics:
     """Even-level Pascal law of the squeezed vacuum.
 
@@ -794,7 +804,7 @@ def pascal_even(sigma_sum: float, m_max: int) -> PhotonStatistics:
     """
     if not sigma_sum >= 1.0:
         raise ValueError(f"variance sum must be >= 1, got {sigma_sum}")
-    m_max = _check_int(m_max, "m_max", 0, 2 * MAX_DEGREE - 1)
+    m_max = _check_int(m_max, "m_max", 0, _M_MAX["pascal-even"])
     probs = np.zeros(m_max + 1)
     q = (sigma_sum - 1.0) / (sigma_sum + 1.0)
     term = math.sqrt(2.0 / (sigma_sum + 1.0))
@@ -816,7 +826,7 @@ def pascal_odd(sigma_sum: float, m_max: int) -> PhotonStatistics:
     """
     if not sigma_sum >= 1.0:
         raise ValueError(f"variance sum must be >= 1, got {sigma_sum}")
-    m_max = _check_int(m_max, "m_max", 1, 2 * MAX_DEGREE - 1)
+    m_max = _check_int(m_max, "m_max", 1, _M_MAX["pascal-odd"])
     probs = np.zeros(m_max + 1)
     q = (sigma_sum - 1.0) / (sigma_sum + 1.0)
     term = (2.0 / (sigma_sum + 1.0)) ** 1.5
@@ -834,7 +844,7 @@ def poisson_statistics(delta0: float, epsilon0: float, m_max: int) -> PhotonStat
     The mean level is nbar = (delta0^2 + epsilon0^2)/2 and
     P_m = exp(-nbar) nbar^m / m!; mean and variance both equal nbar.
     """
-    m_max = _check_int(m_max, "m_max", 0, MAX_DEGREE - 1)
+    m_max = _check_int(m_max, "m_max", 0, _M_MAX["poisson"])
     nbar = 0.5 * (delta0 * delta0 + epsilon0 * epsilon0)
     probs = np.zeros(m_max + 1)
     term = math.exp(-nbar)

@@ -23,11 +23,6 @@ therefore an *interior-block* statement -- (N-1)x(N-1) for single
 commutators, (N-2)x(N-2) for nested products -- and the `interior`
 helper makes that explicit at call sites.  The truncation edge is never
 silently trusted.
-
-Eigenvector phases.  `numpy.linalg.eigh` returns eigenvectors with
-arbitrary phases; where ladder relations between *different* levels are
-checked, each level is allowed exactly one global phase, anchored by
-making the first component of modulus > 1e-8 real and positive.
 """
 
 from __future__ import annotations
@@ -278,33 +273,19 @@ def hamiltonian_in_ladder(p: ErmakovParameters, n_dim: int) -> OperatorMatrix:
     return OperatorMatrix(mat)
 
 
-def energy_levels(p: ErmakovParameters, n_dim: int):
-    """Interior spectrum and (phase-fixed, zero-padded) eigenvectors of E.
+def energy_levels(p: ErmakovParameters, n_dim: int) -> np.ndarray:
+    """Interior spectrum of E, ascending.
 
-    Diagonalizes the exact (N-1)-block of the invariant, checks that
-    consecutive levels are separated by more than the degeneracy
-    tolerance, and returns eigenvalues with eigenvectors embedded back
-    into dimension N (last amplitude zero).
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        Eigenvalues ascending, and a matrix whose column k is the k-th
-        eigenvector.
+    Diagonalizes the exact (N-1)-block of the invariant with
+    `numpy.linalg.eigh` and checks that consecutive levels are separated
+    by more than the degeneracy tolerance.
     """
     block = interior(invariant_E(p, n_dim).entries, 1)
-    vals, vecs = np.linalg.eigh(block)
+    vals, _ = np.linalg.eigh(block)
     gaps = np.diff(vals)
     if np.any(gaps < DEGENERACY_TOL):
         k = int(np.argmin(gaps))
         raise ArithmeticError(
             "levels %d and %d unresolved (gap %.3e); raise the truncation"
             % (k, k + 1, float(gaps[k])))
-    full = np.zeros((n_dim, vecs.shape[1]), dtype=complex)
-    full[:-1, :] = vecs
-    for k in range(full.shape[1]):
-        col = full[:, k]
-        lead = col[np.abs(col) > 1e-8]
-        if lead.size:
-            full[:, k] = col * (np.conj(lead[0]) / abs(lead[0]))
-    return vals, full
+    return vals

@@ -1,10 +1,11 @@
 """Polynomial special functions and the Gaussian-weighted Hermite integral.
 
 Everything here terminates: the normalized Hermite functions and
-associated Laguerre polynomials, the zeros of the Hermite functions,
-terminating 2F1 sums, and the closed form of
-integral(exp(-lambda2 x^2) H_m(a x) H_n(b x) dx).  Degrees are
-capped at MAX_DEGREE to keep silent overflow out of the library.  Only
+associated Laguerre polynomials of integer order, the nonnegative zeros
+of the Hermite functions, terminating 2F1 sums, and the closed form of
+integral(exp(-lambda2 x^2) H_m(a x) H_n(b x) dx).  Degrees and
+Laguerre orders are capped at MAX_DEGREE to keep silent overflow out of
+the library.  Only
 numpy and the standard library are used.
 
 The closed form of the Gaussian-Hermite integral is evaluated through the
@@ -102,16 +103,17 @@ _ZERO_MAX_STEPS = 10
 
 
 def hermite_zeros(n: int) -> np.ndarray:
-    """The n zeros of H_n (equivalently of h_n), in increasing order.
+    """The (n + 1) // 2 nonnegative zeros of H_n (equivalently of h_n).
 
-    These are the Gauss-Hermite nodes; n may be MAX_DEGREE + 1 so that a
-    rule exact for degree 2 MAX_DEGREE is available.  The positive zeros
+    They are in increasing order, 0 first for odd n; the negative zeros
+    are their mirror images.  These are the half-line Gauss-Hermite
+    nodes; n may be MAX_DEGREE + 1 so that a rule exact for degree
+    2 MAX_DEGREE is available.  The positive zeros
     start from Tricomi's asymptotic guess x = sqrt(2n+1) cos(phi) with
     phi - sin(phi) cos(phi) = pi (4k-1) / (4n+2), k = 1, ..., n // 2 (the
     phi equation is solved by Newton from cbrt(1.5 t)), and are then
     polished by Newton on the normalized recurrence with
-    h_n' = sqrt(2n) h_{n-1} - x h_n.  The negative zeros follow by
-    symmetry, and 0 is a zero for odd n.  No eigenvalue solver is used.
+    h_n' = sqrt(2n) h_{n-1} - x h_n.  No eigenvalue solver is used.
 
     Raises
     ------
@@ -136,7 +138,7 @@ def hermite_zeros(n: int) -> np.ndarray:
             f"Hermite zeros for n={n} did not converge in "
             f"{_ZERO_MAX_STEPS} Newton steps")
     middle = [0.0] if n % 2 else []
-    return np.concatenate((-x, middle, x[::-1]))
+    return np.concatenate((middle, x[::-1]))
 
 
 # One entry per valid node count and integer type (invalid counts raise and
@@ -147,8 +149,8 @@ def hermite_zeros(n: int) -> np.ndarray:
 def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Half-line form of the n-node Gauss-Hermite rule, cached per n.
 
-    Returns ``(nodes, weights)``: the nonnegative zeros of H_n in
-    increasing order (0 first when n is odd) and their modified weights
+    Returns ``(nodes, weights)``: the nonnegative zeros u_j of
+    `hermite_zeros` and their modified weights
     w_j exp(u_j^2) = 1 / (n h_{n-1}(u_j)^2), with the zero node's weight
     halved.  For an even function f,
 
@@ -159,7 +161,7 @@ def gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     MAX_DEGREE + 1.  Both arrays are read-only, because every caller
     shares them; the rule is computed on first use, never at import.
     """
-    u = hermite_zeros(n)[n // 2:].copy()
+    u = hermite_zeros(n)
     for h_last in _hermite_rows(n - 1, u):
         pass                    # keep only the last of n rows
     weights = 1.0 / (n * h_last**2)
@@ -181,7 +183,7 @@ def _laguerre_step(k: int, ka1, x, p, delta, out=None):
     return np.add(p, delta, out=out), delta
 
 
-def laguerre_ratios(nmax: int, a, x):
+def laguerre_ratios(nmax: int, a: int, x):
     """Yield p_k = L_k^a(x) / C(k + a, k) for k = 0, 1, ..., nmax.
 
     Difference form of the three-term Laguerre recurrence: with
@@ -192,10 +194,10 @@ def laguerre_ratios(nmax: int, a, x):
 
     Carrying the increment keeps full accuracy at small x, where every
     p_k is close to 1; the normalized three-term form loses it there.
-    Broadcasts over a (> -1) and x.
+    The order a is an integer in [0, MAX_DEGREE]; vectorized over x.
     """
-    a1 = np.asarray(a, dtype=float) + 1.0
-    p = np.ones(np.broadcast_shapes(a1.shape, np.shape(x)))
+    a1 = _check_degree(a, "order") + 1.0
+    p = np.ones(np.shape(x))
     yield p
     if nmax == 0:
         return
@@ -233,14 +235,13 @@ def laguerre_ratio_table(rows: int, size: int, x: float) -> np.ndarray:
     return out
 
 
-def _binom(top: float, k: int) -> float:
-    """Binomial coefficient C(top, k) for integer k >= 0, by products.
+def _binom(top: int, k: int) -> float:
+    """Binomial coefficient C(top, k) for integers 0 <= k <= top, by products.
 
-    Uses the symmetry C(top, k) = C(top, top - k) for integer top and
-    rescales the running product before it can overflow.
+    Uses the symmetry C(top, k) = C(top, top - k) and rescales the
+    running product before it can overflow.
     """
-    if top == math.floor(top) and top > 0 and k > top / 2:
-        k = int(top) - k
+    k = min(k, top - k)
     num = den = 1.0
     for i in range(1, k + 1):
         num *= i + top - k
@@ -251,15 +252,14 @@ def _binom(top: float, k: int) -> float:
     return num / den
 
 
-def laguerre_assoc(m: int, a: float, x):
+def laguerre_assoc(m: int, a: int, x):
     """Associated Laguerre polynomial L_m^a(x), vectorized over x.
 
     Evaluated as C(m + a, m) times the last ratio of `laguerre_ratios`;
-    requires a > -1.
+    the order a is an integer in [0, MAX_DEGREE].
     """
     m = _check_degree(m)
-    if not a > -1.0:
-        raise ValueError(f"order must exceed -1, got {a!r}")
+    a = _check_degree(a, "order")
     x = np.asarray(x)
     if m == 1:
         out = -x + a + 1.0      # direct, without the ratio form's roundings

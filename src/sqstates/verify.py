@@ -299,7 +299,7 @@ def _check_ladder_spectrum(rng):
         # nine times the mean level of invariant level 6, at least 64,
         # keeps the spectrum error near roundoff over the drawn box
         size = _fock_size(p0, (6,), 9.0, 64)
-        values, _ = energy_levels(evolve(p0, 0.0), size)
+        values = energy_levels(evolve(p0, 0.0), size)
         for k in range(6):
             yield abs(float(values[k]) - (k + 0.5))
 

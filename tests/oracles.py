@@ -28,7 +28,8 @@ wavefunction `psi_superposition`, the held superposition Wigner grid
 `superposition_grid`, the channel wavefunction `psi_2d` with its
 `density_grid` and the continuous argument `_continuous_arg` behind its
 leading phase, the inverse map `from_complex`, and the operator-side
-energy variance `var_h_operator` and ladder check `ladder_action_check`.
+eigenvectors `invariant_vectors`, energy variance `var_h_operator` and
+ladder check `ladder_action_check`.
 They keep their library checks and build on the library's own pieces.
 """
 
@@ -43,7 +44,12 @@ from sqstates import fockexp
 from sqstates._csv import mesh_blocks
 from sqstates.channel import _snapshot_axes, density, width_squared
 from sqstates.ermakov import ErmakovParameters, classical_trajectory, evolve
-from sqstates.operators import b_operators, energy_levels, fock_operators
+from sqstates.operators import (
+    b_operators,
+    fock_operators,
+    interior,
+    invariant_E,
+)
 from sqstates.phasespace import _collect, _superposition_rows
 from sqstates.specfun import (
     _check_degree,
@@ -467,6 +473,19 @@ def from_complex(c, gamma0=0.0, kappa0=0.0):
     return ErmakovParameters(a0, b0, float(gamma0), d0, e0, float(kappa0))
 
 
+def invariant_vectors(p, n_dim):
+    """Eigenvectors of the invariant E, zero-padded to dimension N.
+
+    Column k is `numpy.linalg.eigh`'s k-th eigenvector of the exact
+    (N-1)-block whose eigenvalues `operators.energy_levels` returns, with
+    its phase as eigh gives it and a zero last amplitude.
+    """
+    _, vecs = np.linalg.eigh(interior(invariant_E(p, n_dim).entries, 1))
+    full = np.zeros((n_dim, n_dim - 1), dtype=complex)
+    full[:-1] = vecs
+    return full
+
+
 def var_h_operator(n, p, n_dim=256):
     """Energy variance of the n-th invariant eigenstate, operator route.
 
@@ -479,7 +498,7 @@ def var_h_operator(n, p, n_dim=256):
     if n > n_dim // 8:
         raise ValueError("level %d too close to the truncation %d; "
                          "raise n_dim" % (n, n_dim))
-    _, vecs = energy_levels(p, n_dim)
+    vecs = invariant_vectors(p, n_dim)
     state = vecs[:, n]
     ham = fock_operators(n_dim)["H"].entries
     h_state = ham @ state
@@ -498,7 +517,7 @@ def ladder_action_check(p, n_dim, levels=7):
     vector must be annihilated.
     """
     levels = _check_int(levels, "levels", 1, n_dim // 8)
-    _, vecs = energy_levels(p, n_dim)
+    vecs = invariant_vectors(p, n_dim)
     ladder = b_operators(p, n_dim)
     low = ladder["b"].entries
     high = ladder["b_dag"].entries

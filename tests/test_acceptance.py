@@ -22,7 +22,6 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import stats as scipy_stats
 
 from sqstates.channel import ChannelParameters, focus_metrics
 from sqstates.ermakov import (
@@ -336,12 +335,14 @@ def test_criterion_06_statistics_identities(rng):
                          float(np.max(np.abs(probs[:200, 1] - odd[:200]))))
 
     err_poisson = 0.0
-    levels = np.arange(61)
     for _ in range(20):
         d0, e0 = rng.uniform(-1.6, 1.6, size=2)
         nbar = 0.5 * (d0 * d0 + e0 * e0)
         tm = t_matrix(float(e0), float(d0), 0.0, 61)
-        law = scipy_stats.poisson.pmf(levels, nbar)
+        with mp.workdps(30):
+            rate = mp.mpf(nbar)
+            law = np.array([float(mp.exp(-rate) * rate**k / mp.factorial(k))
+                            for k in range(61)])
         err_poisson = max(err_poisson,
                           float(np.max(np.abs(np.abs(tm[:, 0]) ** 2 - law))))
 
@@ -450,7 +451,7 @@ def test_criterion_08_operator_suite(rng):
         p0 = _draw_resolvable(rng)
         t = float(rng.uniform(0.0, 2.0 * math.pi))
         p = evolve(p0, t)
-        values, _ = energy_levels(p, 256)
+        values = energy_levels(p, 256)
         for k in range(6):
             err_spec = max(err_spec, abs(float(values[k]) - (k + 0.5)))
         for n in range(6):

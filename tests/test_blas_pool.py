@@ -2,8 +2,9 @@
 
 OpenBLAS sizes its pool once, when numpy loads it, so most cases run in
 a fresh interpreter.  ``conftest.py`` imports ``sqstates`` before
-numpy, so the pin reaches this pytest process too; the last case asks
-numpy's OpenBLAS for its pool size in process.
+numpy, so the pin reaches this pytest process too; the last cases ask
+numpy's OpenBLAS for its pool size in process, and check that no second
+OpenBLAS, which the pin would not reach, is mapped beside it.
 """
 
 import ctypes
@@ -109,3 +110,16 @@ def test_this_process_has_one_blas_thread():
     if size is None:
         pytest.skip("numpy's OpenBLAS is not a bundled library to ask")
     assert size == 1
+
+
+def test_this_process_maps_one_openblas():
+    # a second OpenBLAS (scipy's wheels bundle one) would size its own
+    # pool after the pin is gone; the tests import no such library
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except FileNotFoundError:
+        pytest.skip("no /proc/self/maps to read")
+    libraries = sorted(path for path in paths
+                       if "openblas" in os.path.basename(path).lower())
+    assert len(libraries) == 1, libraries

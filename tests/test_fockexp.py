@@ -569,10 +569,13 @@ class TestTriangleKernel:
         # zeros below the diagonal
         x = 0.37
         table = laguerre_ratio_table(rows, size, x)
-        full = list(laguerre_ratios(rows - 1, np.arange(size), x))
+        for d in range(size):
+            # order d sits at [n, n + d] for the degrees n < size - d
+            ratios = np.array(list(laguerre_ratios(
+                min(rows, size - d) - 1, d, x)), dtype=float)
+            n = np.arange(ratios.size)
+            assert np.array_equal(uint64(table[n, n + d]), uint64(ratios))
         for n in range(rows):
-            assert np.array_equal(table[n, n:].view(np.uint64),
-                                  full[n][:size - n].view(np.uint64))
             assert np.all(table[n, :n] == 0.0)
 
     def test_ratio_table_rejects_bad_shape(self):

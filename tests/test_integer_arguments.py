@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from sqstates import cli
 from sqstates.channel import ChannelParameters, write_snapshot_csv
 from sqstates.ermakov import ErmakovParameters
 from sqstates.fockexp import (
@@ -25,7 +26,13 @@ from sqstates.fockexp import (
 )
 from sqstates.operators import fock_operators, interior
 from sqstates.phasespace import PhaseSpacePoint, default_grid, wigner_numeric
-from sqstates.specfun import MAX_DEGREE, hermite_function_table, hermite_zeros
+from sqstates.specfun import (
+    MAX_DEGREE,
+    hermite_function_table,
+    hermite_zeros,
+    laguerre_assoc,
+    laguerre_ratios,
+)
 from sqstates.states import DynamicState
 
 from oracles import ladder_action_check, var_h_operator
@@ -40,11 +47,16 @@ ENTRY_POINTS = {
     "hermite": ("degree", 0, MAX_DEGREE,
                 lambda v: hermite_function_table(v, 0.3)),
     "hermite_zeros": ("n", 1, MAX_DEGREE + 1, hermite_zeros),
+    # the Laguerre order, of the library's one Laguerre route
+    "laguerre_assoc": ("order", 0, MAX_DEGREE,
+                       lambda v: laguerre_assoc(3, v, 0.5)),
+    "laguerre_ratios": ("order", 0, MAX_DEGREE,
+                        lambda v: list(laguerre_ratios(3, v, 0.5))),
     "t_matrix": ("size", 1, MAX_DEGREE, lambda v: t_matrix(0.2, 0.1, 0.0, v)),
     "m_matrix": ("size", 1, MAX_DEGREE, lambda v: m_matrix(0.3, 1.2, v)),
     "expansion_table": ("size", 1, MAX_DEGREE,
                         lambda v: expansion_table(P0, (0,), v)),
-    "pascal_even": ("m_max", 0, 2 * MAX_DEGREE - 1,
+    "pascal_even": ("m_max", 0, 2 * (MAX_DEGREE - 1),
                     lambda v: pascal_even(2.0, v)),
     "pascal_odd": ("m_max", 1, 2 * MAX_DEGREE - 1,
                    lambda v: pascal_odd(2.0, v)),
@@ -96,3 +108,16 @@ def test_bad_integer_argument_is_named(entry, value):
 def test_numpy_integer_at_the_low_bound_is_accepted(entry):
     _, low, _, call = ENTRY_POINTS[entry]
     call(np.int64(low))
+
+
+@pytest.mark.parametrize("mode, law", [
+    ("poisson", lambda v: poisson_statistics(1.0, 1.0, v)),
+    ("pascal-even", lambda v: pascal_even(2.0, v)),
+    ("pascal-odd", lambda v: pascal_odd(2.0, v)),
+])
+def test_cli_levels_cap_is_the_law_cap(mode, law):
+    # the schema admits exactly the levels its photon law accepts
+    cap = cli._levels_schema(mode)["maximum"]
+    law(cap)
+    with pytest.raises(ValueError, match="^m_max must be an integer "):
+        law(cap + 1)

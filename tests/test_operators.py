@@ -21,7 +21,7 @@ from sqstates.operators import (
 from sqstates.states import DynamicState, var_h
 
 from conftest import draw_params
-from oracles import ladder_action_check, var_h_operator
+from oracles import invariant_vectors, ladder_action_check, var_h_operator
 
 GROUND = ErmakovParameters(0, 1, 0, 0, 0, 0)
 
@@ -164,9 +164,14 @@ class TestInvariant:
     def test_oscillator_spectrum(self, rng):
         for _ in range(4):
             p = evolve(draw_resolvable(rng), rng.uniform(0, 6))
-            vals, _ = energy_levels(p, 256)
-            low = vals[:6]
+            low = energy_levels(p, 256)[:6]
             assert np.max(np.abs(low - (np.arange(6) + 0.5))) < 1e-8
+
+    def test_levels_are_one_ascending_array(self):
+        # the spectrum alone, one level per interior dimension
+        vals = energy_levels(GROUND, 16)
+        assert isinstance(vals, np.ndarray) and vals.shape == (15,)
+        assert np.all(np.diff(vals) > 0.0)
 
     def test_expectation_conserved_under_exact_phases(self, rng):
         # a fixed vector phase-propagated by e^{-i(k+1/2)t} must see a
@@ -252,7 +257,7 @@ class TestLadderAction:
 
     def test_annihilates_dynamic_vacuum(self, rng):
         p = evolve(draw_resolvable(rng), 0.9)
-        _, vecs = energy_levels(p, 256)
+        vecs = invariant_vectors(p, 256)
         low = b_operators(p, 256)["b"].entries
         assert np.linalg.norm(low @ vecs[:, 0]) < 1e-10
 

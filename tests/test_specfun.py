@@ -7,7 +7,6 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import roots_hermite
 
 from sqstates.specfun import (
     MAX_DEGREE,
@@ -19,6 +18,7 @@ from sqstates.specfun import (
     hyp2f1_even_odd,
     hyp2f1_terminating,
     laguerre_assoc,
+    laguerre_ratios,
 )
 
 from oracles import hermite, hyp2f0_terminating
@@ -88,9 +88,9 @@ class TestHermiteFunction:
 
 class TestLaguerre:
     def test_trivial_values(self):
-        assert laguerre_assoc(0, 2.0, 5.0) == pytest.approx(1.0)
+        assert laguerre_assoc(0, 2, 5.0) == pytest.approx(1.0)
         x = np.linspace(0, 4, 5)
-        assert laguerre_assoc(1, 3.0, x) == pytest.approx(1 + 3 - x)
+        assert laguerre_assoc(1, 3, x) == pytest.approx(1 + 3 - x)
 
     def test_finite_sum_formula(self):
         # L_m^a(x) = sum_k (-1)^k C(m+a, m-k) x^k / k!
@@ -106,8 +106,18 @@ class TestLaguerre:
             assert laguerre_assoc(m, a, x) == pytest.approx(ref, rel=1e-9)
 
     def test_order_must_exceed_minus_one(self):
-        with pytest.raises(ValueError):
-            laguerre_assoc(3, -1.0, 0.5)
+        with pytest.raises(ValueError, match="^order must be an integer"):
+            laguerre_assoc(3, -1, 0.5)
+
+    # True, 2.5, -1 and MAX_DEGREE + 1 are rows of test_integer_arguments
+    @pytest.mark.parametrize("order", [2.0, np.arange(3)],
+                             ids=["2.0", "array"])
+    def test_order_is_one_integer(self, order):
+        # the one run passes the integer level difference n - m
+        with pytest.raises(ValueError, match="^order must be an integer"):
+            laguerre_assoc(3, order, 0.5)
+        with pytest.raises(ValueError, match="^order must be an integer"):
+            list(laguerre_ratios(3, order, 0.5))
 
     def test_memory_does_not_grow_with_degree(self):
         # a degree-512 Wigner grid needs one recurrence grid at a time;
@@ -115,7 +125,7 @@ class TestLaguerre:
         x = np.linspace(0.0, 4.0, 4096)
         tracemalloc.start()
         try:
-            laguerre_assoc(MAX_DEGREE, 0.0, x)
+            laguerre_assoc(MAX_DEGREE, 0, x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -126,7 +136,10 @@ class TestHermiteZeros:
     @pytest.mark.parametrize("n", [2, 3, 65, 129, MAX_DEGREE + 1])
     def test_match_reference_nodes_and_annihilate_h_n(self, n):
         u = hermite_zeros(n)
-        assert np.max(np.abs(u - roots_hermite(n)[0])) <= 5e-14
+        # only the nodes are read: hermgauss's weights overflow at 513
+        with np.errstate(all="ignore"):
+            ref = np.polynomial.hermite.hermgauss(n)[0][n // 2:]
+        assert np.max(np.abs(u - ref)) <= 5e-14
         assert np.all(np.diff(u) > 0.0)
         with mp.workdps(30):
             norm = mp.sqrt(mp.mpf(2) ** n * mp.factorial(n) * mp.sqrt(mp.pi))
@@ -135,6 +148,14 @@ class TestHermiteZeros:
         # a node within an ulp or two of the true zero leaves |h_n| of
         # |h_n'| ulp(x), below 1e-14 for these degrees
         assert resid <= 2e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, MAX_DEGREE + 1])
+    def test_nonnegative_half_only(self, n):
+        # the mirror images below 0 are left to the caller
+        u = hermite_zeros(n)
+        assert u.shape == ((n + 1) // 2,)
+        assert np.all(u >= 0.0)
+        assert (u[0] == 0.0) == (n % 2 == 1)
 
     def test_rejects_bad_count(self):
         for n in (0, MAX_DEGREE + 2, 3.0, True):
@@ -146,7 +167,7 @@ class TestGaussHermiteRule:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 65])
     def test_matches_reference_rule(self, n):
         nodes, weights = gauss_hermite_rule(n)
-        ref_nodes, ref_weights = roots_hermite(n)
+        ref_nodes, ref_weights = np.polynomial.hermite.hermgauss(n)
         modified = ref_weights[n // 2:] * np.exp(ref_nodes[n // 2:] ** 2)
         if n % 2:
             modified[0] *= 0.5      # the zero node is shared by both halves
