@@ -26,6 +26,7 @@ therefore shows as unreached.
 """
 
 import ast
+import json
 import os
 import sys
 import tempfile
@@ -45,8 +46,6 @@ HALF_WIDTH_RUN = ("demkov", {"channel": {"beta0": 0.5, "delta0": 0.3},
 
 def run_all(out):
     """Run every config through `sqstates.cli.main`; their exit codes."""
-    import json
-
     # imported here, so that what runs at import time is traced too
     from sqstates.cli import main
     from test_surface import RUNS
