@@ -238,6 +238,11 @@ def run_tasks(tasks: dict) -> list:
     width = _width(len(calls))
     if width <= 1:
         return [call() for call in calls]
+    return _fork_each(names, calls, width)
+
+
+def _fork_each(names: list, calls: list, width: int) -> list:
+    """`run_tasks` in forked workers, ``width`` of them at a time."""
     sys.stdout.flush()
     sys.stderr.flush()
     running = {}

@@ -98,14 +98,12 @@ class PCG64:
     def integers(self, low: int, high: int) -> int:
         """A draw from [low, high), by numpy's Lemire method on 32 bits.
 
-        Takes 1 <= high - low < 2^32; a one-value range draws nothing.
+        Takes 2 <= high - low < 2^32.
         """
         span = high - low - 1
-        if not 0 <= span < _MASK32:
-            raise ValueError("integers takes 1 <= high - low < 2**32, "
+        if not 0 < span < _MASK32:
+            raise ValueError("integers takes 2 <= high - low < 2**32, "
                              "got [%d, %d)" % (low, high))
-        if span == 0:
-            return low
         bound = span + 1
         threshold = (_MASK32 - span) % bound
         product = self._next_uint32() * bound

@@ -54,7 +54,9 @@ files side by side, one forked worker per file
 file-by-file loop would raise first, and a worker that dies without a
 result is an I/O error (exit 3) that names its file.  Staging and
 fan-out are decided here only: each grid task calls a library writer
-that writes one file to the path it is given.
+that writes one file to the path it is given.  Each warning a run
+raises, here or in a worker, is one stderr line,
+``warning: <category>: <message>``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -358,6 +361,12 @@ def _blame(block: str, scale: str | None = None,
             field = nonfinite
         raise ConfigError("%s: arithmetic failure (%s: %s)"
                           % (field, type(exc).__name__, exc)) from exc
+
+
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    """Show a warning as one stderr line, without its source location."""
+    print("warning: %s: %s" % (category.__name__, message), file=sys.stderr)
 
 
 def _write_text(path, text: str) -> None:
@@ -752,7 +761,8 @@ def main(argv=None) -> int:
         config = _load_config(args.config) if args.config else {}
         if schema is not None:
             _validate(config, schema)
-        with staged(args.out) as stage:
+        with staged(args.out) as stage, warnings.catch_warnings():
+            warnings.showwarning = _show_warning
             names, code = handler(config, args, stage)
         for name in names:
             print("wrote %s" % os.path.join(args.out, name))

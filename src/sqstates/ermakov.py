@@ -85,11 +85,10 @@ class ErmakovParameters:
     def __post_init__(self):
         if isinstance(self.beta, np.ndarray):
             values = [getattr(self, name) for name in _PARAM_FIELDS]
-            if (all(np.isfinite(v).all() for v in values)
-                    and (self.beta > 0.0).all()):
-                return
-            for row in zip(*[v.tolist() for v in values]):
-                ErmakovParameters(*row)  # raises at the first bad entry
+            if not (all(np.isfinite(v).all() for v in values)
+                        and (self.beta > 0.0).all()):
+                for row in zip(*[v.tolist() for v in values]):
+                    ErmakovParameters(*row)  # raises at the first bad entry
             return
         for name in _PARAM_FIELDS:
             value = getattr(self, name)

@@ -269,8 +269,8 @@ def wigner_numeric(psi: Callable, pt: PhaseSpacePoint,
         strongly spread states (small beta) need a proportionally wider
         window -- pass something like 12/beta.
     nodes : int, optional
-        Number of quadrature nodes (at least 1024; forced odd so that
-        the half-resolution error estimate reuses the same samples).
+        Number of quadrature nodes: odd, so that the half-resolution
+        error estimate reuses the same samples, and at least 1025.
 
     Returns
     -------
@@ -284,9 +284,9 @@ def wigner_numeric(psi: Callable, pt: PhaseSpacePoint,
         exceeds 1e-8 or is NaN, i.e. the quadrature cannot vouch for the
         value.
     """
-    nodes = _check_int(nodes, "nodes", 1024)
+    nodes = _check_int(nodes, "nodes", 1025)
     if nodes % 2 == 0:
-        nodes += 1
+        raise ValueError(f"nodes must be odd, got {nodes}")
     if not (extent > 0.0 and math.isfinite(extent)):
         raise ValueError("extent must be positive and finite")
     y, step = np.linspace(-extent, extent, nodes, retstep=True)

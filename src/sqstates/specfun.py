@@ -329,12 +329,11 @@ def hyp2f1_even_odd(k: int, n: int, zeta: Scalar) -> complex:
 def _bailey_core(m: int, n: int, a: Scalar, b: Scalar, lam2: Scalar) -> complex:
     """integral(exp(-lam2 x^2) H_m(a x) H_n(b x) dx), lam2 in the right half plane.
 
-    Uses the even/odd-reduced closed form multiplied through so the value
-    is a polynomial in sa2 = a^2 - lam2, sb2 = b^2 - lam2 and (a b)^2; the
-    only branched factor left is lam2^(-(m+n+1)/2) (principal).
+    For m + n even.  Uses the even/odd-reduced closed form multiplied
+    through so the value is a polynomial in sa2 = a^2 - lam2,
+    sb2 = b^2 - lam2 and (a b)^2; the only branched factor left is
+    lam2^(-(m+n+1)/2) (principal).
     """
-    if (m + n) % 2:
-        return 0.0j
     sa2 = a * a - lam2
     sb2 = b * b - lam2
     ab2 = (a * b) * (a * b)
@@ -357,12 +356,15 @@ def _bailey_core(m: int, n: int, a: Scalar, b: Scalar, lam2: Scalar) -> complex:
 def bailey_integral(m: int, n: int, a: float, b: float, lambda2: float) -> float:
     """Closed form of integral(exp(-lambda2 x^2) H_m(a x) H_n(b x) dx).
 
-    Zero for odd m + n; requires lambda2 > 0.  Exact (not a limit) at the
-    degenerate points a^2 = lambda2 or b^2 = lambda2, where orthogonality
-    of the Hermite system reappears.
+    Defined for m + n even only (it vanishes by parity otherwise);
+    requires lambda2 > 0.  Exact (not a limit) at the degenerate points
+    a^2 = lambda2 or b^2 = lambda2, where orthogonality of the Hermite
+    system reappears.
     """
     m = _check_degree(m, "m")
     n = _check_degree(n, "n")
+    if (m + n) % 2:
+        raise ValueError(f"m + n must be even, got m={m}, n={n}")
     lambda2 = float(lambda2)
     if not lambda2 > 0.0:
         raise ValueError(f"lambda2 must be positive, got {lambda2!r}")

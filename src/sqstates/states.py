@@ -82,10 +82,9 @@ class CovarianceTriple:
                 good = ((sp > 0) & (sx > 0)
                         & (abs(prod - spx * spx - 0.25)
                            <= 1e-12 * np.maximum(1.0, abs(prod))))
-            if good.all():
-                return
-            for row in zip(sp.tolist(), sx.tolist(), spx.tolist()):
-                CovarianceTriple(*row)  # raises at the first bad entry
+            if not good.all():
+                for row in zip(sp.tolist(), sx.tolist(), spx.tolist()):
+                    CovarianceTriple(*row)  # raises at the first bad entry
             return
         if not (sp > 0 and sx > 0):
             raise ValueError("sigma_p and sigma_x must be positive")

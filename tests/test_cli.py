@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,10 @@ GROUND = {"alpha": 0.0, "beta": 1.0, "gamma": 0.0, "delta": 0.0,
           "epsilon": 0.0, "kappa": 0.0}
 SQUEEZED = {"alpha": 0.6, "beta": 1.4, "gamma": 0.3, "delta": -0.8,
             "epsilon": 0.5, "kappa": 0.1}
+MOVING = {"alpha": 0.2, "beta": 1.1, "gamma": 0.1, "delta": 0.3,
+          "epsilon": -0.2, "kappa": 0.0}
+# truncation 8 drops tail mass 1.895e-03, above TAIL_HARD_LIMIT
+SHORT_TABLE = {"params": MOVING, "columns": [0, 2], "truncation": 8}
 WIGNER_FOCK = {"params": GROUND, "state": {"kind": "fock", "level": 0},
                "times": [0.0]}
 DEMKOV_UNIT = {"channel": {"beta0": 1.0}, "times": [0.0]}
@@ -54,9 +59,78 @@ def evolve_config(count):
             "times": {"start": 0.0, "stop": 1.0, "count": count}}
 
 
+def terms_config(*terms):
+    """A two-time ``wigner`` config of the (level, amplitude) ``terms``."""
+    return {"params": GROUND, "times": [0.0, 0.5], "points": 5,
+            "state": {"kind": "superposition", "terms": [
+                {"level": n, "amplitude": a} for n, a in terms]}}
+
+
+def raw_text(payload, literal):
+    """The JSON of ``payload`` with its one ``"@"`` value the raw ``literal``."""
+    return json.dumps(payload).replace('"@"', literal)
+
+
+# One refused config per refusal family; tests/test_reach.py runs them
+# too.  A str is the raw text of the config file.
+MALFORMED = '{"params": {nope'
+DEPTH = 100_000
+TOO_DEEP = '{"a": ' + "[" * DEPTH + "]" * DEPTH + "}"
+NOT_AN_OBJECT = "[1, 2]"
+UNKNOWN_FIELD = {"params": dict(GROUND, surprise=1.0),
+                 "times": {"start": 0.0, "stop": 1.0, "count": 2}}
+NEGATIVE_BETA = {"params": dict(GROUND, beta=-2.0),
+                 "times": {"start": 0.0, "stop": 1.0, "count": 2}}
+MISSING_TIMES = {"params": GROUND}
+UNKNOWN_MODE = {"mode": "nope"}
+TIMES_NOT_A_LIST = dict(WIGNER_FOCK, times=0.5)
+NO_COLUMNS = {"params": GROUND, "columns": []}
+TOO_MANY_TIMES = dict(WIGNER_FOCK, times=[0.0] * (cli.MAX_TIMES + 1))
+TINY_BETA = {"params": dict(GROUND, beta=1e-200),
+             "times": {"start": 0.0, "stop": 1.0, "count": 3}}
+# a 400-digit integer (payload and literal) under a key that is no
+# JSONPath name
+ODD_KEY_OVERFLOW = ({"params": GROUND, "it's": "@"}, "1" + "0" * 400)
+# an underflowed Gaussian times an overflowed Laguerre value: the grid
+# held 2048 NaN cells of 2601 when it was not checked
+FOCK_200 = {"params": GROUND, "state": {"kind": "fock", "level": 200},
+            "times": [0.0], "points": 51}
+HUGE_ALPHA = dict(GROUND, alpha=1e200)
+EVOLVE_HUGE_ALPHA = {"params": HUGE_ALPHA,
+                     "times": {"start": 0.0, "stop": 1.0, "count": 3}}
+EARLIEST_TIME = WIGNER_FOCK | {"times": [-1e308]}
+LATEST_STOP = evolve_config(3) | {"times": {"start": 0.0, "stop": 1e308,
+                                           "count": 3}}
+# sigma_p * sigma_x overflows: evolve.csv held inf when unchecked
+EVOLVE_PRODUCT = evolve_config(3) | {"params": dict(GROUND, alpha=0.3,
+                                                    beta=1e-100)}
+TCS_ROTATION = {"params": GROUND, "state": {"kind": "tcs", "zeta": [1.0, 0.0]},
+                "times": [0.0], "rotation_check": True}
+# |c|^2 overflows: this was a bare OverflowError
+OVERFLOWING_TERMS = terms_config((0, [0.0, 1.3407807929942597e+154]))
+# the half-widths underflow to 0, so both axes collapse
+ZERO_SPREAD = {"params": GROUND, "state": {"kind": "tcs", "zeta": [0.3, 0.1]},
+               "times": [0.0], "points": 5, "spread": 1e-320}
+# the centre is so far out that a 5-point axis of half-width about 5
+# loses its spacing, while the spread resolves it
+FAR_ZETA = {"params": GROUND, "state": {"kind": "tcs", "zeta": [1e308, 0.0]},
+            "times": [0.0], "points": 5}
+FAR_ORBIT = {"params": dict(GROUND, epsilon=1e100),
+             "state": {"kind": "tcs", "zeta": [0.5, 0.0]},
+             "times": [0.0], "points": 5}
+# the scalar flow squares with float ** 2, which raises OverflowError
+# where an array square would give inf
+SQUARE_OVERFLOW = {"params": dict(GROUND, alpha=-2.3e302, beta=2.4e16),
+                   "state": {"kind": "fock", "level": 0},
+                   "times": [6.1e14], "points": 5}
+DUPLICATE_COLUMNS = {"params": GROUND, "columns": [1, 1]}
+COLUMN_BEYOND = {"params": GROUND, "columns": [0, 6], "truncation": 2}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str)
+                    else json.dumps(payload))
     return str(path)
 
 
@@ -66,9 +140,7 @@ def read_csv(path):
 
 class TestConfigValidation:
     def test_malformed_json_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text('{"params": {nope')
-        assert main(["evolve", "--config", str(path),
+        assert main(["evolve", "--config", write_config(tmp_path, MALFORMED),
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "line 1" in err
@@ -76,18 +148,15 @@ class TestConfigValidation:
     @pytest.mark.parametrize("route", ["json-loads", "nonfinite-scan"])
     def test_deeply_nested_config_is_config_error(self, tmp_path, capsys,
                                                   monkeypatch, route):
-        depth = 100_000
-        path = tmp_path / "config.json"
-        path.write_text('{"a": ' + "[" * depth + "]" * depth + "}")
         if route == "nonfinite-scan":
             # a parsed config as deep, so the scan for non-finite
             # numbers is the first to exceed the recursion limit
             deep = []
-            for _ in range(depth):
+            for _ in range(DEPTH):
                 deep = [deep]
             monkeypatch.setattr(cli.json, "loads", lambda text: {"a": deep})
         out = tmp_path / "out"
-        assert main(["evolve", "--config", str(path),
+        assert main(["evolve", "--config", write_config(tmp_path, TOO_DEEP),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: config ")
@@ -95,22 +164,20 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_unknown_field_is_named(self, tmp_path, capsys):
-        cfg = {"params": dict(GROUND, surprise=1.0),
-               "times": {"start": 0.0, "stop": 1.0, "count": 2}}
-        assert main(["evolve", "--config", write_config(tmp_path, cfg),
+        assert main(["evolve", "--config",
+                     write_config(tmp_path, UNKNOWN_FIELD),
                      "--out", str(tmp_path)]) == 2
         assert "surprise" in capsys.readouterr().err
 
     def test_bad_value_names_the_path(self, tmp_path, capsys):
-        cfg = {"params": dict(GROUND, beta=-2.0),
-               "times": {"start": 0.0, "stop": 1.0, "count": 2}}
-        assert main(["evolve", "--config", write_config(tmp_path, cfg),
+        assert main(["evolve", "--config",
+                     write_config(tmp_path, NEGATIVE_BETA),
                      "--out", str(tmp_path)]) == 2
         assert "config.params.beta" in capsys.readouterr().err
 
     def test_missing_field_is_named(self, tmp_path, capsys):
-        cfg = {"params": GROUND}
-        assert main(["evolve", "--config", write_config(tmp_path, cfg),
+        assert main(["evolve", "--config",
+                     write_config(tmp_path, MISSING_TIMES),
                      "--out", str(tmp_path)]) == 2
         assert "times" in capsys.readouterr().err
 
@@ -121,17 +188,29 @@ class TestConfigValidation:
                      "--out", str(tmp_path)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("wigner", TIMES_NOT_A_LIST,
+         "config.times: 0.5 is not of type 'array'"),
+        ("expand", NO_COLUMNS, "config.columns: [] should be non-empty"),
+    ], ids=["type", "min-items"])
+    def test_bad_shape_is_named(self, tmp_path, capsys, command, cfg,
+                                message):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: %s\n" % message
+        assert not out.exists()
+
     def test_non_object_root_rejected(self, tmp_path, capsys):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2]")
-        assert main(["evolve", "--config", str(path),
+        assert main(["evolve", "--config",
+                     write_config(tmp_path, NOT_AN_OBJECT),
                      "--out", str(tmp_path)]) == 2
         assert "object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("variant", ["nope", 5, [], {}],
                              ids=["string", "number", "list", "object"])
     @pytest.mark.parametrize("command, cfg, field", [
-        ("statistics", lambda v: {"mode": v}, "config.mode"),
+        ("statistics", lambda v: dict(UNKNOWN_MODE, mode=v), "config.mode"),
         ("wigner", lambda v: dict(WIGNER_FOCK, state={"kind": v}),
          "config.state.kind"),
     ], ids=["statistics", "wigner"])
@@ -152,22 +231,18 @@ class TestConfigValidation:
     def test_unwritable_out_is_io_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
-        cfg = {"params": GROUND,
-               "times": {"start": 0.0, "stop": 1.0, "count": 2}}
-        assert main(["evolve", "--config", write_config(tmp_path, cfg),
+        assert main(["evolve", "--config", write_config(tmp_path,
+                                                        evolve_config(2)),
                      "--out", str(blocker)]) == 3
 
     def test_bad_grid_flag(self, tmp_path, capsys):
-        cfg = {"params": GROUND, "state": {"kind": "fock", "level": 0},
-               "times": [0.0]}
-        assert main(["wigner", "--config", write_config(tmp_path, cfg),
+        assert main(["wigner", "--config", write_config(tmp_path, WIGNER_FOCK),
                      "--out", str(tmp_path), "--grid", "7"]) == 2
         assert "--grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, cfg", [
         # beta^2 underflows to 0 in the covariance
-        ("evolve", {"params": dict(GROUND, beta=1e-200),
-                    "times": {"start": 0.0, "stop": 1.0, "count": 3}}),
+        ("evolve", TINY_BETA),
         # delta0/beta0 = 3e7: the displacement overlaps overflow
         ("expand", {"params": dict(GROUND, beta=1e-6, delta=30.0,
                                    epsilon=-30.0),
@@ -210,8 +285,7 @@ class TestConfigValidation:
          "config.points"),
         ("demkov", dict(DEMKOV_UNIT, points=cli.MAX_POINTS + 1), [],
          "config.points"),
-        ("wigner", dict(WIGNER_FOCK, times=[0.0] * (cli.MAX_TIMES + 1)), [],
-         "config.times"),
+        ("wigner", TOO_MANY_TIMES, [], "config.times"),
         ("demkov", dict(DEMKOV_UNIT, times=[0.0] * (cli.MAX_TIMES + 1)), [],
          "config.times"),
         ("wigner", WIGNER_FOCK, ["--grid", "%d,2" % (cli.MAX_POINTS + 1)],
@@ -271,9 +345,7 @@ class TestConfigValidation:
 
 def raw_config(tmp_path, payload, literal):
     """A config file whose one ``"@"`` value is the raw JSON ``literal``."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(payload).replace('"@"', literal))
-    return str(path)
+    return write_config(tmp_path, raw_text(payload, literal))
 
 
 class TestNonFiniteNumbers:
@@ -294,7 +366,8 @@ class TestNonFiniteNumbers:
           "times": [0.0]}, "-1e400", "config.state.zeta[1]"),
         (evolve_config(3) | {"params": dict(GROUND, kappa="@")},
          "NaN", "config.params.kappa"),
-    ], ids=["stop", "beta", "400-digit-delta", "zeta", "nan"])
+        (*ODD_KEY_OVERFLOW, "config['it\\'s']"),
+    ], ids=["stop", "beta", "400-digit-delta", "zeta", "nan", "odd-key"])
     def test_nonfinite_literal_rejected_at_load(self, tmp_path, capsys,
                                                   payload, literal, field):
         command = "wigner" if "state" in payload else "evolve"
@@ -320,10 +393,7 @@ class TestNonFiniteNumbers:
                     "points": 5}, "config.channel"),
         ("demkov", {"channel": {"beta0": 1.0}, "times": [0.5], "points": 5,
                     "half_width": 1.7e308}, "config.channel"),
-        # an underflowed Gaussian times an overflowed Laguerre value: the
-        # grid held 2048 NaN cells of 2601 when it was not checked
-        ("wigner", {"params": GROUND, "state": {"kind": "fock", "level": 200},
-                    "times": [0.0], "points": 51}, "config.state"),
+        ("wigner", FOCK_200, "config.state"),
     ], ids=["poisson-delta0", "poisson-epsilon0", "pascal-even",
             "pascal-odd", "demkov-beta0", "demkov-half-width",
             "wigner-fock-200"])
@@ -337,7 +407,6 @@ class TestNonFiniteNumbers:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    HUGE_ALPHA = dict(GROUND, alpha=1e200)
     # 2 * 512 * gamma(t) overflows in the phase of the level-512 terms
     LEVEL_512 = {"params": GROUND, "points": 5,
                  "state": {"kind": "superposition", "terms": [
@@ -345,12 +414,10 @@ class TestNonFiniteNumbers:
                      {"level": 512, "amplitude": [0.0, 0.8]}]}}
 
     @pytest.mark.parametrize("command, cfg, message", [
-        ("evolve", evolve_config(3) | {"params": HUGE_ALPHA},
-         "config.params: arithmetic failure"),
-        ("evolve", evolve_config(3) | {"times": {"start": 0.0, "stop": 1e308,
-                                                 "count": 3}},
+        ("evolve", EVOLVE_HUGE_ALPHA, "config.params: arithmetic failure"),
+        ("evolve", LATEST_STOP,
          "config.times.stop: 1e+308 is greater than the maximum"),
-        ("wigner", WIGNER_FOCK | {"times": [-1e308]},
+        ("wigner", EARLIEST_TIME,
          "config.times[0]: -1e+308 is less than the minimum"),
         ("expand", {"params": HUGE_ALPHA, "columns": [0]},
          "config.params: arithmetic failure"),
@@ -361,10 +428,7 @@ class TestNonFiniteNumbers:
         ("wigner", LEVEL_512 | {"params": dict(GROUND, gamma=1e306),
                                 "times": [0.0]},
          "config.params: arithmetic failure"),
-        # sigma_p * sigma_x overflows: evolve.csv held inf when unchecked
-        ("evolve", evolve_config(3) | {"params": dict(GROUND, alpha=0.3,
-                                                      beta=1e-100)},
-         "config.params: arithmetic failure"),
+        ("evolve", EVOLVE_PRODUCT, "config.params: arithmetic failure"),
     ], ids=["evolve-alpha", "evolve-stop", "wigner-time", "expand-alpha",
             "full-expansion-alpha", "wigner-level-512-time",
             "wigner-level-512-gamma", "evolve-product"])
@@ -546,9 +610,8 @@ class TestWigner:
         assert values.max() == pytest.approx(1.0 / math.pi, abs=1e-6)
 
     def test_rotation_check_rejected_for_packets(self, tmp_path, capsys):
-        cfg = {"params": GROUND, "state": {"kind": "tcs", "zeta": [1.0, 0.0]},
-               "times": [0.0], "rotation_check": True}
-        assert main(["wigner", "--config", write_config(tmp_path, cfg),
+        assert main(["wigner", "--config",
+                     write_config(tmp_path, TCS_ROTATION),
                      "--out", str(tmp_path)]) == 2
         assert "rotation" in capsys.readouterr().err
 
@@ -583,26 +646,21 @@ class TestWigner:
                      "--out", str(tmp_path)]) == 2
         assert "normalized" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("terms, message", [
-        ([(0, [0.6, 0.0]), (0, [0.8, 0.0])],
+    @pytest.mark.parametrize("cfg, message", [
+        (terms_config((0, [0.6, 0.0]), (0, [0.8, 0.0])),
          "duplicate basis labels in superposition"),
-        ([(0, [0.6, 0.0]), (1, [0.7, 0.0])],
+        (terms_config((0, [0.6, 0.0]), (1, [0.7, 0.0])),
          "coefficients are not normalized: sum |c|^2 = 0.84999999999999987"),
-        ([(2, [0.0, 0.0])],
+        (terms_config((2, [0.0, 0.0])),
          "coefficients are not normalized: sum |c|^2 = 0"),
-        # |c|^2 overflows: this was a bare OverflowError
-        ([(0, [0.0, 1.3407807929942597e+154])],
-         "coefficients are not normalized: sum |c|^2 = inf"),
+        (OVERFLOWING_TERMS, "coefficients are not normalized: sum |c|^2 = inf"),
     ], ids=["duplicate-level", "unnormalized", "all-zero", "overflowing"])
     def test_bad_terms_name_their_field(self, tmp_path, capsys, monkeypatch,
-                                        terms, message):
+                                        cfg, message):
         def forked(tasks):
             raise AssertionError("workers started for %s" % list(tasks))
 
         monkeypatch.setattr(cli, "run_tasks", forked)
-        cfg = {"params": GROUND, "times": [0.0, 0.5], "points": 5,
-               "state": {"kind": "superposition", "terms": [
-                   {"level": n, "amplitude": a} for n, a in terms]}}
         out = tmp_path / "out"
         assert main(["wigner", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 2
@@ -611,30 +669,20 @@ class TestWigner:
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_degenerate_spread_names_its_field(self, tmp_path, capsys):
-        # the half-widths underflow to 0, so both axes collapse
-        cfg = {"params": GROUND, "state": {"kind": "tcs", "zeta": [0.3, 0.1]},
-               "times": [0.0], "points": 5, "spread": 1e-320}
         out = tmp_path / "out"
-        assert main(["wigner", "--config", write_config(tmp_path, cfg),
+        assert main(["wigner", "--config", write_config(tmp_path, ZERO_SPREAD),
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == ("config error: config.spread: x_range must be "
                        "strictly increasing\n")
         assert os.listdir(tmp_path) == ["config.json"]
 
-    @pytest.mark.parametrize("params, state, field", [
-        (GROUND, {"kind": "tcs", "zeta": [1e308, 0.0]}, "config.state.zeta"),
-        (dict(GROUND, epsilon=1e100), {"kind": "tcs", "zeta": [0.5, 0.0]},
-         "config.params"),
-        (dict(GROUND, epsilon=1e100), {"kind": "fock", "level": 0},
-         "config.params"),
+    @pytest.mark.parametrize("cfg, field", [
+        (FAR_ZETA, "config.state.zeta"),
+        (FAR_ORBIT, "config.params"),
+        (dict(FAR_ORBIT, state={"kind": "fock", "level": 0}), "config.params"),
     ], ids=["tcs-zeta", "tcs-orbit", "fock-orbit"])
-    def test_far_centre_names_its_cause(self, tmp_path, capsys, params, state,
-                                        field):
-        # the centre is so far out that a 5-point axis of half-width
-        # about 5 loses its spacing, while the spread resolves it
-        cfg = {"params": params, "state": state, "times": [0.0],
-               "points": 5}
+    def test_far_centre_names_its_cause(self, tmp_path, capsys, cfg, field):
         out = tmp_path / "out"
         assert main(["wigner", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 2
@@ -643,13 +691,9 @@ class TestWigner:
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_overflowing_square_is_the_flow_overflow(self, tmp_path, capsys):
-        # the scalar flow squares with float ** 2, which raises
-        # OverflowError where an array square would give inf
-        params = dict(GROUND, alpha=-2.3e302, beta=2.4e16)
-        cfg = {"params": params, "state": {"kind": "fock", "level": 0},
-               "times": [6.1e14], "points": 5}
         out = tmp_path / "out"
-        assert main(["wigner", "--config", write_config(tmp_path, cfg),
+        assert main(["wigner", "--config",
+                     write_config(tmp_path, SQUARE_OVERFLOW),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "config error: config.params: arithmetic failure "
@@ -759,17 +803,17 @@ class TestExpand:
         assert by_column.sum(axis=1) == pytest.approx(1.0, abs=1e-8)
 
     def test_duplicate_columns_rejected(self, tmp_path, capsys):
-        cfg = {"params": GROUND, "columns": [1, 1]}
-        assert main(["expand", "--config", write_config(tmp_path, cfg),
+        assert main(["expand", "--config",
+                     write_config(tmp_path, DUPLICATE_COLUMNS),
                      "--out", str(tmp_path)]) == 2
         assert "distinct" in capsys.readouterr().err
 
     @pytest.mark.parametrize("truncation", [2], ids=["config"])
     def test_column_beyond_truncation_names_its_field(
             self, tmp_path, capsys, truncation):
-        cfg = {"params": GROUND, "columns": [0, 6], "truncation": truncation}
         out = tmp_path / "out"
-        assert main(["expand", "--config", write_config(tmp_path, cfg),
+        assert main(["expand", "--config",
+                     write_config(tmp_path, COLUMN_BEYOND),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "config error: config.columns: column 6 is not below the "
@@ -900,6 +944,36 @@ class TestRunDriver:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_a_warning_is_one_stderr_line(self, tmp_path, capsys):
+        # Python's own display named cli.py and printed its source line
+        out = tmp_path / "out"
+        assert main(["expand", "--config",
+                     write_config(tmp_path, SHORT_TABLE),
+                     "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == ("warning: TruncationWarning: truncation 8 drops tail "
+                       "mass 1.895e-03 (> 1e-03); results are unreliable, "
+                       "increase size\n")
+        assert "cli.py" not in err
+        assert sorted(os.listdir(out)) == ["expansion.csv", "expansion.json"]
+
+    def test_a_worker_warning_is_one_stderr_line(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # two workers, whose warnings `run_tasks` warns again in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        real = cli.write_superposition_csv
+
+        def warning(*args):
+            warnings.warn("injected", UserWarning)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "write_superposition_csv", warning)
+        cfg = dict(WIGNER_FOCK, times=[0.0, 0.5], points=5)
+        assert main(["wigner", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == "warning: UserWarning: injected\n" * 2
 
     @pytest.mark.parametrize("parts", [("afile",), ("afile", "x")],
                              ids=["afile", "afile/x"])

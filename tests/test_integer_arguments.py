@@ -71,7 +71,7 @@ ENTRY_POINTS = {
                                 lambda v: default_grid(P0, 0.0, (0,), (5, v))),
     "default_grid.levels": ("levels", 0, MAX_DEGREE,
                             lambda v: default_grid(P0, 0.0, (v,), 5)),
-    "wigner_numeric": ("nodes", 1024, None, lambda v: wigner_numeric(
+    "wigner_numeric": ("nodes", 1025, None, lambda v: wigner_numeric(
         lambda x: np.exp(-0.5 * x * x), PhaseSpacePoint(0.0, 0.0), nodes=v)),
     # the points of the density grid that a snapshot writes
     "density_grid": ("points", 2, None, lambda v: write_snapshot_csv(

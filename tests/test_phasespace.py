@@ -164,6 +164,12 @@ class TestNumericTransform:
         with pytest.raises(ValueError, match="nodes"):
             wigner_numeric(f, PhaseSpacePoint(0.0, 0.0), nodes=256)
 
+    def test_rejects_an_even_node_count(self):
+        # the half-resolution estimate needs both ends among its samples
+        f = lambda x: np.exp(-0.5 * x * x)
+        with pytest.raises(ValueError, match="^nodes must be odd, got 2048"):
+            wigner_numeric(f, PhaseSpacePoint(0.0, 0.0), nodes=2048)
+
 
 class TestMoyal:
     def test_diagonal_ground_is_gaussian(self):

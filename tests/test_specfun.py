@@ -289,13 +289,15 @@ class TestBaileyIntegral:
         assert bailey_integral(0, 0, 1.0, 1.0, 2.0) == pytest.approx(
             math.sqrt(math.pi / 2.0), rel=1e-14)
 
-    def test_odd_parity_vanishes(self):
-        assert bailey_integral(2, 3, 1.1, 0.7, 1.3) == 0.0
-        assert bailey_integral(0, 5, 0.5, 2.0, 0.8) == 0.0
+    def test_odd_parity_is_refused(self):
+        # the integral vanishes by parity, and no caller asks for it
+        for m, n in ((2, 3), (0, 5)):
+            with pytest.raises(ValueError, match="^m \\+ n must be even"):
+                bailey_integral(m, n, 1.1, 0.7, 1.3)
 
     def test_orthogonality_recovered(self):
         for m in range(13):
-            for n in range(13):
+            for n in range(m % 2, 13, 2):      # m + n odd is refused
                 val = bailey_integral(m, n, 1.0, 1.0, 1.0)
                 if m == n:
                     ref = 2.0**n * math.factorial(n) * math.sqrt(math.pi)
