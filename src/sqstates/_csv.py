@@ -231,8 +231,10 @@ def run_tasks(tasks: dict) -> list:
     worker has been killed and reaped.  A worker that dies without a
     result (killed by a signal, say) raises ``ChildProcessError``
     naming its file.  Warnings a worker records are re-issued here, in
-    task order.  Standard output and error are flushed before the
-    first fork, so no buffered text is written twice.
+    task order, each message, category and line once, as the default
+    filter shows them when the tasks run here.  Standard output and
+    error are flushed before the first fork, so no buffered text is
+    written twice.
     """
     names, calls = list(tasks), list(tasks.values())
     width = _width(len(calls))
@@ -247,6 +249,7 @@ def _fork_each(names: list, calls: list, width: int) -> list:
     sys.stderr.flush()
     running = {}
     values = []
+    registry = {}   # shows each warning once, as in one process
     try:
         for i, name in enumerate(names):
             while len(running) < width and i + len(running) < len(calls):
@@ -254,7 +257,8 @@ def _fork_each(names: list, calls: list, width: int) -> list:
                 running[k] = _start(calls[k])
             ok, value, caught = _outcome(name, *running.pop(i))
             for message, category, filename, lineno in caught:
-                warnings.warn_explicit(message, category, filename, lineno)
+                warnings.warn_explicit(message, category, filename, lineno,
+                                       registry=registry)
             if not ok:
                 raise value
             values.append(value)

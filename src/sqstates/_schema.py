@@ -1,11 +1,10 @@
 """The JSON Schema subset behind the command-line configs.
 
-The ``cli`` schemas use a dozen keywords: ``type`` (object, array,
-number, integer, boolean), ``properties``, ``required``,
-``additionalProperties: false``, ``const`` (a string), ``minimum``,
-``maximum``, ``exclusiveMinimum``, ``items``, ``minItems`` and
-``maxItems``.  This module checks exactly those, by the rules of JSON
-Schema Draft 2020-12
+The ``cli`` schemas use ten keywords: ``type`` (object, array, number,
+integer, boolean), ``properties``, ``required``,
+``additionalProperties: false``, ``minimum``, ``maximum``,
+``exclusiveMinimum``, ``items``, ``minItems`` and ``maxItems``.  This
+module checks exactly those, by the rules of JSON Schema Draft 2020-12
 (https://json-schema.org/draft/2020-12/json-schema-validation): a JSON
 ``true`` is neither a number nor an integer, and ``1.0`` is an integer.
 A schema with any other keyword raises ``KeyError``.
@@ -44,7 +43,7 @@ _TYPES = {
 
 
 _KEYWORDS = frozenset((
-    "type", "const", "required", "additionalProperties", "minItems",
+    "type", "required", "additionalProperties", "minItems",
     "maxItems", "minimum", "maximum", "exclusiveMinimum"))
 
 
@@ -55,9 +54,6 @@ def _message(keyword, bound, value, schema):
     if keyword == "type":
         if not _TYPES[bound](value):
             return "%r is not of type %r" % (value, bound)
-    elif keyword == "const":
-        if value != bound:
-            return "%r was expected" % (bound,)
     elif isinstance(value, dict):
         if keyword == "required":
             for name in bound:

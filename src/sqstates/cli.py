@@ -107,8 +107,10 @@ EXIT_IO = 3
 
 #: Seed used by ``verify`` when neither the config nor --seed gives one.
 DEFAULT_SEED = 20240817
-#: The values of the config fields ``points`` and ``truncation`` if unset.
+#: The values of the config fields ``points``, ``truncation``, ``spread``
+#: and ``levels`` if unset.
 DEFAULT_POINTS, DEFAULT_TRUNCATION = 201, 128
+DEFAULT_SPREAD, DEFAULT_LEVELS = 5.0, 64
 
 class ConfigError(ValueError):
     """A config file failed validation; the message names the field."""
@@ -166,6 +168,10 @@ _FLOW_TIME = {"type": "number", "minimum": -MAX_TIME, "maximum": MAX_TIME}
 
 _PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
 
+#: The ``kind`` or ``mode`` key of a variant block: `_validate_variant`
+#: matches it to a schema before it checks the block.
+_VARIANT = {}
+
 _EVOLVE_SCHEMA = _closed({
     "params": _PARAM_BLOCK,
     "times": _closed({
@@ -185,11 +191,10 @@ _WIGNER_SCHEMA = _closed({
 }, "params", "state", "times")
 
 _STATE_SCHEMAS = {
-    "fock": _closed({"kind": {"const": "fock"}, "level": _LEVEL},
-                    "kind", "level"),
-    "tcs": _closed({"kind": {"const": "tcs"}, "zeta": _PAIR}, "kind", "zeta"),
+    "fock": _closed({"kind": _VARIANT, "level": _LEVEL}, "kind", "level"),
+    "tcs": _closed({"kind": _VARIANT, "zeta": _PAIR}, "kind", "zeta"),
     "superposition": _closed({
-        "kind": {"const": "superposition"},
+        "kind": _VARIANT,
         "terms": {
             "type": "array",
             "minItems": 1,
@@ -206,7 +211,7 @@ def _levels_schema(mode: str) -> dict:
 
 def _pascal_schema(mode: str) -> dict:
     return _closed({
-        "mode": {"const": mode},
+        "mode": _VARIANT,
         "sigma_sum": {"type": "number", "minimum": 1},
         "levels": _levels_schema(mode),
     }, "mode", "sigma_sum")
@@ -214,7 +219,7 @@ def _pascal_schema(mode: str) -> dict:
 
 _STATISTICS_SCHEMAS = {
     "poisson": _closed({
-        "mode": {"const": "poisson"},
+        "mode": _VARIANT,
         "delta0": _NUMBER,
         "epsilon0": _NUMBER,
         "levels": _levels_schema("poisson"),
@@ -222,7 +227,7 @@ _STATISTICS_SCHEMAS = {
     "pascal-even": _pascal_schema("pascal-even"),
     "pascal-odd": _pascal_schema("pascal-odd"),
     "full-expansion": _closed({
-        "mode": {"const": "full-expansion"},
+        "mode": _VARIANT,
         "params": _PARAM_BLOCK,
         "truncation": _TRUNCATION,
     }, "mode", "params"),
@@ -463,7 +468,7 @@ def cmd_wigner(config: dict, args, stage: str) -> tuple[list, int]:
     p0 = _params_of(config["params"])
     points = int(config.get("points", DEFAULT_POINTS))
     shape = _parse_grid(args.grid) if args.grid else (points, points)
-    spread = float(config.get("spread", 5.0))
+    spread = float(config.get("spread", DEFAULT_SPREAD))
     want_rotation = bool(config.get("rotation_check", False))
     times = [float(t) for t in config["times"]]
 
@@ -564,7 +569,7 @@ def cmd_statistics(config: dict, args, stage: str) -> tuple[list, int]:
             stats = PhotonStatistics(probs, mean, variance)
             tail = float(table.tail_mass[0])
     else:
-        levels = int(config.get("levels", 64))
+        levels = int(config.get("levels", DEFAULT_LEVELS))
         if mode == "poisson":
             delta0 = float(config["delta0"])
             epsilon0 = float(config["epsilon0"])

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .ermakov import ErmakovParameters, evolve
 from .specfun import _check_int
 
 __all__ = [
-    "OperatorMatrix",
     "fock_operators",
     "b_operators",
     "b_evolved",
@@ -56,36 +54,22 @@ HERMITIAN_TOL = 1e-12
 DEGENERACY_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """A finite operator in the number basis.
+def _checked(mat, hermitian: bool = False) -> np.ndarray:
+    """``mat`` as a read-only complex array, checked to be finite.
 
-    Attributes
-    ----------
-    entries : ndarray
-        Complex N x N matrix, read-only.
-    hermitian : bool
-        Set by the constructor that claims it; verified on creation
-        (max |A - A^dagger| <= 1e-12) rather than trusted.
+    A builder that claims ``hermitian`` has the claim verified
+    (max |A - A^dagger| <= `HERMITIAN_TOL`) rather than trusted.
     """
-
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("entries of shape %r are not a square matrix"
-                             % (mat.shape,))
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("operator entries must be finite")
-        if self.hermitian:
-            gap = np.max(np.abs(mat - mat.conj().T))
-            if gap > HERMITIAN_TOL:
-                raise ValueError(
-                    "matrix claimed Hermitian but |A - A^dagger| = %.3e" % gap)
-        mat.setflags(write=False)
-        object.__setattr__(self, "entries", mat)
+    mat = np.asarray(mat, dtype=complex)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("operator entries must be finite")
+    if hermitian:
+        gap = np.max(np.abs(mat - mat.conj().T))
+        if gap > HERMITIAN_TOL:
+            raise ValueError(
+                "matrix claimed Hermitian but |A - A^dagger| = %.3e" % gap)
+    mat.setflags(write=False)
+    return mat
 
 
 def interior(matrix: np.ndarray, pad: int = 1) -> np.ndarray:
@@ -110,7 +94,8 @@ def fock_operators(n_dim: int) -> dict:
     Returns
     -------
     dict
-        Keys ``x``, ``p``, ``a``, ``a_dag``, ``H``; the annihilation
+        Read-only complex N x N arrays under the keys ``x``, ``p``,
+        ``a``, ``a_dag`` and ``H``; the annihilation
         matrix carries sqrt(k) on the superdiagonal, x = (a + a+)/sqrt 2
         and p = (a - a+)/(i sqrt 2) are exactly Hermitian, and
         H = (a a+ + a+ a)/2 is diagonal with k + 1/2 on the first N - 1
@@ -125,18 +110,18 @@ def fock_operators(n_dim: int) -> dict:
     p = (lower - raise_) / (1j * math.sqrt(2.0))
     ham = 0.5 * (lower @ raise_ + raise_ @ lower)
     return {
-        "a": OperatorMatrix(lower),
-        "a_dag": OperatorMatrix(raise_),
-        "x": OperatorMatrix(x, hermitian=True),
-        "p": OperatorMatrix(p, hermitian=True),
-        "H": OperatorMatrix(ham, hermitian=True),
+        "a": _checked(lower),
+        "a_dag": _checked(raise_),
+        "x": _checked(x, hermitian=True),
+        "p": _checked(p, hermitian=True),
+        "H": _checked(ham, hermitian=True),
     }
 
 
 def _quadratures(p: ErmakovParameters, n_dim: int):
     """The two rotated quadratures (beta x + epsilon, (p-2 alpha x-delta)/beta)."""
     ops = fock_operators(n_dim)
-    x, mom = ops["x"].entries, ops["p"].entries
+    x, mom = ops["x"], ops["p"]
     one = np.eye(n_dim)
     q_op = p.beta * x + p.epsilon * one
     p_op = (mom - 2.0 * p.alpha * x - p.delta * one) / p.beta
@@ -166,12 +151,12 @@ def b_operators(p: ErmakovParameters, n_dim: int) -> dict:
     if np.max(np.abs(b_dag - b.conj().T)) > 1e-14:
         raise ArithmeticError("ladder adjoint relation lost to roundoff")
     return {
-        "b": OperatorMatrix(b),
-        "b_dag": OperatorMatrix(b_dag),
+        "b": _checked(b),
+        "b_dag": _checked(b_dag),
     }
 
 
-def b_evolved(p0: ErmakovParameters, t: float, n_dim: int) -> OperatorMatrix:
+def b_evolved(p0: ErmakovParameters, t: float, n_dim: int) -> np.ndarray:
     """b(t) from b(0) by the exact ladder dynamics, without re-evolving.
 
     b(0) is a linear combination u a + v a+ + w; under db/dt = i[b, H]
@@ -188,10 +173,10 @@ def b_evolved(p0: ErmakovParameters, t: float, n_dim: int) -> OperatorMatrix:
     v = phase0 * complex(b0 * b0 - 1.0, -2.0 * a0) / (2.0 * b0)
     w = phase0 * complex(p0.epsilon, -p0.delta / b0) / math.sqrt(2.0)
     rot = cmath.exp(1j * t)
-    mat = (u * rot * ops["a"].entries
-           + v * np.conj(rot) * ops["a_dag"].entries
+    mat = (u * rot * ops["a"]
+           + v * np.conj(rot) * ops["a_dag"]
            + w * np.eye(n_dim))
-    return OperatorMatrix(mat)
+    return _checked(mat)
 
 
 def heisenberg_residual(p0: ErmakovParameters, t: float, n_dim: int) -> float:
@@ -202,16 +187,16 @@ def heisenberg_residual(p0: ErmakovParameters, t: float, n_dim: int) -> float:
     """
     step = 1e-5
     ops = fock_operators(n_dim)
-    ham = ops["H"].entries
-    ahead = b_operators(evolve(p0, t + step), n_dim)["b"].entries
-    behind = b_operators(evolve(p0, t - step), n_dim)["b"].entries
+    ham = ops["H"]
+    ahead = b_operators(evolve(p0, t + step), n_dim)["b"]
+    behind = b_operators(evolve(p0, t - step), n_dim)["b"]
     rate = (ahead - behind) / (2.0 * step)
-    here = b_operators(evolve(p0, t), n_dim)["b"].entries
+    here = b_operators(evolve(p0, t), n_dim)["b"]
     resid = rate - 1j * (here @ ham - ham @ here)
     return float(np.max(np.abs(interior(resid, 1))))
 
 
-def invariant_E(p: ErmakovParameters, n_dim: int) -> OperatorMatrix:
+def invariant_E(p: ErmakovParameters, n_dim: int) -> np.ndarray:
     """The quadratic invariant whose spectrum is k + 1/2 at every instant.
 
     E = [((p - 2 alpha x - delta)/beta)^2 + (beta x + epsilon)^2] / 2,
@@ -220,7 +205,7 @@ def invariant_E(p: ErmakovParameters, n_dim: int) -> OperatorMatrix:
     """
     q_op, p_op = _quadratures(p, n_dim)
     mat = 0.5 * (p_op @ p_op + q_op @ q_op)
-    return OperatorMatrix(mat, hermitian=True)
+    return _checked(mat, hermitian=True)
 
 
 def ladder_coefficients(p: ErmakovParameters) -> dict:
@@ -250,7 +235,7 @@ def ladder_coefficients(p: ErmakovParameters) -> dict:
     }
 
 
-def hamiltonian_in_ladder(p: ErmakovParameters, n_dim: int) -> OperatorMatrix:
+def hamiltonian_in_ladder(p: ErmakovParameters, n_dim: int) -> np.ndarray:
     """Standard H reassembled from the instantaneous ladder pair.
 
     Expands H = (p^2 + x^2)/2 over the *unphased* ladder operators
@@ -270,7 +255,7 @@ def hamiltonian_in_ladder(p: ErmakovParameters, n_dim: int) -> OperatorMatrix:
            + cf["lower"] * low
            + cf["raise"] * high
            + cf["scalar"] * np.eye(n_dim))
-    return OperatorMatrix(mat)
+    return _checked(mat)
 
 
 def energy_levels(p: ErmakovParameters, n_dim: int) -> np.ndarray:
@@ -280,7 +265,7 @@ def energy_levels(p: ErmakovParameters, n_dim: int) -> np.ndarray:
     `numpy.linalg.eigh` and checks that consecutive levels are separated
     by more than the degeneracy tolerance.
     """
-    block = interior(invariant_E(p, n_dim).entries, 1)
+    block = interior(invariant_E(p, n_dim), 1)
     vals, _ = np.linalg.eigh(block)
     gaps = np.diff(vals)
     if np.any(gaps < DEGENERACY_TOL):

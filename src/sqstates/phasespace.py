@@ -465,10 +465,8 @@ def _rotation_gap(pairs, p0: ErmakovParameters, t: float):
 # grids, integrals, CSV output
 # ----------------------------------------------------------------------
 
-def default_grid(p0: ErmakovParameters, t: float = 0.0,
-                 levels: Sequence[int] = (0,),
-                 points: int | tuple[int, int] = 201,
-                 spread: float = 5.0,
+def default_grid(p0: ErmakovParameters, t: float, levels: Sequence[int],
+                 points: int | tuple[int, int], spread: float,
                  center: Optional[tuple] = None) -> PhaseSpaceGrid:
     """Build a mesh that captures essentially all of a state's mass.
 

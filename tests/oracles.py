@@ -480,7 +480,7 @@ def invariant_vectors(p, n_dim):
     (N-1)-block whose eigenvalues `operators.energy_levels` returns, with
     its phase as eigh gives it and a zero last amplitude.
     """
-    _, vecs = np.linalg.eigh(interior(invariant_E(p, n_dim).entries, 1))
+    _, vecs = np.linalg.eigh(interior(invariant_E(p, n_dim), 1))
     full = np.zeros((n_dim, n_dim - 1), dtype=complex)
     full[:-1] = vecs
     return full
@@ -500,7 +500,7 @@ def var_h_operator(n, p, n_dim=256):
                          "raise n_dim" % (n, n_dim))
     vecs = invariant_vectors(p, n_dim)
     state = vecs[:, n]
-    ham = fock_operators(n_dim)["H"].entries
+    ham = fock_operators(n_dim)["H"]
     h_state = ham @ state
     mean = float(np.real(np.vdot(state, h_state)))
     square = float(np.real(np.vdot(h_state, h_state)))
@@ -519,8 +519,7 @@ def ladder_action_check(p, n_dim, levels=7):
     levels = _check_int(levels, "levels", 1, n_dim // 8)
     vecs = invariant_vectors(p, n_dim)
     ladder = b_operators(p, n_dim)
-    low = ladder["b"].entries
-    high = ladder["b_dag"].entries
+    low, high = ladder["b"], ladder["b_dag"]
     phased = [vecs[:, 0]]
     for k in range(1, levels + 1):
         overlap = complex(np.vdot(phased[k - 1], low @ vecs[:, k]))

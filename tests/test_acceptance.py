@@ -435,8 +435,7 @@ def test_criterion_08_operator_suite(rng):
     for _ in range(6):
         p = evolve(draw_params(rng), float(rng.uniform(0.0, 2.0 * math.pi)))
         ops = b_operators(p, 256)
-        comm = (ops["b"].entries @ ops["b_dag"].entries
-                - ops["b_dag"].entries @ ops["b"].entries)
+        comm = ops["b"] @ ops["b_dag"] - ops["b_dag"] @ ops["b"]
         err_comm = max(err_comm, float(np.max(np.abs(interior(comm, 1) - eye))))
 
     err_heis = 0.0

@@ -958,11 +958,13 @@ class TestRunDriver:
         assert "cli.py" not in err
         assert sorted(os.listdir(out)) == ["expansion.csv", "expansion.json"]
 
+    @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_worker_warning_is_one_stderr_line(self, tmp_path, capsys,
-                                                 monkeypatch):
-        # two workers, whose warnings `run_tasks` warns again in this process
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
+                                                 monkeypatch, cpus):
+        # three files warn alike: in this process, or in workers whose
+        # warnings `run_tasks` warns again here, the line shows once
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
         real = cli.write_superposition_csv
 
         def warning(*args):
@@ -970,10 +972,10 @@ class TestRunDriver:
             return real(*args)
 
         monkeypatch.setattr(cli, "write_superposition_csv", warning)
-        cfg = dict(WIGNER_FOCK, times=[0.0, 0.5], points=5)
+        cfg = dict(WIGNER_FOCK, times=[0.0, 0.5, 1.0], points=5)
         assert main(["wigner", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "out")]) == 0
-        assert capsys.readouterr().err == "warning: UserWarning: injected\n" * 2
+        assert capsys.readouterr().err == "warning: UserWarning: injected\n"
 
     @pytest.mark.parametrize("parts", [("afile",), ("afile", "x")],
                              ids=["afile", "afile/x"])
@@ -1019,8 +1021,8 @@ class TestAtomicity:
         if command == "wigner":
             p0 = ErmakovParameters(**cfg["params"])
             levels = [term["level"] for term in cfg["state"]["terms"]]
-            rows = phasespace.default_grid(p0, t, levels,
-                                           cfg["points"]).x_range
+            rows = phasespace.default_grid(p0, t, levels, cfg["points"],
+                                           cli.DEFAULT_SPREAD).x_range
             module, name, late = phasespace, "_superposition_values", \
                 evolve(p0, t)
 

@@ -137,10 +137,10 @@ class TestGrid:
             assert np.array_equal(got.p_range, want.p_range)
             assert got.values.shape == points
         square = default_grid(p0, 0.8, (0, 2), 11, 5.0)
-        assert np.array_equal(
-            square.x_range, default_grid(p0, 0.8, (0, 2), (11, 11)).x_range)
+        pair = default_grid(p0, 0.8, (0, 2), (11, 11), 5.0)
+        assert np.array_equal(square.x_range, pair.x_range)
         with pytest.raises(ValueError):
-            default_grid(p0, 0.0, (0,), (9, 1))
+            default_grid(p0, 0.0, (0,), (9, 1), 5.0)
 
     def test_mesh_shape_must_match_axes(self):
         with pytest.raises(ValueError):

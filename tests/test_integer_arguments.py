@@ -66,11 +66,12 @@ ENTRY_POINTS = {
                            lambda v: poisson_statistics(1.0, 1.0, v)),
     "DynamicState": ("n", 0, MAX_DEGREE, lambda v: DynamicState(v, P0)),
     "default_grid.points": ("points", 2, None,
-                            lambda v: default_grid(P0, 0.0, (0,), v)),
+                            lambda v: default_grid(P0, 0.0, (0,), v, 5.0)),
     "default_grid.pair": ("points", 2, None,
-                                lambda v: default_grid(P0, 0.0, (0,), (5, v))),
+                                lambda v: default_grid(P0, 0.0, (0,), (5, v),
+                                                         5.0)),
     "default_grid.levels": ("levels", 0, MAX_DEGREE,
-                            lambda v: default_grid(P0, 0.0, (v,), 5)),
+                            lambda v: default_grid(P0, 0.0, (v,), 5, 5.0)),
     "wigner_numeric": ("nodes", 1025, None, lambda v: wigner_numeric(
         lambda x: np.exp(-0.5 * x * x), PhaseSpacePoint(0.0, 0.0), nodes=v)),
     # the points of the density grid that a snapshot writes

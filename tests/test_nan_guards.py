@@ -50,7 +50,7 @@ def var_h(monkeypatch):
 def superposition_csv(monkeypatch, rotation_check):
     """The superposition writer, whose values go NaN; writes nowhere."""
     monkeypatch.setattr(phasespace, "_superposition_values", nan_values)
-    grid = phasespace.default_grid(P0, 0.4, (0, 2), points=5)
+    grid = phasespace.default_grid(P0, 0.4, (0, 2), 5, 5.0)
     return phasespace.write_superposition_csv(os.devnull, COEFFS, P0, grid,
                                               0.4, rotation_check)
 

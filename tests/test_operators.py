@@ -7,7 +7,6 @@ import pytest
 
 from sqstates.ermakov import ErmakovParameters, evolve
 from sqstates.operators import (
-    OperatorMatrix,
     b_evolved,
     b_operators,
     energy_levels,
@@ -41,50 +40,49 @@ def draw_resolvable(rng, sigma_cap=4.5):
             return p
 
 
-class TestOperatorMatrix:
-    def test_shape_and_finite_validation(self):
-        for shape in ((4,), (2, 3), (2, 2, 2)):
-            with pytest.raises(ValueError, match="square matrix"):
-                OperatorMatrix(np.zeros(shape))
-        bad = np.zeros((2, 2), dtype=complex)
-        bad[0, 1] = np.inf
-        with pytest.raises(ValueError, match="finite"):
-            OperatorMatrix(bad)
+class TestCheckedMatrices:
+    """Every builder returns a finite, read-only complex array; a false
+    Hermitian claim fails `tests/test_mutations.py`'s ``hermitian_claim``."""
 
-    def test_hermitian_claim_is_verified(self):
-        skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(ValueError, match="Hermitian"):
-            OperatorMatrix(skew, hermitian=True)
-        OperatorMatrix(skew + skew.conj().T, hermitian=True)
+    def test_a_non_finite_entry_is_refused(self):
+        # beta x overflows at beta = 1e308
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="entries must be finite"):
+            b_operators(ErmakovParameters(0, 1e308, 0, 0, 0, 0), 8)
 
-    def test_entries_read_only(self):
-        op = fock_operators(4)["x"]
-        with pytest.raises(ValueError):
-            op.entries[0, 0] = 5.0
+    def test_every_result_is_read_only(self):
+        p = ErmakovParameters(0.3, 1.2, 0.1, -0.4, 0.2, 0.0)
+        built = [*fock_operators(4).values(), *b_operators(p, 4).values(),
+                 b_evolved(p, 0.5, 4), invariant_E(p, 4),
+                 hamiltonian_in_ladder(p, 4)]
+        for mat in built:
+            assert mat.dtype == complex and mat.shape == (4, 4)
+            with pytest.raises(ValueError):
+                mat[0, 0] = 5.0
 
 
 class TestFockOperators:
     def test_canonical_commutator_interior(self):
         ops = fock_operators(64)
-        x, p = ops["x"].entries, ops["p"].entries
+        x, p = ops["x"], ops["p"]
         comm = x @ p - p @ x
         gap = np.abs(interior(comm) - 1j * np.eye(63))
         assert np.max(gap) < 1e-12
 
     def test_hamiltonian_diagonal(self):
         ops = fock_operators(32)
-        ham = ops["H"].entries
+        ham = ops["H"]
         assert np.max(np.abs(ham - np.diag(np.diag(ham)))) < 1e-15
         levels = np.diag(ham).real[:31]
         assert np.max(np.abs(levels - (np.arange(31) + 0.5))) < 1e-13
 
     def test_vacuum_position_variance(self):
         ops = fock_operators(16)
-        xsq = ops["x"].entries @ ops["x"].entries
+        xsq = ops["x"] @ ops["x"]
         assert xsq[0, 0].real == pytest.approx(0.5, abs=1e-15)
 
     def test_annihilator_superdiagonal(self):
-        a = fock_operators(6)["a"].entries
+        a = fock_operators(6)["a"]
         for k in range(1, 6):
             assert a[k - 1, k] == pytest.approx(math.sqrt(k), abs=0)
         assert np.count_nonzero(a) == 5
@@ -98,14 +96,14 @@ class TestBOperators:
     def test_ground_params_give_standard_ladder(self):
         ops = fock_operators(48)
         pair = b_operators(GROUND, 48)
-        assert np.max(np.abs(pair["b"].entries - ops["a"].entries)) < 1e-14
+        assert np.max(np.abs(pair["b"] - ops["a"])) < 1e-14
 
     def test_commutator_is_identity_interior(self, rng):
         n_dim = 96
         for _ in range(8):
             p = evolve(draw_params(rng), rng.uniform(0, 6))
             pair = b_operators(p, n_dim)
-            b, b_dag = pair["b"].entries, pair["b_dag"].entries
+            b, b_dag = pair["b"], pair["b_dag"]
             comm = b @ b_dag - b_dag @ b
             gap = np.abs(interior(comm) - np.eye(n_dim - 1))
             assert np.max(gap) < 1e-12
@@ -113,8 +111,7 @@ class TestBOperators:
     def test_adjoint_pairing(self, rng):
         p = draw_params(rng)
         pair = b_operators(p, 32)
-        assert np.max(np.abs(pair["b_dag"].entries
-                             - pair["b"].entries.conj().T)) < 1e-14
+        assert np.max(np.abs(pair["b_dag"] - pair["b"].conj().T)) < 1e-14
 
     def test_heisenberg_residual_small(self, rng):
         for _ in range(4):
@@ -126,10 +123,10 @@ class TestBOperators:
         # the textbook sign, db/dt = -i[b, H], fails the ladder dynamics
         p0 = draw_params(rng)
         step, t = 1e-5, 0.8
-        ham = fock_operators(48)["H"].entries
+        ham = fock_operators(48)["H"]
 
         def ladder(at):
-            return b_operators(evolve(p0, at), 48)["b"].entries
+            return b_operators(evolve(p0, at), 48)["b"]
 
         rate = (ladder(t + step) - ladder(t - step)) / (2.0 * step)
         here = ladder(t)
@@ -140,24 +137,24 @@ class TestBOperators:
         for _ in range(6):
             p0 = draw_params(rng)
             t = rng.uniform(0.0, 4.0 * math.pi)
-            direct = b_operators(evolve(p0, t), 64)["b"].entries
-            rotated = b_evolved(p0, t, 64).entries
+            direct = b_operators(evolve(p0, t), 64)["b"]
+            rotated = b_evolved(p0, t, 64)
             assert np.max(np.abs(direct - rotated)) < 1e-12
 
 
 class TestInvariant:
     def test_ground_params_reduce_to_hamiltonian(self):
-        e_op = invariant_E(GROUND, 40).entries
-        ham = fock_operators(40)["H"].entries
+        e_op = invariant_E(GROUND, 40)
+        ham = fock_operators(40)["H"]
         assert np.max(np.abs(e_op - ham)) < 1e-13
 
     def test_matches_symmetrized_ladder_product(self, rng):
         n_dim = 96
         p = evolve(draw_params(rng), 1.7)
         pair = b_operators(p, n_dim)
-        b, b_dag = pair["b"].entries, pair["b_dag"].entries
+        b, b_dag = pair["b"], pair["b_dag"]
         sym = 0.5 * (b @ b_dag + b_dag @ b)
-        gap = np.abs(interior(invariant_E(p, n_dim).entries, 2)
+        gap = np.abs(interior(invariant_E(p, n_dim), 2)
                      - interior(sym, 2))
         assert np.max(gap) < 1e-12
 
@@ -185,7 +182,7 @@ class TestInvariant:
         base = None
         for t in np.linspace(0.0, 4.0 * math.pi, 17):
             amps = vec * np.exp(-1j * levels * t)
-            e_op = invariant_E(evolve(p0, t), n_dim).entries
+            e_op = invariant_E(evolve(p0, t), n_dim)
             val = float(np.real(np.vdot(amps, e_op @ amps)))
             base = val if base is None else base
             assert val == pytest.approx(base, abs=1e-8)
@@ -194,16 +191,16 @@ class TestInvariant:
         n_dim = 96
         p = evolve(draw_params(rng), 0.4)
         pair = b_operators(p, n_dim)
-        number = pair["b_dag"].entries @ pair["b"].entries
-        e_op = invariant_E(p, n_dim).entries
+        number = pair["b_dag"] @ pair["b"]
+        e_op = invariant_E(p, n_dim)
         comm = e_op @ number - number @ e_op
         assert np.max(np.abs(interior(comm, 2))) < 1e-10
 
 
 class TestHamiltonianInLadder:
     def test_ground_params_reduce_to_symmetric_term(self):
-        rebuilt = hamiltonian_in_ladder(GROUND, 32).entries
-        ham = fock_operators(32)["H"].entries
+        rebuilt = hamiltonian_in_ladder(GROUND, 32)
+        ham = fock_operators(32)["H"]
         assert np.max(np.abs(rebuilt - ham)) < 1e-13
         cf = ladder_coefficients(GROUND)
         assert cf["lower_sq"] == 0
@@ -215,8 +212,8 @@ class TestHamiltonianInLadder:
         n_dim = 96
         for _ in range(6):
             p = evolve(draw_params(rng), rng.uniform(0, 6))
-            rebuilt = hamiltonian_in_ladder(p, n_dim).entries
-            ham = fock_operators(n_dim)["H"].entries
+            rebuilt = hamiltonian_in_ladder(p, n_dim)
+            ham = fock_operators(n_dim)["H"]
             gap = np.abs(interior(rebuilt, 2) - interior(ham, 2))
             assert np.max(gap) < 1e-10
 
@@ -258,7 +255,7 @@ class TestLadderAction:
     def test_annihilates_dynamic_vacuum(self, rng):
         p = evolve(draw_resolvable(rng), 0.9)
         vecs = invariant_vectors(p, 256)
-        low = b_operators(p, 256)["b"].entries
+        low = b_operators(p, 256)["b"]
         assert np.linalg.norm(low @ vecs[:, 0]) < 1e-10
 
     def test_random_params_ladder(self, rng):

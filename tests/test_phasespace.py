@@ -68,13 +68,14 @@ class TestPoints:
             PhaseSpaceGrid(x, x, np.zeros((11, 11), dtype=complex))
 
     def test_grid_spacing_properties(self):
-        g = default_grid(ErmakovParameters(0, 1, 0, 0, 0, 0), points=51)
+        g = default_grid(ErmakovParameters(0, 1, 0, 0, 0, 0), 0.0, (0,), 51,
+                         5.0)
         assert g.dx == pytest.approx(g.x_range[1] - g.x_range[0])
         assert g.values.shape == (51, 51)
 
     def test_default_grid_needs_a_level(self):
         with pytest.raises(ValueError, match="levels"):
-            default_grid(ErmakovParameters(0, 1, 0, 0, 0, 0), 0.0, (), 5)
+            default_grid(ErmakovParameters(0, 1, 0, 0, 0, 0), 0.0, (), 5, 5.0)
 
 
 class TestClosedGaussian:
@@ -98,7 +99,7 @@ class TestClosedGaussian:
         for _ in range(5):
             s = draw_tcs(rng)
             t = rng.uniform(0.0, 2.0 * math.pi)
-            g = default_grid(s.params0, t, points=401, spread=6.0,
+            g = default_grid(s.params0, t, (0,), points=401, spread=6.0,
                              center=tcs_center(s, t))
             total = grid_normalization(tcs_grid(s, g, t))
             assert total == pytest.approx(1.0, abs=1e-6)
@@ -106,7 +107,7 @@ class TestClosedGaussian:
     def test_position_marginal_matches_density(self, rng):
         s = draw_tcs(rng)
         t = 0.8
-        g = default_grid(s.params0, t, points=601, spread=7.0,
+        g = default_grid(s.params0, t, (0,), points=601, spread=7.0,
                          center=tcs_center(s, t))
         marg = np.trapezoid(tcs_grid(s, g, t).values, dx=g.dp, axis=1)
         dens = np.abs(psi_tcs(s, g.x_range, t)) ** 2
@@ -115,7 +116,7 @@ class TestClosedGaussian:
     def test_momentum_marginal_matches_fourier_density(self, rng):
         s = draw_tcs(rng)
         t = 2.1
-        g = default_grid(s.params0, t, points=501, spread=7.0,
+        g = default_grid(s.params0, t, (0,), points=501, spread=7.0,
                          center=tcs_center(s, t))
         marg = np.trapezoid(tcs_grid(s, g, t).values, dx=g.dx, axis=0)
         half = 0.5 * (g.x_range[-1] - g.x_range[0])
@@ -308,7 +309,8 @@ class TestSuperposition:
         path = tmp_path / "w.csv"
         with pytest.raises(ValueError, match="not normalized"):
             phasespace.write_superposition_csv(
-                path, [(math.nan, 0)], p0, default_grid(p0, points=5), 0.0)
+                path, [(math.nan, 0)], p0,
+                default_grid(p0, 0.0, (0,), 5, 5.0), 0.0)
         assert not path.exists()
 
     def test_purity_of_pure_states(self, rng):
@@ -324,19 +326,19 @@ class TestRotationLaw:
     def test_zero_time_is_exact(self):
         p0 = ErmakovParameters(0.3, 0.8, 0.1, 0.2, 0.5, 0.0)
         coeffs = [(0.6, 1), (0.8, 4)]
-        g = default_grid(p0, 0.0, levels=(1, 4))
+        g = default_grid(p0, 0.0, (1, 4), 201, 5.0)
         assert rotate_evolution_check(coeffs, p0, g, 0.0) == 0.0
 
     def test_full_turn_closes(self):
         p0 = ErmakovParameters(0.3, 0.8, 0.1, 0.2, 0.5, 0.0)
         coeffs = [(0.6, 1), (0.8, 4)]
-        g = default_grid(p0, 0.0, levels=(1, 4))
+        g = default_grid(p0, 0.0, (1, 4), 201, 5.0)
         assert rotate_evolution_check(coeffs, p0, g, 2.0 * math.pi) < 1e-10
 
     def test_random_draw_on_standard_grid(self, rng):
         p0 = draw_params(rng)
         coeffs = [(1 / math.sqrt(2), 0), (-1j / math.sqrt(2), 3)]
-        g = default_grid(p0, 0.0, levels=(0, 3), points=201)
+        g = default_grid(p0, 0.0, (0, 3), 201, 5.0)
         assert rotate_evolution_check(coeffs, p0, g, 1.1) <= 1e-9
 
 
@@ -376,7 +378,7 @@ class TestRowBlocks:
     def test_grids_match_whole_mesh_evaluation(self, rng):
         p0 = draw_params(rng)
         t = 0.7
-        g = default_grid(p0, t, (0, 2), points=(70, 45))
+        g = default_grid(p0, t, (0, 2), (70, 45), 5.0)
         xg, pg = self.mesh(g)
         pairs = phasespace._check_coeffs(self.COEFFS)
         whole = phasespace._superposition_values(pairs, evolve(p0, t), xg, pg)
@@ -390,7 +392,7 @@ class TestRowBlocks:
     def test_rotation_check_is_the_whole_mesh_max(self, rng):
         p0 = draw_params(rng)
         t = 1.3
-        g = default_grid(p0, 0.0, (0, 2), points=(70, 45))
+        g = default_grid(p0, 0.0, (0, 2), (70, 45), 5.0)
         xg, pg = self.mesh(g)
         pairs = phasespace._check_coeffs(self.COEFFS)
         now = phasespace._superposition_values(pairs, evolve(p0, t), xg, pg)
@@ -403,7 +405,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("row", [0, 40, 69])
     def test_imaginary_residual_in_any_block_raises(self, monkeypatch, row):
         p0 = ErmakovParameters(0.3, 0.8, 0.1, 0.2, 0.5, 0.0)
-        g = default_grid(p0, 0.0, (0, 2), points=(70, 45))
+        g = default_grid(p0, 0.0, (0, 2), (70, 45), 5.0)
         real = phasespace._superposition_values
 
         def leaky(pairs, p, x, mom):
@@ -436,7 +438,7 @@ class TestCrossFunctionReuse:
 
     def test_one_evaluation_per_unordered_pair(self, monkeypatch, rng):
         p0 = draw_params(rng)
-        g = default_grid(p0, 0.4, (0, 5), points=(70, 45))
+        g = default_grid(p0, 0.4, (0, 5), (70, 45), 5.0)
         real = phasespace._moyal_values
         calls = []
 
@@ -457,7 +459,7 @@ class TestCrossFunctionReuse:
             p0 = draw_params(rng)
             t = rng.uniform(-2.0, 2.0)
             p = evolve(p0, t)
-            g = default_grid(p0, t, (0, 5), points=(37, 29))
+            g = default_grid(p0, t, (0, 5), (37, 29), 5.0)
             xg, pg = np.meshgrid(g.x_range, g.p_range, indexing="ij")
             pairs = phasespace._check_coeffs(self.COEFFS)
             fast = phasespace._superposition_values(pairs, p, xg, pg)
@@ -472,7 +474,7 @@ class TestFiniteBlocks:
     def test_nonfinite_block_raises_before_it_is_written(self, tmp_path):
         # a lone level 200 overflows its Laguerre factor off centre
         g = default_grid(ErmakovParameters(0.0, 1.0, 0.0, 0.0, 0.0, 0.0),
-                         0.0, (200,), 51)
+                         0.0, (200,), 51, 5.0)
         path = tmp_path / "w.csv"
         with np.errstate(all="ignore"), \
                 pytest.raises(FloatingPointError,

@@ -1,4 +1,5 @@
-"""Every library statement is executed by a CLI run, or listed with a reason.
+"""Every library statement is executed by a CLI run, and every dataclass
+field is read by one, or it is listed with a reason.
 
 A route that no run takes is a test reference in ``tests/oracles.py``,
 or it goes.  `RUNS` run in a fresh interpreter under `trace`, with one
@@ -7,6 +8,10 @@ a ``src/sqstates`` function that none runs (by its first line; not
 ``raise``, ``try``, ``global`` or ``nonlocal``) must be in `UNREACHED`,
 as ``module.function: source``, or as ``module.function`` if none of the
 function's statements runs, and each entry there must be unreached.
+The same runs count the reads of each field and property of every
+``sqstates`` dataclass, not counting those in its ``__post_init__``;
+each that none reads must be in `UNREAD`, as ``module.Class.name``, and
+each entry there must be unread.
 """
 
 import ast
@@ -17,6 +22,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import sqstates
 import test_cli as cli
@@ -85,8 +92,6 @@ UNREACHED = {
         states._shape_like: return values.reshape(-1)[0]
         phasespace.moyal: return complex(np.conj(moyal(n, m, p0, pt, t)))
         fockexp.m_matrix: return _readonly(np.diag(diag.astype(complex)))""",
-    "refusal: `_validate_variant` checks a const key first": """
-        _schema._message: return "%r was expected" % (bound,)""",
     "refusal: the schema bounds every time the flow takes": """
         ermakov._times: for x in t.tolist():
         ermakov._times: _check_time(x)  # raises at the first bad time""",
@@ -108,20 +113,53 @@ UNREACHED = {
         _pcg64.integers: product = self._next_uint32() * bound""",
 }
 
+#: Each field or property that no run reads, under the reason it stays
+UNREAD = {
+    "kept: acceptance criterion 1 reads the time of the largest product": """
+        states.UncertaintyExtrema.t_max""",
+}
+
 #: runs the argument lists in the file argv[1] through `sqstates.cli.main`
-#: under `trace`; writes their exit codes and the lines run to argv[2]
+#: under `trace`, counting reads of the fields and properties of every
+#: `sqstates` dataclass; writes their exit codes, the lines run and the
+#: read counts to argv[2]
 CHILD = """
-import json, os, sys, trace
+import dataclasses, json, os, sys, trace
 os.sched_getaffinity = lambda pid: {0}
+reads = {}
+def counted(key, fget, fset=None):
+    reads[key] = 0
+    def get(obj):
+        if sys._getframe(1).f_code.co_name != "__post_init__":
+            reads[key] += 1
+        return fget(obj)
+    return property(get, fset)
+def count_reads():
+    for module in [module for name, module in sys.modules.items()
+                   if name.startswith("sqstates.")]:
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                continue
+            where = "%s.%s." % (module.__name__.split(".")[-1], cls.__name__)
+            for name, prop in list(vars(cls).items()):
+                if isinstance(prop, property):
+                    setattr(cls, name, counted(where + name, prop.fget))
+            # a field becomes a property over the instance's __dict__
+            for name in (f.name for f in dataclasses.fields(cls)):
+                setattr(cls, name, counted(
+                    where + name, lambda obj, n=name: vars(obj)[n],
+                    lambda obj, value, n=name: vars(obj).update({n: value})))
 def run(argvs):
     from sqstates.cli import main   # what runs at import time is traced
+    count_reads()
     return [main(argv) for argv in argvs]
 tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.prefix,
                                                    sys.exec_prefix])
 with open(sys.argv[1]) as fh:
     codes = tracer.runfunc(run, json.load(fh))
 with open(sys.argv[2], "w") as fh:
-    json.dump([codes, list(tracer.results().counts)], fh)
+    json.dump([codes, list(tracer.results().counts), reads], fh)
 """
 
 
@@ -161,7 +199,17 @@ def unreached(hit):
     return found
 
 
-def test_every_statement_is_reached_or_listed(tmp_path):
+def listed(entries):
+    """The entries of `UNREACHED` or `UNREAD`, one a line, counted."""
+    return Counter(line.strip() for block in entries.values()
+                   for line in block.strip().splitlines())
+
+
+@pytest.fixture(scope="module")
+def child(tmp_path_factory):
+    """The lines run and the read counts of `RUNS` in `CHILD`, whose exit
+    codes it checks."""
+    tmp_path = tmp_path_factory.mktemp("reach")
     argvs = []
     for i, (_, command, config, *flags) in enumerate(RUNS):
         argv = [command, "--out", str(tmp_path / str(i)), *flags]
@@ -174,10 +222,20 @@ def test_every_statement_is_reached_or_listed(tmp_path):
     proc = subprocess.run([sys.executable, "-c", CHILD, runs, result],
                           capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    codes, hit = json.loads(result.read_text())
+    codes, hit, reads = json.loads(result.read_text())
     assert codes == [run[0] for run in RUNS], proc.stderr
+    return hit, reads
+
+
+def test_every_statement_is_reached_or_listed(child):
+    hit, _ = child
     found = Counter(unreached({tuple(entry) for entry in hit}))
-    listed = Counter(line.strip() for block in UNREACHED.values()
-                     for line in block.strip().splitlines())
-    new, stale = found - listed, listed - found
+    new, stale = found - listed(UNREACHED), listed(UNREACHED) - found
+    assert (sorted(new), sorted(stale)) == ([], [])
+
+
+def test_every_field_is_read_or_listed(child):
+    _, reads = child
+    found = Counter(key for key, count in reads.items() if count == 0)
+    new, stale = found - listed(UNREAD), listed(UNREAD) - found
     assert (sorted(new), sorted(stale)) == ([], [])

@@ -212,9 +212,6 @@ def test_item_paths_and_list_messages():
         "config.times: [] should be non-empty")
     assert ours({"kind": "tcs", "zeta": [1.0]}, cli._STATE_SCHEMAS["tcs"],
                 "config.state") == "config.state.zeta: [1.0] is too short"
-    assert ours({"kind": "tcs", "terms": TERMS},
-                cli._STATE_SCHEMAS["superposition"], "config.state") == (
-        "config.state.kind: 'superposition' was expected")
 
 
 def test_json_path_quotes_odd_names():
