@@ -7,6 +7,7 @@ import pytest
 
 from sqstates.ermakov import ErmakovParameters, evolve
 from sqstates.operators import (
+    _checked,
     b_evolved,
     b_operators,
     energy_levels,
@@ -40,9 +41,20 @@ def draw_resolvable(rng, sigma_cap=4.5):
             return p
 
 
+class TestOperatorMatrix:
+    """The check every builder runs on the operator matrix it returns."""
+
+    def test_hermitian_claim_is_verified(self):
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            _checked(skew, hermitian=True)
+        _checked(skew + skew.conj().T, hermitian=True)
+
+
 class TestCheckedMatrices:
     """Every builder returns a finite, read-only complex array; a false
-    Hermitian claim fails `tests/test_mutations.py`'s ``hermitian_claim``."""
+    Hermitian claim through a builder fails `tests/test_mutations.py`'s
+    ``hermitian_claim``."""
 
     def test_a_non_finite_entry_is_refused(self):
         # beta x overflows at beta = 1e308
